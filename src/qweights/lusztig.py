@@ -1,7 +1,11 @@
 """q-analogues of weight multiplicities, computed three independent ways.
 
-* ``lusztig_q_analogue`` — the defining alternating sum over the Weyl group,
-  with partition-function queries against the memoized kernel;
+* ``lusztig_q_analogue`` — the defining alternating sum of partition values
+  at w(lam+rho)-(mu+rho), queried against the memoized kernel.  Only the w
+  with that point in Q_+ contribute, and there are few of them, so instead
+  of summing over all of W the sum walks the orbit of lam+rho breadth-first
+  from the top, in integer root coordinates, and prunes each branch as soon
+  as the point leaves Q_+;
 * ``q_analogue_by_induction`` — recursion on a negative coordinate of the
   target weight, reducing to dominant targets which fall back to the sum;
 * ``q_analogue_via_kernel`` — convolution of ordinary weight multiplicities
@@ -16,13 +20,10 @@ ratios, generalized exponents, and the coefficientwise-positivity test.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
-
 from .poly import QPoly
 from .qkostant import _engine
 from .root_system import RootSystem, Weight
-from .weyl import dominant_representative, orbit, stabilizer_poincare, weyl_elements
+from .weyl import _weyl_cache, dominant_representative, orbit, stabilizer_poincare
 
 
 class WeightMultiset:
@@ -64,12 +65,8 @@ class _Workspace:
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
-        # scale clearing all denominators of inverse-Cartan entries: a weight
-        # lies in the root lattice iff its scaled root coords are = 0 mod scale
-        self.scale = lcm(*[x.denominator for row in rs._inv_cartan for x in row])
         self.defining_memo = {}
         self.induction_memo = {}
-        self.shifted_orbits = {}
         self.char_cache = {}
         self.tnu_cache = {}
 
@@ -86,29 +83,18 @@ def _ws(rs: RootSystem) -> _Workspace:
 
 
 def clear_caches():
+    """Drop every per-root-system cache: the q-analogue, induction,
+    character and stabilizer caches here and the materialised Weyl groups
+    held by ``weyl``.  The partition kernel's memo has its own
+    ``clear_partition_cache``."""
     _workspaces.clear()
-
-
-def _scaled_root_coords(ws, w: Weight):
-    return tuple(int(x * ws.scale) for x in ws.rs.weight_to_root_coords(w))
-
-
-def _shifted_orbit(ws, lam_rho: Weight):
-    """[(sign, scaled root coords of w(lam+rho))] over the whole Weyl group."""
-    got = ws.shifted_orbits.get(lam_rho.coords)
-    if got is None:
-        got = tuple(
-            (w.sign, _scaled_root_coords(ws, w.act(lam_rho)))
-            for w in weyl_elements(ws.rs)
-        )
-        ws.shifted_orbits[lam_rho.coords] = got
-    return got
+    _weyl_cache.clear()
 
 
 def lusztig_q_analogue(rs: RootSystem, lam: Weight, mu: Weight) -> QPoly:
     """The q-analogue of the multiplicity of mu in the highest-weight module
     of lam: the alternating Weyl-group sum of partition values at
-    w(lam+rho)-(mu+rho)."""
+    w(lam+rho)-(mu+rho), over the w for which that point lies in Q_+."""
     if not lam.is_dominant():
         raise ValueError(f"{lam} is not dominant")
     ws = _ws(rs)
@@ -116,27 +102,33 @@ def lusztig_q_analogue(rs: RootSystem, lam: Weight, mu: Weight) -> QPoly:
     got = ws.defining_memo.get(key)
     if got is not None:
         return got
-    scale = ws.scale
-    tgt = _scaled_root_coords(ws, mu + rs.rho)
-    rank = rs.rank
-    engine = _engine(rs)
     acc = {}
-    for sign, vec in _shifted_orbit(ws, lam + rs.rho):
-        arg = []
-        for i in range(rank):
-            d = vec[i] - tgt[i]
-            if d < 0 or d % scale:
-                arg = None
-                break
-            arg.append(d // scale)
-        if arg is None:
-            continue
-        if sign > 0:
-            for e, c in engine.compute(arg).items():
-                acc[e] = acc.get(e, 0) + c
-        else:
-            for e, c in engine.compute(arg).items():
-                acc[e] = acc.get(e, 0) - c
+    diff = rs.weight_to_root_coords(lam - mu)
+    if all(x.denominator == 1 and x >= 0 for x in diff):
+        engine = _engine(rs)
+        a = rs.cartan
+        rank = rs.rank
+        # Walk the regular orbit of lam+rho down from the top.  Reflecting a
+        # point x at a coordinate c = x[i] > 0 raises the length by one and
+        # lowers root coordinate i of x - (mu+rho) by c, so BFS layers carry
+        # alternating signs and a child whose coordinate would go negative
+        # (and with it every point below it) can be dropped on the spot.
+        layer = {(lam + rs.rho).coords: tuple(int(x) for x in diff)}
+        sign = 1
+        while layer:
+            nxt = {}
+            for x, arg in layer.items():
+                for e, v in engine.compute(arg).items():
+                    acc[e] = acc.get(e, 0) + sign * v
+                for i in range(rank):
+                    c = x[i]
+                    if c <= 0 or arg[i] < c:
+                        continue
+                    y = tuple(x[k] - a[k][i] * c for k in range(rank))
+                    if y not in nxt:
+                        nxt[y] = arg[:i] + (arg[i] - c,) + arg[i + 1:]
+            layer = nxt
+            sign = -sign
     poly = QPoly(acc)
     ws.defining_memo[key] = poly
     return poly
@@ -248,7 +240,8 @@ def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
         num *= rs.inner(lr, r)
         den *= rs.inner(rs.rho, r)
     q, rem = divmod(num, den)
-    assert rem == 0
+    if rem:
+        raise AssertionError(f"Weyl dimension of {lam} in {rs.name} is not integral")
     return q
 
 
@@ -280,7 +273,11 @@ def character(rs: RootSystem, lam: Weight) -> WeightMultiset:
         diff_rc = tuple(int(x) for x in rs.weight_to_root_coords(lam - mu))
         denom = rs.inner(lam + mu + two_rho, diff_rc)
         m, rem = divmod(2 * rhs, denom)
-        assert rem == 0 and m > 0, (lam, mu, rhs, denom)
+        if rem or m <= 0:
+            raise AssertionError(
+                f"Freudenthal step failed for {lam}, {mu} in {rs.name}: "
+                f"2*{rhs} / {denom}"
+            )
         mult[mu.coords] = m
 
     entries = {}

@@ -7,7 +7,8 @@ Conventions, fixed once and documented in the README:
   of A is alpha_j written in the fundamental-weight basis.
 * Roots are stored in simple-root coordinates (always integer vectors);
   weights are stored in fundamental-weight coordinates (always integer
-  vectors).  Conversion between the two goes through exact rationals.
+  vectors).  Conversion between the two goes through exact rationals, computed
+  from an integer multiple of the inverse Cartan matrix.
 * The symmetrizer d_i is normalized so short simple roots have (a,a) = 2;
   then the coroot of a short root is the root itself.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 WEYL_ORDER_GUARD = 10**7
 
@@ -218,6 +220,11 @@ class RootSystem:
         self.heights = tuple(sum(r) for r in self.positive_roots)
         self._root_index = {r: k for k, r in enumerate(self.positive_roots)}
         self._inv_cartan = _invert(self.cartan)
+        # the same matrix times a common denominator, as ints
+        self._inv_scale = lcm(*[x.denominator for row in self._inv_cartan for x in row])
+        self._scaled_inv_cartan = tuple(
+            tuple(int(x * self._inv_scale) for x in row) for row in self._inv_cartan
+        )
 
         # exponents = dual partition of the height-count sequence
         hmax = self.heights[-1]
@@ -242,7 +249,8 @@ class RootSystem:
         for r in self.positive_roots:
             nn = sum(r[j] * r[k] * d[k] * self.cartan[k][j]
                      for j in range(rank) for k in range(rank) if r[j] and r[k])
-            assert nn % 2 == 0
+            if nn % 2:
+                raise AssertionError(f"root {r} of {self.name} has odd squared length")
             self.root_length[r] = nn // 2
         self.short_positive_roots = tuple(
             r for r in self.positive_roots if self.root_length[r] == 1
@@ -261,7 +269,10 @@ class RootSystem:
         self.theta_root_coords = self.positive_roots[-1]
         short_dom = [r for r in self.short_positive_roots
                      if self.root_to_weight_basis(r).is_dominant()]
-        assert len(short_dom) == 1
+        if len(short_dom) != 1:
+            raise AssertionError(
+                f"{self.name} has {len(short_dom)} dominant short roots, expected 1"
+            )
         self.theta_s_root_coords = short_dom[0]
         self.theta_s = self.root_to_weight_basis(short_dom[0])
 
@@ -285,12 +296,11 @@ class RootSystem:
 
     def weight_to_root_coords(self, w: Weight) -> tuple:
         """Exact rational solution of cartan . x = coords."""
-        inv = self._inv_cartan
-        n = self.rank
+        c = w.coords
+        scale = self._inv_scale
         return tuple(
-            sum(inv[i][j] * w.coords[j] for j in range(n) if w.coords[j])
-            or Fraction(0)
-            for i in range(n)
+            Fraction(sum(x * y for x, y in zip(row, c) if y), scale)
+            for row in self._scaled_inv_cartan
         )
 
     def in_root_lattice(self, w: Weight) -> bool:

@@ -1,9 +1,11 @@
 """Weyl group enumeration, lengths, orbits, dominant representatives.
 
 Elements are stored as integer matrices acting on fundamental-weight
-coordinates; the alternating sums downstream need fast action on a vector,
-not word structure.  Lengths are assigned as breadth-first depth from the
-identity, which for a Coxeter group equals the reduced word length.
+coordinates, with lengths assigned as breadth-first depth from the identity,
+which for a Coxeter group equals the reduced word length.  Materialising W
+is for tests and reference sums; the hot paths walk orbits of vectors
+instead (``orbit``, ``stabilizer_poincare`` here, the defining sum in
+``lusztig``).
 """
 
 from __future__ import annotations
@@ -132,27 +134,26 @@ def stabilizer_poincare(rs: RootSystem, nu: Weight) -> QPoly:
     """Poincare polynomial t_nu(q) of the stabilizer of a dominant weight.
 
     The stabilizer is the parabolic subgroup generated by the simple
-    reflections fixing nu; lengths restrict from the whole group, so BFS
-    depth inside the subgroup is the right exponent.
+    reflections fixing nu.  It acts freely on the orbit of rho, and
+    reflecting a point of that orbit at a positive coordinate raises the
+    length by one, so the BFS layers of the walk count elements by length.
     """
     if not nu.is_dominant():
         raise ValueError(f"{nu} is not dominant")
-    gens = [rs.simple_reflection_matrix(i)
-            for i in range(rs.rank) if nu.coords[i] == 0]
-    ident = _identity(rs.rank)
+    gens = [i for i in range(rs.rank) if nu.coords[i] == 0]
+    a = rs.cartan
+    n = rs.rank
     terms = {}
-    seen = {ident}
-    layer = [ident]
+    layer = {rs.rho.coords}
     depth = 0
     while layer:
-        terms[depth] = terms.get(depth, 0) + len(layer)
-        nxt = []
-        for m in layer:
-            for g in gens:
-                m2 = _mat_mul(g, m)
-                if m2 not in seen:
-                    seen.add(m2)
-                    nxt.append(m2)
+        terms[depth] = len(layer)
+        nxt = set()
+        for x in layer:
+            for i in gens:
+                c = x[i]
+                if c > 0:
+                    nxt.add(tuple(x[k] - a[k][i] * c for k in range(n)))
         layer = nxt
         depth += 1
     return QPoly(terms)

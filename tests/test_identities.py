@@ -12,7 +12,7 @@ from qweights.root_system import Weight, build_root_system
 
 
 class TestVerifiers:
-    @pytest.mark.parametrize("name", ["A2", "B2", "C3", "G2"])
+    @pytest.mark.parametrize("name", ["A2", "B2", "C3", "G2", "E6"])
     def test_adjoint(self, name):
         report = idn.verify_adjoint(build_root_system(name))
         assert report.passed

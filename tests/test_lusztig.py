@@ -1,13 +1,17 @@
 """Graded multiplicities: frozen values, specializations, route agreement."""
 
+import itertools
+
 import pytest
 
+from qweights import weyl
 from qweights.lusztig import (
     WeightMultiset,
     broer_nonnegativity_test,
     brylinski_form,
     character,
     cherednik_coefficient,
+    clear_caches,
     dual_weight,
     freudenthal_multiplicity,
     generalized_exponents,
@@ -20,6 +24,7 @@ from qweights.lusztig import (
     weyl_dimension,
 )
 from qweights.poly import QPoly
+from qweights.qkostant import q_partition
 from qweights.root_system import Weight, build_root_system
 
 
@@ -78,6 +83,42 @@ class TestFrozenValues:
             lusztig_q_analogue(A2, Weight((-1, 0)), ZERO2)
         with pytest.raises(ValueError):
             q_analogue_by_induction(A2, Weight((-1, 0)), ZERO2)
+
+
+class TestOrbitWalkAgainstFullWeylSum:
+    """The pruned orbit walk must agree with the plain alternating sum over
+    every element of W, including where the answer is zero."""
+
+    @pytest.mark.parametrize(
+        "name", ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2"]
+    )
+    def test_matches_full_sum(self, name):
+        rs = build_root_system(name)
+        lams = {rs.theta, rs.rho, rs.theta_s}
+        lams.update(rs.fundamental_weight(i) for i in range(rs.rank))
+        elems = weyl.weyl_elements(rs)
+        seen = {"non-dominant mu": 0, "outside Q+": 0, "off the lattice": 0}
+        for lam in sorted(lams, key=lambda w: w.coords):
+            top = [(w.sign, w.act(lam + rs.rho)) for w in elems]
+            for mu in itertools.product(range(-2, 2), repeat=rs.rank):
+                mu = Weight(mu)
+                shift = mu + rs.rho
+                acc = {}
+                for sign, point in top:
+                    for e, c in q_partition(rs, point - shift).terms().items():
+                        acc[e] = acc.get(e, 0) + sign * c
+                assert lusztig_q_analogue(rs, lam, mu) == QPoly(acc), (lam, mu)
+                seen["non-dominant mu"] += not mu.is_dominant()
+                if not rs.in_root_lattice(lam - mu):
+                    seen["off the lattice"] += 1
+                elif not rs.dominance_leq(mu, lam):
+                    seen["outside Q+"] += 1
+        # the grid is too small to leave Q+ inside the lattice for A1 and
+        # A2, and G2's root lattice is its whole weight lattice
+        expect = {"non-dominant mu": True,
+                  "outside Q+": name not in ("A1", "A2"),
+                  "off the lattice": name != "G2"}
+        assert {k: v > 0 for k, v in seen.items()} == expect, seen
 
 
 SWEEP = [
@@ -248,6 +289,21 @@ class TestGeneralizedExponents:
     def test_requires_root_lattice(self):
         with pytest.raises(ValueError):
             generalized_exponents(A2, A2.fundamental_weight(0))
+
+    def test_e7_adjoint(self):
+        # |W(E7)| is 2.9 million; the walk visits 258 orbit points
+        e7 = build_root_system("E7")
+        assert generalized_exponents(e7, e7.theta) == [1, 5, 7, 9, 11, 13, 17]
+
+
+class TestClearCaches:
+    def test_empties_weyl_cache(self):
+        weyl.weyl_elements(A2)
+        lusztig_q_analogue(A2, A2.theta, ZERO2)
+        assert weyl._weyl_cache
+        clear_caches()
+        assert not weyl._weyl_cache
+        assert lusztig_q_analogue(A2, A2.theta, ZERO2) == P({1: 1, 2: 1})
 
 
 class TestBroerCriterion:
