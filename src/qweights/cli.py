@@ -377,7 +377,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", default=None)
     p.add_argument("--alpha-index", type=int, default=None)
 
-    p = sub.add_parser("backend", help="report which kernel backend is active")
+    p = sub.add_parser("backend",
+                       help="report the partition kernel: always 'pure', "
+                            "the packed box table")
     p.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 

@@ -1,11 +1,12 @@
 """q-analogues of weight multiplicities, computed three independent ways.
 
 * ``lusztig_q_analogue`` — the defining alternating sum of partition values
-  at w(lam+rho)-(mu+rho), queried against the memoized kernel.  Only the w
-  with that point in Q_+ contribute, and there are few of them, so instead
-  of summing over all of W the sum walks the orbit of lam+rho breadth-first
-  from the top, in integer root coordinates, and prunes each branch as soon
-  as the point leaves Q_+;
+  at w(lam+rho)-(mu+rho), read off the partition kernel's box table, which
+  covers every such point once it covers lam-mu.  Only the w with that
+  point in Q_+ contribute, and there are few of them, so instead of summing
+  over all of W the sum walks the orbit of lam+rho breadth-first from the
+  top, in integer root coordinates, and prunes each branch as soon as the
+  point leaves Q_+;
 * ``q_analogue_by_induction`` — recursion on a negative coordinate of the
   target weight, reducing to dominant targets which fall back to the sum;
 * ``q_analogue_via_kernel`` — convolution of ordinary weight multiplicities
@@ -21,7 +22,7 @@ ratios, generalized exponents, and the coefficientwise-positivity test.
 from __future__ import annotations
 
 from .poly import QPoly
-from .qkostant import _engine
+from .qkostant import _engine, clear_partition_cache
 from .root_system import RootSystem, Weight
 from .weyl import _weyl_cache, dominant_representative, orbit, stabilizer_poincare
 
@@ -84,11 +85,11 @@ def _ws(rs: RootSystem) -> _Workspace:
 
 def clear_caches():
     """Drop every per-root-system cache: the q-analogue, induction,
-    character and stabilizer caches here and the materialised Weyl groups
-    held by ``weyl``.  The partition kernel's memo has its own
-    ``clear_partition_cache``."""
+    character and stabilizer caches here, the materialised Weyl groups held
+    by ``weyl`` and the partition kernel's tables."""
     _workspaces.clear()
     _weyl_cache.clear()
+    clear_partition_cache()
 
 
 def lusztig_q_analogue(rs: RootSystem, lam: Weight, mu: Weight) -> QPoly:
@@ -150,28 +151,51 @@ def q_analogue_by_induction(rs: RootSystem, lam: Weight, mu: Weight) -> QPoly:
 
 def _induct(ws, lam: Weight, mu: Weight) -> QPoly:
     rs = ws.rs
+    memo = ws.induction_memo
+    lc = lam.coords
+
+    def value(nu):
+        if nu.is_dominant():
+            return lusztig_q_analogue(rs, lam, nu)
+        return memo[(lc, nu.coords)]
+
     if mu.is_dominant():
-        return lusztig_q_analogue(rs, lam, mu)
-    key = (lam.coords, mu.coords)
-    got = ws.induction_memo.get(key)
-    if got is not None:
-        return got
-    diff = rs.weight_to_root_coords(lam - mu)
-    if any(x.denominator != 1 for x in diff) or sum(diff) < 0:
-        val = QPoly.zero()
-    else:
-        i = next(k for k, c in enumerate(mu.coords) if c < 0)
-        n = -mu.coords[i]
+        return value(mu)
+    # Depth-first on an explicit stack: a weight is popped once every
+    # non-dominant weight its recursion step needs is in the memo.  The
+    # chain mu, mu+alpha, ... grows with -<mu, alpha_check>, which is
+    # unbounded, so Python recursion would overflow.
+    stack = [mu]
+    while stack:
+        nu = stack[-1]
+        key = (lc, nu.coords)
+        if key in memo:
+            stack.pop()
+            continue
+        diff = rs.weight_to_root_coords(lam - nu)
+        if any(x.denominator != 1 for x in diff) or sum(diff) < 0:
+            memo[key] = QPoly.zero()
+            stack.pop()
+            continue
+        i = next(k for k, c in enumerate(nu.coords) if c < 0)
+        n = -nu.coords[i]
         alpha = rs.simple_roots[i]
         if n == 1:
-            val = QPoly.q() * _induct(ws, lam, mu + alpha)
+            deps = (nu + alpha,)
         else:
-            val = (
-                QPoly.q() * (_induct(ws, lam, mu + alpha) + _induct(ws, lam, mu + n * alpha))
-                - _induct(ws, lam, mu + (n - 1) * alpha)
-            )
-    ws.induction_memo[key] = val
-    return val
+            deps = (nu + alpha, nu + n * alpha, nu + (n - 1) * alpha)
+        missing = [d for d in deps
+                   if not d.is_dominant() and (lc, d.coords) not in memo]
+        if missing:
+            stack.extend(reversed(missing))
+            continue
+        if n == 1:
+            memo[key] = QPoly.q() * value(deps[0])
+        else:
+            up, top, mid = (value(d) for d in deps)
+            memo[key] = QPoly.q() * (up + top) - mid
+        stack.pop()
+    return memo[(lc, mu.coords)]
 
 
 def cherednik_coefficient(rs: RootSystem, nu: Weight) -> QPoly:

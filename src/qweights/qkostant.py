@@ -2,39 +2,135 @@
 
 P_q(mu) = sum over multisets of positive roots with sum mu, each multiset
 contributing q^(number of parts).  Equivalently the mu-coefficient of
-1 / prod_{gamma > 0} (1 - q e^gamma).
+1 / prod_{gamma > 0} (1 - q e^gamma), a product of geometric series.
 
-Two interchangeable kernels implement the recursion: a Cython extension and
-a pure-Python twin.  The compiled one is picked when importable; setting the
-environment variable QWEIGHTS_PURE forces the fallback (useful for the
-benchmark and for debugging).
+So one unbounded-knapsack pass per positive root fills P_q at every point of
+a box [0, bound] of root coordinates at once.  Every argument
+w(lam+rho) - (mu+rho) of the alternating sum lies in the box of lam - mu, so
+one table per root system answers a whole query, and usually the next ones.
 """
 
 from __future__ import annotations
 
-import os
+from math import prod
+from operator import gt, mul
 
 from .poly import QPoly
 from .root_system import RootSystem, Weight
 
-if os.environ.get("QWEIGHTS_PURE"):
-    from ._partition_py import PartitionEngine
-
-    _BACKEND = "pure"
-else:
-    try:
-        from ._partition_cy import PartitionEngine
-
-        _BACKEND = "compiled"
-    except ImportError:
-        from ._partition_py import PartitionEngine
-
-        _BACKEND = "pure"
+# A target outside the box grows the table to the union of the two boxes,
+# unless the union has more than this many times the cells of the old box
+# and the target's own box together: then the table is rebuilt for the
+# target alone, so scattered targets such as (k,0,0,0) then (0,k,0,0) do not
+# fill (k+1)^rank cells.
+_MAX_GROWTH = 4
 
 
 def kernel_backend() -> str:
-    """Which partition kernel is live: 'compiled' or 'pure'."""
-    return _BACKEND
+    """Which partition kernel is live: always 'pure' (the box table)."""
+    return "pure"
+
+
+def _cells(bound) -> int:
+    return prod(b + 1 for b in bound)
+
+
+def _width(roots, bound) -> int:
+    """Bits per packed coefficient that no coefficient in the box reaches.
+
+    The coefficients of P_q(nu) are non-negative and each is at most P_1(nu),
+    the number of partitions of nu.  P_1 is monotone on the box: adding a
+    simple root as one more part maps the partitions of nu one-to-one into
+    those of nu + alpha_i, so P_1(nu) <= P_1(bound).  A partition of bound is
+    a multiset of roots inside the box whose heights add up to ht(bound), so
+    P_1(bound) is at most the number of such multisets: the count below, a
+    one-dimensional knapsack over heights.  The build only ever holds counts
+    over a subset of the roots, which are smaller still.
+    """
+    n = sum(bound)
+    count = [1] + [0] * n
+    for gamma in roots:
+        if all(g <= b for g, b in zip(gamma, bound)):
+            h = sum(gamma)
+            for i in range(h, n + 1):
+                count[i] += count[i - h]
+    return count[n].bit_length()
+
+
+class PartitionEngine:
+    """P_q over a box [0, bound] of root coordinates, for one root system.
+
+    The table is flat and row-major; cell nu holds P_q(nu) packed into one
+    int, ``width`` bits per coefficient: sum_j c_j * 2^(width*j).
+    """
+
+    __slots__ = ("roots", "bound", "strides", "width", "table", "hits")
+
+    def __init__(self, roots):
+        self.roots = [tuple(int(x) for x in r) for r in roots]
+        self.bound = None
+        self.strides = ()
+        self.width = 0
+        self.table = []
+        self.hits = 0
+
+    def compute(self, mu) -> dict:
+        """Sparse {exponent: coefficient} dict of P_q(mu); {} off the cone."""
+        if min(mu) < 0:
+            return {}
+        bound = self.bound
+        if bound is None:
+            self._build(tuple(mu))
+        elif any(map(gt, mu, bound)):
+            union = tuple(map(max, mu, bound))
+            if _cells(union) > _MAX_GROWTH * (_cells(bound) + _cells(mu)):
+                union = tuple(mu)
+            self._build(union)
+        else:
+            self.hits += 1
+        packed = self.table[sum(map(mul, mu, self.strides))]
+        width = self.width
+        mask = (1 << width) - 1
+        out = {}
+        e = 0
+        while packed:
+            c = packed & mask
+            if c:
+                out[e] = c
+            packed >>= width
+            e += 1
+        return out
+
+    def stats(self):
+        """(table cells, lookups answered without a rebuild)."""
+        return (len(self.table), self.hits)
+
+    def _build(self, bound):
+        # drop the old table first, so the two are never held together
+        self.bound, self.table = None, []
+        strides = []
+        size = 1
+        for b in reversed(bound):
+            strides.append(size)
+            size *= b + 1
+        strides.reverse()
+        width = _width(self.roots, bound)
+        f = [0] * size
+        f[0] = 1
+        *head, last = bound
+        for gamma in self.roots:
+            off = sum(map(mul, gamma, strides))
+            # the cells nu >= gamma, visited in increasing flat order, so
+            # f[nu - gamma] already counts any number of gamma parts; each
+            # base is the flat index of a row along the last coordinate
+            bases = [0]
+            for lo, hi, s in zip(gamma, head, strides):
+                bases = [c + k * s for c in bases for k in range(lo, hi + 1)]
+            lo = gamma[-1]
+            for c in bases:
+                for i in range(c + lo, c + last + 1):
+                    f[i] += f[i - off] << width
+        self.bound, self.strides, self.width, self.table = bound, strides, width, f
 
 
 _engines = {}
@@ -43,7 +139,6 @@ _engines = {}
 def _engine(rs: RootSystem) -> PartitionEngine:
     eng = _engines.get(rs.cartan)
     if eng is None:
-        # ascending height; the engine peels from the end (tallest first)
         eng = PartitionEngine(rs.positive_roots)
         _engines[rs.cartan] = eng
     return eng
@@ -51,7 +146,7 @@ def _engine(rs: RootSystem) -> PartitionEngine:
 
 def q_partition_root_coords(rs: RootSystem, coords) -> dict:
     """Sparse coefficient dict of P_q at a root-lattice point (may be negative)."""
-    return _engine(rs).compute(coords)
+    return _engine(rs).compute(tuple(int(x) for x in coords))
 
 
 def q_partition(rs: RootSystem, mu: Weight) -> QPoly:
@@ -63,7 +158,8 @@ def q_partition(rs: RootSystem, mu: Weight) -> QPoly:
 
 
 def q_partition_cache_stats():
-    """(total memo entries, total memo hits) across all root systems."""
+    """(table cells, lookups answered without a rebuild) across all root
+    systems."""
     entries = 0
     hits = 0
     for eng in _engines.values():
@@ -74,4 +170,5 @@ def q_partition_cache_stats():
 
 
 def clear_partition_cache():
+    """Drop the partition table of every root system."""
     _engines.clear()

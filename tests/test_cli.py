@@ -172,7 +172,7 @@ class TestGuardsAndBackend:
     def test_backend(self, capsys):
         code, out, _ = run(capsys, "backend")
         assert code == 0
-        assert out.strip() in ("compiled", "pure")
+        assert out.strip() == "pure"
 
 
 @pytest.mark.skipif(shutil.which("qweights") is None,

@@ -24,7 +24,7 @@ from qweights.lusztig import (
     weyl_dimension,
 )
 from qweights.poly import QPoly
-from qweights.qkostant import q_partition
+from qweights.qkostant import q_partition, q_partition_cache_stats
 from qweights.root_system import Weight, build_root_system
 
 
@@ -70,6 +70,15 @@ class TestFrozenValues:
         expected = QPoly.q(6)
         assert lusztig_q_analogue(G2, lam, mu) == expected
         assert q_analogue_by_induction(G2, lam, mu) == expected
+
+    def test_induction_deep_chain(self):
+        # the chain mu, mu+alpha, ... is 1500 steps long, past Python's
+        # default recursion limit
+        A1 = build_root_system("A1")
+        lam, mu = Weight((3000,)), Weight((-3000,))
+        expected = QPoly.q(3000)
+        assert lusztig_q_analogue(A1, lam, mu) == expected
+        assert q_analogue_by_induction(A1, lam, mu) == expected
 
     def test_vanishing_off_lattice_and_cone(self):
         w1, w2 = A2.fundamental_weight(0), A2.fundamental_weight(1)
@@ -295,6 +304,12 @@ class TestGeneralizedExponents:
         e7 = build_root_system("E7")
         assert generalized_exponents(e7, e7.theta) == [1, 5, 7, 9, 11, 13, 17]
 
+    def test_e8_adjoint(self):
+        # |W(E8)| is 697 million; the kernel table covers the 151,200 cells
+        # of the box of theta
+        e8 = build_root_system("E8", unsafe_large_rank=True)
+        assert generalized_exponents(e8, e8.theta) == [1, 7, 11, 13, 17, 19, 23, 29]
+
 
 class TestClearCaches:
     def test_empties_weyl_cache(self):
@@ -304,6 +319,12 @@ class TestClearCaches:
         clear_caches()
         assert not weyl._weyl_cache
         assert lusztig_q_analogue(A2, A2.theta, ZERO2) == P({1: 1, 2: 1})
+
+    def test_empties_partition_tables(self):
+        q_partition(B2, B2.theta)
+        assert q_partition_cache_stats()[0] > 0
+        clear_caches()
+        assert q_partition_cache_stats() == (0, 0)
 
 
 class TestBroerCriterion:

@@ -1,13 +1,13 @@
-"""Graded vector-partition kernel against a brute-force multiset enumerator."""
+"""Graded vector-partition kernel against a brute-force multiset enumerator
+and the layered memo recursion it replaced."""
 
-import os
-import subprocess
-import sys
+import itertools
 
 import pytest
 
 from qweights.poly import QPoly
 from qweights.qkostant import (
+    PartitionEngine,
     clear_partition_cache,
     kernel_backend,
     q_partition,
@@ -93,29 +93,107 @@ def test_memo_statistics_accumulate():
     assert hits2 >= hits1
 
 
-def test_backends_agree_exactly():
-    from qweights._partition_py import PartitionEngine as PyEngine
+class MemoReference:
+    """The layered memo recursion the box table replaced, kept as a reference:
 
-    try:
-        from qweights._partition_cy import PartitionEngine as CyEngine
-    except ImportError:
-        pytest.skip("compiled kernel not built")
-    rs = build_root_system("F4")
-    py = PyEngine(rs.positive_roots)
-    cy = CyEngine(rs.positive_roots)
-    targets = [rs.theta_root_coords, rs.theta_s_root_coords,
-               tuple(a + b for a, b in zip(rs.theta_root_coords,
-                                           rs.theta_s_root_coords))]
-    for t in targets:
-        assert py.compute(t) == cy.compute(t)
-    assert py.stats() == cy.stats()
+        f(k, mu) = sum_{j>=0} q^j * f(k-1, mu - j*gamma_k),   f(0, 0) = 1,
+
+    memoized on (k, mu), peeling the tallest root first.
+    """
+
+    def __init__(self, roots):
+        self.roots = [tuple(int(x) for x in r) for r in roots]
+        self.memo = {}
+
+    def compute(self, mu):
+        mu = tuple(int(x) for x in mu)
+        if any(c < 0 for c in mu):
+            return {}
+        coeffs = self._f(len(self.roots), mu)
+        return {e: c for e, c in enumerate(coeffs) if c}
+
+    def _f(self, k, mu):
+        if not any(mu):
+            return [1]
+        if k == 0:
+            return []
+        key = (k, mu)
+        got = self.memo.get(key)
+        if got is not None:
+            return got
+        gamma = self.roots[k - 1]
+        out = []
+        j = 0
+        cur = mu
+        while True:
+            sub = self._f(k - 1, cur)
+            if sub:
+                need = j + len(sub)
+                if len(out) < need:
+                    out.extend([0] * (need - len(out)))
+                for e, c in enumerate(sub):
+                    if c:
+                        out[e + j] += c
+            nxt = tuple(a - b for a, b in zip(cur, gamma))
+            if any(c < 0 for c in nxt):
+                break
+            cur = nxt
+            j += 1
+        self.memo[key] = out
+        return out
 
 
-def test_backend_selection_env_var():
-    assert kernel_backend() in ("compiled", "pure")
-    code = ("from qweights.qkostant import kernel_backend;"
-            "print(kernel_backend())")
-    env = dict(os.environ, QWEIGHTS_PURE="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "pure"
+def root_coords(rs, weight):
+    return tuple(int(x) for x in rs.weight_to_root_coords(weight))
+
+
+def box(bound):
+    return itertools.product(*(range(b + 1) for b in bound))
+
+
+@pytest.mark.parametrize("name,top,cells", [
+    ("F4", lambda rs: rs.theta + rs.theta, 1575),
+    ("E6", lambda rs: rs.theta, 432),
+    ("C4", lambda rs: rs.theta + rs.theta_s, 300),
+    ("G2", lambda rs: 6 * rs.rho, 589),
+])
+def test_every_cell_matches_reference(name, top, cells):
+    rs = build_root_system(name)
+    ref = MemoReference(rs.positive_roots)
+    bound = root_coords(rs, top(rs))
+    clear_partition_cache()
+    assert q_partition_root_coords(rs, bound) == ref.compute(bound)
+    for nu in box(bound):
+        assert q_partition_root_coords(rs, nu) == ref.compute(nu), nu
+    # one table answered every cell: the first lookup built it
+    assert q_partition_cache_stats() == (cells, cells)
+
+
+def test_rebuilds_keep_values():
+    rs = build_root_system("B3")
+    ref = MemoReference(rs.positive_roots)
+    eng = PartitionEngine(rs.positive_roots)
+    small = (1, 1, 1)
+    targets = [small, (2, 1, 1), (2, 2, 1), (2, 2, 2), (2, 3, 2), (2, 3, 3),
+               (3, 3, 3), small]
+    for mu in targets:
+        assert eng.compute(mu) == ref.compute(mu), mu
+    # every growth rebuilt the table; only the final small target was a hit
+    assert eng.stats() == (4 * 4 * 4, 1)
+    for nu in box((3, 3, 3)):
+        assert eng.compute(nu) == ref.compute(nu), nu
+
+
+def test_scattered_targets_do_not_fill_the_union_box():
+    rs = build_root_system("A4")
+    ref = MemoReference(rs.positive_roots)
+    clear_partition_cache()
+    for i in range(4):
+        mu = tuple(6 if k == i else 0 for k in range(4))
+        assert q_partition_root_coords(rs, mu) == ref.compute(mu), mu
+    # the union of the four boxes has 7**4 cells
+    assert q_partition_cache_stats()[0] < 7 ** 4 // 10
+
+
+def test_kernel_backend_is_pure():
+    assert kernel_backend() == "pure"
