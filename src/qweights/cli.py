@@ -160,10 +160,10 @@ def _cmd_table(rs: RootSystem, args) -> int:
     lam = _parse_weight(args.lam, rs.rank, "--lambda")
     if not lam.is_dominant():
         raise UsageError(f"--lambda {lam} must be dominant")
-    ch = character(rs, lam)
-    entries = []
-    for mu, mult in ch.items():
-        entries.append((mu, mult, lusztig_q_analogue(rs, lam, mu)))
+    items = character(rs, lam).items()
+    # lowest weights first: the kernel table is sized once, by the largest box
+    polys = {mu: lusztig_q_analogue(rs, lam, mu) for mu, _ in reversed(items)}
+    entries = [(mu, mult, polys[mu]) for mu, mult in items]
     if args.format == "json":
         print(_dumps({
             "root_system": rs.name,

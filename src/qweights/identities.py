@@ -107,7 +107,8 @@ def verify_adjoint(rs: RootSystem) -> Report:
 
     neg_simple_closed = (QPoly.q() - 1) * m0_closed + QPoly.q(h - 1)
     plain_sum = m0
-    for root in rs.positive_roots:
+    # highest root first: -theta sizes the kernel table for every later query
+    for root in reversed(rs.positive_roots):
         mu = rs.root_to_weight_basis(root)
         hot = sum(root)
         got = lusztig_q_analogue(rs, th, mu)
@@ -156,7 +157,7 @@ def verify_little_adjoint(rs: RootSystem) -> Report:
 
     neg_simple_closed = (QPoly.q() - 1) * m0_closed + QPoly.q(hot_ths)
     plain_sum = m0
-    for root in rs.short_positive_roots:
+    for root in reversed(rs.short_positive_roots):
         mu = rs.root_to_weight_basis(root)
         hot = sum(root)
         got = lusztig_q_analogue(rs, ths, mu)

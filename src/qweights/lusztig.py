@@ -6,7 +6,7 @@
   point in Q_+ contribute, and there are few of them, so instead of summing
   over all of W the sum walks the orbit of lam+rho breadth-first from the
   top, in integer root coordinates, and prunes each branch as soon as the
-  point leaves Q_+;
+  point leaves Q_+.  The layers of points go to the kernel in one call;
 * ``q_analogue_by_induction`` — recursion on a negative coordinate of the
   target weight, reducing to dominant targets which fall back to the sum;
 * ``q_analogue_via_kernel`` — convolution of ordinary weight multiplicities
@@ -20,6 +20,8 @@ ratios, generalized exponents, and the coefficientwise-positivity test.
 """
 
 from __future__ import annotations
+
+from operator import add, mul, sub
 
 from .poly import QPoly
 from .qkostant import _engine, clear_partition_cache
@@ -106,8 +108,7 @@ def lusztig_q_analogue(rs: RootSystem, lam: Weight, mu: Weight) -> QPoly:
     acc = {}
     diff = rs.weight_to_root_coords(lam - mu)
     if all(x.denominator == 1 and x >= 0 for x in diff):
-        engine = _engine(rs)
-        a = rs.cartan
+        cols = rs.cartan_columns
         rank = rs.rank
         # Walk the regular orbit of lam+rho down from the top.  Reflecting a
         # point x at a coordinate c = x[i] > 0 raises the length by one and
@@ -115,21 +116,23 @@ def lusztig_q_analogue(rs: RootSystem, lam: Weight, mu: Weight) -> QPoly:
         # alternating signs and a child whose coordinate would go negative
         # (and with it every point below it) can be dropped on the spot.
         layer = {(lam + rs.rho).coords: tuple(int(x) for x in diff)}
-        sign = 1
+        layers = []
         while layer:
+            layers.append(layer.values())
             nxt = {}
             for x, arg in layer.items():
-                for e, v in engine.compute(arg).items():
-                    acc[e] = acc.get(e, 0) + sign * v
                 for i in range(rank):
                     c = x[i]
                     if c <= 0 or arg[i] < c:
                         continue
-                    y = tuple(x[k] - a[k][i] * c for k in range(rank))
+                    y = list(x)
+                    for k, aki in cols[i]:
+                        y[k] -= aki * c
+                    y = tuple(y)
                     if y not in nxt:
                         nxt[y] = arg[:i] + (arg[i] - c,) + arg[i + 1:]
             layer = nxt
-            sign = -sign
+        acc = _engine(rs).alternating_sum(layers)
     poly = QPoly(acc)
     ws.defining_memo[key] = poly
     return poly
@@ -231,22 +234,22 @@ def _weight_support(rs: RootSystem, lam: Weight):
     """All weights of the irreducible module, as {coords: level} with
     level = hot(lam - weight).  Uses unbroken-string descent from the top."""
     known = {lam.coords: 0}
-    simple = rs.simple_roots
-    cur = [lam]
+    simple = [alpha.coords for alpha in rs.simple_roots]
+    cur = [lam.coords]
     lvl = 0
     while cur:
         nxt = []
         for nu in cur:
-            for i in range(rs.rank):
+            for i, alpha in enumerate(simple):
                 p = 0
-                up = nu + simple[i]
-                while up.coords in known:
+                up = tuple(map(add, nu, alpha))
+                while up in known:
                     p += 1
-                    up = up + simple[i]
-                if p + nu.coords[i] >= 1:
-                    down = nu - simple[i]
-                    if down.coords not in known:
-                        known[down.coords] = lvl + 1
+                    up = tuple(map(add, up, alpha))
+                if p + nu[i] >= 1:
+                    down = tuple(map(sub, nu, alpha))
+                    if down not in known:
+                        known[down] = lvl + 1
                         nxt.append(down)
         cur = nxt
         lvl += 1
@@ -270,7 +273,13 @@ def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
 
 
 def character(rs: RootSystem, lam: Weight) -> WeightMultiset:
-    """Full character: every weight with its multiplicity (Freudenthal)."""
+    """Full character: every weight with its multiplicity (Freudenthal).
+
+    The dominant weights are taken level by level from the top, and each
+    multiplicity, once known, is written onto the whole Weyl orbit of its
+    weight.  Every mu + k*gamma in Freudenthal's sum for mu lies above mu,
+    and so does its dominant representative, so it is already filled in.
+    """
     if not lam.is_dominant():
         raise ValueError(f"{lam} is not dominant")
     ws = _ws(rs)
@@ -283,18 +292,30 @@ def character(rs: RootSystem, lam: Weight) -> WeightMultiset:
         (Weight(c) for c in support if all(x >= 0 for x in c)),
         key=lambda w: support[w.coords],
     )
+    # each positive root in weight coordinates, with the coefficients of
+    # (., gamma) on weight coordinates and (gamma, gamma)
+    d = rs.symmetrizer
+    roots = []
+    for gamma in rs.positive_roots:
+        gw = rs.root_to_weight_basis(gamma).coords
+        form = tuple(g * di for g, di in zip(gamma, d))
+        roots.append((gw, form, sum(map(mul, form, gw))))
     two_rho = rs.rho + rs.rho
-    mult = {lam.coords: 1}
+    mult = dict.fromkeys((nu.coords for nu in orbit(rs, lam)), 1)
     for mu in dominants[1:]:
+        x = mu.coords
         rhs = 0
-        for gamma in rs.positive_roots:
-            gw = rs.root_to_weight_basis(gamma)
-            nu = mu + gw
-            while nu.coords in support:
-                rep, _ = dominant_representative(rs, nu)
-                rhs += rs.inner(nu, gamma) * mult[rep.coords]
-                nu = nu + gw
-        diff_rc = tuple(int(x) for x in rs.weight_to_root_coords(lam - mu))
+        for gw, form, norm in roots:
+            # (nu, gamma) along the string nu = mu + k*gamma
+            pair = sum(map(mul, form, x))
+            nu = tuple(map(add, x, gw))
+            m = mult.get(nu)
+            while m is not None:
+                pair += norm
+                rhs += pair * m
+                nu = tuple(map(add, nu, gw))
+                m = mult.get(nu)
+        diff_rc = tuple(int(c) for c in rs.weight_to_root_coords(lam - mu))
         denom = rs.inner(lam + mu + two_rho, diff_rc)
         m, rem = divmod(2 * rhs, denom)
         if rem or m <= 0:
@@ -302,15 +323,11 @@ def character(rs: RootSystem, lam: Weight) -> WeightMultiset:
                 f"Freudenthal step failed for {lam}, {mu} in {rs.name}: "
                 f"2*{rhs} / {denom}"
             )
-        mult[mu.coords] = m
-
-    entries = {}
-    for mu in dominants:
-        m = mult[mu.coords]
         for nu in orbit(rs, mu):
-            entries[nu] = m
-    order = sorted(entries, key=lambda w: (support[w.coords], w.coords))
-    ch = WeightMultiset(entries, order)
+            mult[nu.coords] = m
+
+    order = [Weight(c) for c in sorted(mult, key=lambda c: (support[c], c))]
+    ch = WeightMultiset({w: mult[w.coords] for w in order}, order)
     if ch.total_mass() != weyl_dimension(rs, lam):
         raise AssertionError(f"character mass mismatch for {lam} in {rs.name}")
     ws.char_cache[lam.coords] = ch
@@ -377,7 +394,8 @@ def weighted_sum(rs: RootSystem, lam: Weight, gam: Weight) -> QPoly:
     if not lam.is_dominant() or not gam.is_dominant():
         raise ValueError("both highest weights must be dominant")
     acc = {}
-    for mu, m in character(rs, gam).items():
+    # lowest weights first, so the kernel table is sized by the largest box
+    for mu, m in reversed(character(rs, gam).items()):
         rc = rs.weight_to_root_coords(lam - mu)
         if not all(x.denominator == 1 and x >= 0 for x in rc):
             continue

@@ -7,7 +7,8 @@ contributing q^(number of parts).  Equivalently the mu-coefficient of
 So one unbounded-knapsack pass per positive root fills P_q at every point of
 a box [0, bound] of root coordinates at once.  Every argument
 w(lam+rho) - (mu+rho) of the alternating sum lies in the box of lam - mu, so
-one table per root system answers a whole query, and usually the next ones.
+one table per root system answers a whole query (``alternating_sum``), and
+usually the next ones.  The packed cell format is read only in this module.
 """
 
 from __future__ import annotations
@@ -88,18 +89,40 @@ class PartitionEngine:
             self._build(union)
         else:
             self.hits += 1
-        packed = self.table[sum(map(mul, mu, self.strides))]
-        width = self.width
+        # P_q(nu) has degree ht(nu)
+        coeffs = [0] * (sum(mu) + 1)
+        self._read((mu,), coeffs)
+        return {e: c for e, c in enumerate(coeffs) if c}
+
+    def alternating_sum(self, layers) -> dict:
+        """Sparse dict of sum_d (-1)^d P_q(nu) over the points nu of layer d.
+
+        Layer 0 holds the single top point; every other point must lie in
+        Q_+ and in its box, so one ``compute`` sizes the table and the
+        rest are read from it directly.
+        """
+        layers = iter(layers)
+        (top,) = next(layers)
+        n = sum(top) + 1
+        sums = ([0] * n, [0] * n)
+        for e, c in self.compute(top).items():
+            sums[0][e] = c
+        for d, layer in enumerate(layers, 1):
+            self._read(layer, sums[d & 1])
+        return {e: p - m for e, (p, m) in enumerate(zip(*sums)) if p != m}
+
+    def _read(self, points, acc):
+        """Add the coefficients of P_q at each point, a cell of the table, to
+        acc[exponent]."""
+        table, strides, width = self.table, self.strides, self.width
         mask = (1 << width) - 1
-        out = {}
-        e = 0
-        while packed:
-            c = packed & mask
-            if c:
-                out[e] = c
-            packed >>= width
-            e += 1
-        return out
+        for nu in points:
+            packed = table[sum(map(mul, nu, strides))]
+            e = 0
+            while packed:
+                acc[e] += packed & mask
+                packed >>= width
+                e += 1
 
     def stats(self):
         """(table cells, lookups answered without a rebuild)."""

@@ -215,6 +215,12 @@ class RootSystem:
         self.rank = rank
         self.name = f"{letter}{rank}"
         self.cartan = tuple(tuple(int(x) for x in row) for row in cartan)
+        # column i as its nonzero (k, a[k][i]): s_i lowers coordinate k of a
+        # weight by a[k][i] times coordinate i
+        self.cartan_columns = tuple(
+            tuple((k, row[i]) for k, row in enumerate(self.cartan) if row[i])
+            for i in range(rank)
+        )
         self.symmetrizer = _symmetrizer(self.cartan)
         self.positive_roots = _positive_roots(self.cartan)
         self.heights = tuple(sum(r) for r in self.positive_roots)

@@ -5,7 +5,10 @@ coordinates, with lengths assigned as breadth-first depth from the identity,
 which for a Coxeter group equals the reduced word length.  Materialising W
 is for tests and reference sums; the hot paths walk orbits of vectors
 instead (``orbit``, ``stabilizer_poincare`` here, the defining sum in
-``lusztig``).
+``lusztig``).  ``dominant_representative`` walks integer coordinates too:
+each simple reflection is a rank-one update of the point and of the matrix
+it builds, and the length is the number of steps, so no root is pushed
+through the matrix; ``inversion_count`` recomputes it for tests.
 """
 
 from __future__ import annotations
@@ -105,24 +108,37 @@ def inversion_count(rs: RootSystem, w: WeylElement) -> int:
 def dominant_representative(rs: RootSystem, mu: Weight):
     """(mu_plus, w) with w(mu) = mu_plus dominant.
 
-    Repeatedly reflects at any negative coordinate; the returned element's
-    length is its true inversion count.
+    Reflects at the first negative coordinate until none is left.  s_i
+    lowers coordinate k by a[k][i] times coordinate i, and multiplying the
+    matrix of w by s_i on the left subtracts a[k][i] times row i from row
+    k, so a step touches only the k with a[k][i] != 0.  The length of w is
+    the number of steps.
     """
-    n = rs.rank
-    m = _identity(n)
-    cur = mu
-    a = rs.cartan
+    cur = list(mu.coords)
+    n = len(cur)
+    rows = [[int(j == k) for j in range(n)] for k in range(n)]
+    cols = rs.cartan_columns
+    steps = 0
+    # Why the step count is the length: let N(x) be the positive roots beta
+    # with <x, beta_check> < 0.  For x_i < 0, N(s_i x) = s_i(N(x) - {alpha_i}),
+    # since s_i keeps the pairing and permutes the positive roots other than
+    # alpha_i, so the walk takes exactly |N(mu)| steps.  Every beta in N(mu)
+    # is an inversion of w, since <w(mu), w(beta)_check> = <mu, beta_check>
+    # < 0 with w(mu) dominant, so |N(mu)| <= l(w); and w is a word of |N(mu)|
+    # simple reflections, so l(w) <= |N(mu)|.
     while True:
         for i in range(n):
-            if cur.coords[i] < 0:
-                ci = cur.coords[i]
-                cur = Weight(tuple(cur.coords[k] - a[k][i] * ci for k in range(n)))
-                m = _mat_mul(rs.simple_reflection_matrix(i), m)
+            c = cur[i]
+            if c < 0:
                 break
         else:
             break
-    w = WeylElement(m, 0)
-    return cur, WeylElement(m, inversion_count(rs, w))
+        ri = rows[i]
+        for k, aki in cols[i]:
+            cur[k] -= aki * c
+            rows[k] = [x - aki * y for x, y in zip(rows[k], ri)]
+        steps += 1
+    return Weight(tuple(cur)), WeylElement(tuple(map(tuple, rows)), steps)
 
 
 def longest_element(rs: RootSystem) -> WeylElement:

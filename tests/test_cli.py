@@ -6,7 +6,9 @@ import subprocess
 
 import pytest
 
+from qweights import qkostant
 from qweights.cli import main
+from qweights.lusztig import clear_caches
 
 
 def run(capsys, *argv):
@@ -73,6 +75,19 @@ class TestTable:
         code, _, err = run(capsys, "table", "A2", "--lambda=-1,0")
         assert code == 2
         assert "dominant" in err
+
+    def test_builds_one_kernel_table(self, capsys, monkeypatch):
+        # rows are computed lowest weight first, and the box of lam - w0(lam)
+        # = 2*lam = 4*theta holds every argument of every row
+        builds = []
+        build = qkostant.PartitionEngine._build
+        monkeypatch.setattr(qkostant.PartitionEngine, "_build",
+                            lambda eng, bound: builds.append(bound) or build(eng, bound))
+        clear_caches()
+        code, out, _ = run(capsys, "table", "F4", "--lambda", "2,0,0,0")
+        assert code == 0
+        assert len(out.splitlines()) > 100
+        assert builds == [(8, 12, 16, 8)]
 
 
 class TestRootsAndExponents:

@@ -4,7 +4,8 @@ import itertools
 
 import pytest
 
-from qweights import weyl
+from qweights import qkostant, weyl
+from qweights.identities import verify_adjoint
 from qweights.lusztig import (
     WeightMultiset,
     broer_nonnegativity_test,
@@ -26,6 +27,7 @@ from qweights.lusztig import (
 from qweights.poly import QPoly
 from qweights.qkostant import q_partition, q_partition_cache_stats
 from qweights.root_system import Weight, build_root_system
+from qweights.weyl import dominant_representative, orbit
 
 
 def P(pairs):
@@ -208,6 +210,79 @@ class TestCharacterAndDimensions:
         assert isinstance(ch, WeightMultiset)
 
 
+class FreudenthalReference:
+    """Freudenthal's formula the way ``character`` computed it before the
+    orbit fill, kept as a reference: every mu + k*gamma in the sum for mu is
+    sent to its dominant representative, whose multiplicity is known.
+    Returns ``character(rs, lam).items()``: (weight, multiplicity) pairs by
+    level, then coordinates."""
+
+    @staticmethod
+    def support(rs, lam):
+        """{coords: level} by unbroken-string descent from lam."""
+        known = {lam.coords: 0}
+        cur = [lam]
+        lvl = 0
+        while cur:
+            nxt = []
+            for nu in cur:
+                for i, alpha in enumerate(rs.simple_roots):
+                    p = 0
+                    up = nu + alpha
+                    while up.coords in known:
+                        p += 1
+                        up = up + alpha
+                    if p + nu.coords[i] >= 1:
+                        down = nu - alpha
+                        if down.coords not in known:
+                            known[down.coords] = lvl + 1
+                            nxt.append(down)
+            cur = nxt
+            lvl += 1
+        return known
+
+    @classmethod
+    def items(cls, rs, lam):
+        support = cls.support(rs, lam)
+        dominants = sorted(
+            (Weight(c) for c in support if all(x >= 0 for x in c)),
+            key=lambda w: support[w.coords],
+        )
+        two_rho = rs.rho + rs.rho
+        mult = {lam.coords: 1}
+        for mu in dominants[1:]:
+            rhs = 0
+            for gamma in rs.positive_roots:
+                gw = rs.root_to_weight_basis(gamma)
+                nu = mu + gw
+                while nu.coords in support:
+                    rep, _ = dominant_representative(rs, nu)
+                    rhs += rs.inner(nu, gamma) * mult[rep.coords]
+                    nu = nu + gw
+            diff = tuple(int(x) for x in rs.weight_to_root_coords(lam - mu))
+            m, rem = divmod(2 * rhs, rs.inner(lam + mu + two_rho, diff))
+            assert rem == 0 and m > 0
+            mult[mu.coords] = m
+        entries = {nu: mult[mu.coords] for mu in dominants for nu in orbit(rs, mu)}
+        order = sorted(entries, key=lambda w: (support[w.coords], w.coords))
+        return [(w, entries[w]) for w in order]
+
+
+class TestCharacterAgainstFreudenthalReference:
+    @pytest.mark.parametrize("name", [
+        "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4", "D4",
+        "D5", "G2", "F4",
+    ])
+    def test_items_match(self, name):
+        rs = build_root_system(name)
+        lams = {rs.theta, rs.theta_s, rs.theta + rs.theta_s}
+        lams.update(rs.fundamental_weight(i) for i in range(rs.rank))
+        if rs.rank <= 3:
+            lams.add(rs.rho)
+        for lam in sorted(lams, key=lambda w: w.coords):
+            assert character(rs, lam).items() == FreudenthalReference.items(rs, lam), lam
+
+
 class TestTensorAndDuality:
     def test_dual_weight(self):
         assert dual_weight(A2, Weight((1, 0))) == Weight((0, 1))
@@ -303,6 +378,20 @@ class TestGeneralizedExponents:
         # |W(E7)| is 2.9 million; the walk visits 258 orbit points
         e7 = build_root_system("E7")
         assert generalized_exponents(e7, e7.theta) == [1, 5, 7, 9, 11, 13, 17]
+
+    def test_e7_verify_adjoint(self, monkeypatch):
+        # every adjoint identity on E7; the roots are taken highest first,
+        # so the table is built for theta (the zero weight), then once more
+        # for the box of 2*theta (at -theta), which holds every later query
+        builds = []
+        build = qkostant.PartitionEngine._build
+        monkeypatch.setattr(qkostant.PartitionEngine, "_build",
+                            lambda eng, bound: builds.append(bound) or build(eng, bound))
+        clear_caches()
+        e7 = build_root_system("E7")
+        report = verify_adjoint(e7)
+        assert report.passed, report.failures
+        assert len(builds) <= 2
 
     def test_e8_adjoint(self):
         # |W(E8)| is 697 million; the kernel table covers the 151,200 cells

@@ -17,3 +17,19 @@ def test_no_assert_statements():
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert SRC.joinpath("lusztig.py").exists()
     assert found == []
+
+
+def test_packed_table_stays_in_qkostant():
+    # the layout of the kernel table (cells, strides, bits per coefficient)
+    # is read only inside qkostant.py
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "qkostant.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno} .{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in ("table", "strides", "width")]
+    assert SRC.joinpath("qkostant.py").exists()
+    assert found == []

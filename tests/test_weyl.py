@@ -67,6 +67,20 @@ def test_dominant_representative():
     assert rep == rs.theta and u.length == 0
 
 
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "G2", "F4"])
+def test_dominant_representative_on_singular_orbits(name):
+    # points with nontrivial stabilizers, where many words reach the chamber
+    rs = build_root_system(name)
+    tops = {rs.theta, rs.theta_s}
+    tops.update(rs.fundamental_weight(i) for i in range(rs.rank))
+    for top in tops:
+        for mu in orbit(rs, top):
+            rep, u = dominant_representative(rs, mu)
+            assert rep.is_dominant() and rep == top
+            assert u.act(mu) == rep
+            assert u.length == inversion_count(rs, u)
+
+
 def test_orbit_sizes():
     a2 = build_root_system("A2")
     assert len(orbit(a2, a2.fundamental_weight(0))) == 3
