@@ -411,6 +411,10 @@ def main(argv=None) -> int:
     except (ValueError, RankGuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OverflowError as exc:
+        # a coordinate too large to size a list or a table by
+        print(f"error: input too large: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -6,7 +6,10 @@
   point in Q_+ contribute, and there are few of them, so instead of summing
   over all of W the sum walks the orbit of lam+rho breadth-first from the
   top, in integer root coordinates, and prunes each branch as soon as the
-  point leaves Q_+.  The layers of points go to the kernel in one call;
+  point leaves Q_+.  The layers of points go to the kernel in one call,
+  together with the box of lam - w0(lam), which holds the top point of
+  every weight of the module, so a stream of them grows the table to that
+  box at once;
 * ``q_analogue_by_induction`` — recursion on a negative coordinate of the
   target weight, reducing to dominant targets which fall back to the sum;
 * ``q_analogue_via_kernel`` — convolution of ordinary weight multiplicities
@@ -72,6 +75,9 @@ class _Workspace:
         self.induction_memo = {}
         self.char_cache = {}
         self.tnu_cache = {}
+        # lam -> root coordinates of lam - w0(lam) = lam + dual_weight(lam),
+        # the box of every sum for a weight of the module
+        self.module_boxes = {}
 
 
 _workspaces = {}
@@ -132,7 +138,12 @@ def lusztig_q_analogue(rs: RootSystem, lam: Weight, mu: Weight) -> QPoly:
                     if y not in nxt:
                         nxt[y] = arg[:i] + (arg[i] - c,) + arg[i + 1:]
             layer = nxt
-        acc = _engine(rs).alternating_sum(layers)
+        module = ws.module_boxes.get(lam.coords)
+        if module is None:
+            module = tuple(int(x) for x in
+                           rs.weight_to_root_coords(lam + dual_weight(rs, lam)))
+            ws.module_boxes[lam.coords] = module
+        acc = _engine(rs).alternating_sum(layers, module)
     poly = QPoly(acc)
     ws.defining_memo[key] = poly
     return poly

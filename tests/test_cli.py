@@ -44,6 +44,14 @@ class TestQAnalogue:
         assert code == 0
         assert out == "$-q^{2} + q^{3} + q^{4}$\n"
 
+    def test_huge_coordinate_is_a_usage_error(self, capsys):
+        # the degree of the sum does not fit an index, so no table is built
+        code, out, err = run(capsys, "qanalogue", "A2", "--lambda",
+                             "99999999999999999999,0", "--mu", "0,0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: input too large")
+
 
 class TestTable:
     def test_row_count_and_content(self, capsys):

@@ -1,6 +1,7 @@
 """Graded multiplicities: frozen values, specializations, route agreement."""
 
 import itertools
+import random
 
 import pytest
 
@@ -38,6 +39,21 @@ A2 = build_root_system("A2")
 B2 = build_root_system("B2")
 G2 = build_root_system("G2")
 ZERO2 = Weight((0, 0))
+
+
+def root_coords(rs, weight):
+    return tuple(int(x) for x in rs.weight_to_root_coords(weight))
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The bounds of the kernel tables built from here on; caches cleared."""
+    bounds = []
+    build = qkostant.PartitionEngine._build
+    monkeypatch.setattr(qkostant.PartitionEngine, "_build",
+                        lambda eng, bound: bounds.append(bound) or build(eng, bound))
+    clear_caches()
+    return bounds
 
 
 class TestFrozenValues:
@@ -379,25 +395,76 @@ class TestGeneralizedExponents:
         e7 = build_root_system("E7")
         assert generalized_exponents(e7, e7.theta) == [1, 5, 7, 9, 11, 13, 17]
 
-    def test_e7_verify_adjoint(self, monkeypatch):
+    def test_e7_verify_adjoint(self, builds):
         # every adjoint identity on E7; the roots are taken highest first,
         # so the table is built for theta (the zero weight), then once more
         # for the box of 2*theta (at -theta), which holds every later query
-        builds = []
-        build = qkostant.PartitionEngine._build
-        monkeypatch.setattr(qkostant.PartitionEngine, "_build",
-                            lambda eng, bound: builds.append(bound) or build(eng, bound))
-        clear_caches()
         e7 = build_root_system("E7")
         report = verify_adjoint(e7)
         assert report.passed, report.failures
         assert len(builds) <= 2
 
-    def test_e8_adjoint(self):
+    def test_e8_adjoint(self, builds):
         # |W(E8)| is 697 million; the kernel table covers the 151,200 cells
-        # of the box of theta
+        # of the box of theta: the first table is exact, not the module box
         e8 = build_root_system("E8", unsafe_large_rank=True)
         assert generalized_exponents(e8, e8.theta) == [1, 7, 11, 13, 17, 19, 23, 29]
+        assert builds == [root_coords(e8, e8.theta)]
+
+
+class TestTableGrowth:
+    """The kernel table follows the query stream; the answers do not."""
+
+    @pytest.mark.parametrize("name", ["C3", "F4"])
+    def test_answers_do_not_depend_on_table_history(self, name):
+        rs = build_root_system(name)
+        stream = [(lam, mu) for lam in (rs.theta, rs.theta_s, rs.theta + rs.theta_s)
+                  for mu in character(rs, lam)]
+        random.Random(0).shuffle(stream)
+        clear_caches()
+        got = [lusztig_q_analogue(rs, lam, mu) for lam, mu in stream]
+        for (lam, mu), poly in zip(stream, got):
+            clear_caches()
+            assert lusztig_q_analogue(rs, lam, mu) == poly, (name, lam, mu)
+
+    def test_shuffled_module_grows_to_its_box(self, builds):
+        # growing to the union box step by step takes 8 builds on this stream
+        rs = build_root_system("F4")
+        lam = rs.theta + rs.theta_s
+        weights = list(character(rs, lam))
+        random.Random(0).shuffle(weights)
+        for mu in weights:
+            lusztig_q_analogue(rs, lam, mu)
+        assert len(builds) <= 4
+        assert builds[-1] == root_coords(rs, lam + dual_weight(rs, lam))
+
+    def test_module_box_respects_the_growth_limit(self, builds):
+        # theta - (-alpha_1) leaves the box of theta for a point of the module
+        # box 2*theta, whose 3,375 cells are more than four times the 216 + 324
+        # cells of the two boxes, so the table grows to the union only
+        rs = build_root_system("D6")
+        lusztig_q_analogue(rs, rs.theta, Weight.zero(6))
+        lusztig_q_analogue(rs, rs.theta, -rs.simple_roots[0])
+        assert builds == [(1, 2, 2, 2, 1, 1), (2, 2, 2, 2, 1, 1)]
+
+    @pytest.mark.parametrize("name,weights", [
+        ("E7", lambda rs: [Weight.zero(7)]),
+        ("F4", lambda rs: list(character(rs, rs.theta))),
+    ])
+    def test_packed_sums_match_one_cell_at_a_time(self, name, weights, monkeypatch):
+        rs = build_root_system(name)
+        mus = weights(rs)
+        clear_caches()
+        expected = [lusztig_q_analogue(rs, rs.theta, mu) for mu in mus]
+        clear_caches()
+        eng = qkostant._engine(rs)
+        tops = [root_coords(rs, rs.theta - mu) for mu in mus]
+        eng.compute(tuple(max(c) for c in zip(*tops)))
+        assert eng.chunk > 1
+        monkeypatch.setattr(eng, "chunk", 1)
+        assert [lusztig_q_analogue(rs, rs.theta, mu) for mu in mus] == expected
+        # no sum rebuilt the table, so every cell was decoded on its own
+        assert eng.chunk == 1
 
 
 class TestClearCaches:

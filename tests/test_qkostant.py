@@ -8,6 +8,7 @@ import pytest
 from qweights.poly import QPoly
 from qweights.qkostant import (
     PartitionEngine,
+    _engine,
     clear_partition_cache,
     kernel_backend,
     q_partition,
@@ -163,8 +164,15 @@ def test_every_cell_matches_reference(name, top, cells):
     bound = root_coords(rs, top(rs))
     clear_partition_cache()
     assert q_partition_root_coords(rs, bound) == ref.compute(bound)
+    # no coefficient in the box exceeds the largest one of the bound cell,
+    # which sets how many cells a packed sum may add without a carry
+    most = max(ref.compute(bound).values())
     for nu in box(bound):
-        assert q_partition_root_coords(rs, nu) == ref.compute(nu), nu
+        expected = ref.compute(nu)
+        assert q_partition_root_coords(rs, nu) == expected, nu
+        assert max(expected.values()) <= most, nu
+    eng = _engine(rs)
+    assert eng.chunk == ((1 << eng.width) - 1) // most
     # one table answered every cell: the first lookup built it
     assert q_partition_cache_stats() == (cells, cells)
 
