@@ -34,7 +34,6 @@ from .lusztig import (
     lusztig_q_analogue,
     q_analogue_by_induction,
     q_analogue_via_kernel,
-    stabilizer_poincare_cached,
     tensor_zero_q,
     weighted_sum,
     weyl_dimension,
@@ -53,9 +52,6 @@ from .root_system import (
     Weight,
     build_dual_root_system,
     build_root_system,
-    dominance_leq,
-    height,
-    pairing,
     parse_type,
 )
 from .weyl import (
@@ -88,27 +84,23 @@ __all__ = [
     "classify_principal_pairs",
     "clear_caches",
     "clear_partition_cache",
-    "dominance_leq",
     "dominant_representative",
     "dual_weight",
     "enumerate_weyl",
     "freudenthal_multiplicity",
     "generalized_exponents",
-    "height",
     "is_minuscule",
     "kernel_backend",
     "klimyk_decompose",
     "longest_element",
     "lusztig_q_analogue",
     "orbit",
-    "pairing",
     "parse_type",
     "q_analogue_by_induction",
     "q_analogue_via_kernel",
     "q_partition",
     "q_partition_cache_stats",
     "stabilizer_poincare",
-    "stabilizer_poincare_cached",
     "tensor_zero_q",
     "verify_adjoint",
     "verify_coxeter_identity",

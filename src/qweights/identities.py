@@ -19,13 +19,12 @@ from .lusztig import (
     dual_weight,
     generalized_exponents,
     lusztig_q_analogue,
-    stabilizer_poincare_cached,
     tensor_zero_q,
     weighted_sum,
 )
 from .poly import QPoly
 from .root_system import RootSystem, Weight, build_dual_root_system
-from .weyl import dominant_representative, orbit
+from .weyl import dominant_representative, orbit, stabilizer_poincare
 
 
 @dataclass
@@ -239,8 +238,8 @@ def verify_minuscule(rs: RootSystem, lam: Weight) -> Report:
         _expect(failures, "pure power", mu, QPoly.q(hot), got)
         total = total + got
         power_sum = power_sum + QPoly.q(hot)
-    t0 = stabilizer_poincare_cached(rs, Weight.zero(rs.rank))
-    ratio = t0.exact_div(stabilizer_poincare_cached(rs, lam))
+    t0 = stabilizer_poincare(rs, Weight.zero(rs.rank))
+    ratio = t0.exact_div(stabilizer_poincare(rs, lam))
     _expect(failures, "plain sum equals stabilizer ratio", lam, ratio, total)
     _expect(failures, "plain sum equals height powers", lam, power_sum, total)
     return _report("minuscule", rs, {"lambda": list(lam.coords)}, failures,
@@ -253,16 +252,16 @@ def verify_coxeter_identity(rs: RootSystem) -> Report:
     failures = []
     h = rs.coxeter_number
     zero = Weight.zero(rs.rank)
-    t0 = stabilizer_poincare_cached(rs, zero)
+    t0 = stabilizer_poincare(rs, zero)
 
-    lhs_s = t0.exact_div(stabilizer_poincare_cached(rs, rs.theta_s))
+    lhs_s = t0.exact_div(stabilizer_poincare(rs, rs.theta_s))
     m0s = lusztig_q_analogue(rs, rs.theta_s, zero)
     hot_s = sum(rs.theta_s_root_coords)
     rhs_s = m0s.shift(hot_s - h) * _qh(rs)
     _expect(failures, "short dominant root ratio", rs.theta_s, rhs_s, lhs_s)
 
     dual = build_dual_root_system(rs)
-    lhs_l = t0.exact_div(stabilizer_poincare_cached(rs, rs.theta))
+    lhs_l = t0.exact_div(stabilizer_poincare(rs, rs.theta))
     m0d = lusztig_q_analogue(dual, dual.theta_s, Weight.zero(dual.rank))
     hot_d = sum(dual.theta_s_root_coords)
     rhs_l = m0d.shift(hot_d - dual.coxeter_number) * QPoly.q_int(dual.coxeter_number)
@@ -407,11 +406,18 @@ def classify_principal_pairs(systems, height_bound: int):
 # -- pointwise recurrences -------------------------------------------------
 
 
+def _check_alpha_index(rs: RootSystem, alpha_index: int):
+    if not 0 <= alpha_index < rs.rank:
+        raise ValueError(f"simple root index {alpha_index} is not in "
+                         f"0..{rs.rank - 1} for {rs.name}")
+
+
 def verify_induction_lemma(rs: RootSystem, lam: Weight, gam: Weight,
                            alpha_index: int) -> Report:
     """The four-term reflection relation, all terms from the defining sum."""
     if not lam.is_dominant():
         raise ValueError(f"{lam} is not dominant")
+    _check_alpha_index(rs, alpha_index)
     n = -gam.coords[alpha_index]
     if n <= 0:
         raise ValueError(
@@ -441,6 +447,7 @@ def verify_subregular_identity(rs: RootSystem, lam: Weight,
         raise ValueError(f"{lam} is not dominant")
     if not rs.in_root_lattice(lam):
         raise ValueError(f"{lam} is not in the root lattice")
+    _check_alpha_index(rs, alpha_index)
     simple_rc = tuple(1 if j == alpha_index else 0 for j in range(rs.rank))
     if rs.root_length[simple_rc] != 1:
         raise ValueError(f"simple root {alpha_index} is not short in {rs.name}")

@@ -20,6 +20,10 @@ induction, so agreement between them is a genuine cross-check.
 
 Supporting operations: characters, tensor decomposition, stabilizer Poincare
 ratios, generalized exponents, and the coefficientwise-positivity test.
+
+The memos of the three routes, the characters and the module boxes are slots
+of the root system's ``root_system.context``, next to the partition table and
+the Weyl group; ``clear_caches`` (re-exported here) drops them all at once.
 """
 
 from __future__ import annotations
@@ -27,9 +31,9 @@ from __future__ import annotations
 from operator import add, mul, sub
 
 from .poly import QPoly
-from .qkostant import _engine, clear_partition_cache
-from .root_system import RootSystem, Weight
-from .weyl import _weyl_cache, dominant_representative, orbit, stabilizer_poincare
+from .qkostant import _engine
+from .root_system import RootSystem, Weight, clear_caches, context
+from .weyl import dominant_representative, orbit, stabilizer_poincare
 
 
 class WeightMultiset:
@@ -66,49 +70,15 @@ class WeightMultiset:
         return isinstance(other, WeightMultiset) and self._entries == other._entries
 
 
-class _Workspace:
-    """Per-root-system caches for everything downstream of the kernel."""
-
-    def __init__(self, rs: RootSystem):
-        self.rs = rs
-        self.defining_memo = {}
-        self.induction_memo = {}
-        self.char_cache = {}
-        self.tnu_cache = {}
-        # lam -> root coordinates of lam - w0(lam) = lam + dual_weight(lam),
-        # the box of every sum for a weight of the module
-        self.module_boxes = {}
-
-
-_workspaces = {}
-
-
-def _ws(rs: RootSystem) -> _Workspace:
-    ws = _workspaces.get(rs.cartan)
-    if ws is None:
-        ws = _Workspace(rs)
-        _workspaces[rs.cartan] = ws
-    return ws
-
-
-def clear_caches():
-    """Drop every per-root-system cache: the q-analogue, induction,
-    character and stabilizer caches here, the materialised Weyl groups held
-    by ``weyl`` and the partition kernel's tables."""
-    _workspaces.clear()
-    _weyl_cache.clear()
-    clear_partition_cache()
-
-
 def lusztig_q_analogue(rs: RootSystem, lam: Weight, mu: Weight) -> QPoly:
     """The q-analogue of the multiplicity of mu in the highest-weight module
     of lam: the alternating Weyl-group sum of partition values at
     w(lam+rho)-(mu+rho), over the w for which that point lies in Q_+."""
     if not lam.is_dominant():
         raise ValueError(f"{lam} is not dominant")
-    ws = _ws(rs)
+    ctx = context(rs)
     key = (lam.coords, mu.coords)
-    got = ws.defining_memo.get(key)
+    got = ctx.defining.get(key)
     if got is not None:
         return got
     acc = {}
@@ -138,14 +108,14 @@ def lusztig_q_analogue(rs: RootSystem, lam: Weight, mu: Weight) -> QPoly:
                     if y not in nxt:
                         nxt[y] = arg[:i] + (arg[i] - c,) + arg[i + 1:]
             layer = nxt
-        module = ws.module_boxes.get(lam.coords)
+        module = ctx.module_boxes.get(lam.coords)
         if module is None:
             module = tuple(int(x) for x in
                            rs.weight_to_root_coords(lam + dual_weight(rs, lam)))
-            ws.module_boxes[lam.coords] = module
+            ctx.module_boxes[lam.coords] = module
         acc = _engine(rs).alternating_sum(layers, module)
     poly = QPoly(acc)
-    ws.defining_memo[key] = poly
+    ctx.defining[key] = poly
     return poly
 
 
@@ -160,12 +130,10 @@ def q_analogue_by_induction(rs: RootSystem, lam: Weight, mu: Weight) -> QPoly:
     """
     if not lam.is_dominant():
         raise ValueError(f"{lam} is not dominant")
-    return _induct(_ws(rs), lam, mu)
+    return _induct(rs, context(rs).induction, lam, mu)
 
 
-def _induct(ws, lam: Weight, mu: Weight) -> QPoly:
-    rs = ws.rs
-    memo = ws.induction_memo
+def _induct(rs: RootSystem, memo, lam: Weight, mu: Weight) -> QPoly:
     lc = lam.coords
 
     def value(nu):
@@ -214,10 +182,10 @@ def _induct(ws, lam: Weight, mu: Weight) -> QPoly:
 
 def cherednik_coefficient(rs: RootSystem, nu: Weight) -> QPoly:
     """m_0^{-nu}(q), the kernel coefficient at a point nu of Q_+."""
-    rc = rs.weight_to_root_coords(nu)
-    if not all(x.denominator == 1 and x >= 0 for x in rc):
+    zero = Weight.zero(rs.rank)
+    if not rs.dominance_leq(zero, nu):
         raise ValueError(f"{nu} is not in the positive root cone")
-    return lusztig_q_analogue(rs, Weight.zero(rs.rank), -nu)
+    return lusztig_q_analogue(rs, zero, -nu)
 
 
 def q_analogue_via_kernel(rs: RootSystem, lam: Weight, mu: Weight) -> QPoly:
@@ -228,9 +196,7 @@ def q_analogue_via_kernel(rs: RootSystem, lam: Weight, mu: Weight) -> QPoly:
     zero = Weight.zero(rs.rank)
     acc = {}
     for gamma, m in character(rs, lam).items():
-        diff = gamma - mu
-        rc = rs.weight_to_root_coords(diff)
-        if not all(x.denominator == 1 and x >= 0 for x in rc):
+        if not rs.dominance_leq(mu, gamma):
             continue
         ker = lusztig_q_analogue(rs, zero, mu - gamma)
         for e, c in ker.terms().items():
@@ -293,8 +259,10 @@ def character(rs: RootSystem, lam: Weight) -> WeightMultiset:
     """
     if not lam.is_dominant():
         raise ValueError(f"{lam} is not dominant")
-    ws = _ws(rs)
-    got = ws.char_cache.get(lam.coords)
+    if len(lam) != rs.rank:
+        raise ValueError(f"{lam} is not a weight of {rs.name}")
+    characters = context(rs).characters
+    got = characters.get(lam.coords)
     if got is not None:
         return got
 
@@ -341,7 +309,7 @@ def character(rs: RootSystem, lam: Weight) -> WeightMultiset:
     ch = WeightMultiset({w: mult[w.coords] for w in order}, order)
     if ch.total_mass() != weyl_dimension(rs, lam):
         raise AssertionError(f"character mass mismatch for {lam} in {rs.name}")
-    ws.char_cache[lam.coords] = ch
+    characters[lam.coords] = ch
     return ch
 
 
@@ -407,21 +375,11 @@ def weighted_sum(rs: RootSystem, lam: Weight, gam: Weight) -> QPoly:
     acc = {}
     # lowest weights first, so the kernel table is sized by the largest box
     for mu, m in reversed(character(rs, gam).items()):
-        rc = rs.weight_to_root_coords(lam - mu)
-        if not all(x.denominator == 1 and x >= 0 for x in rc):
+        if not rs.dominance_leq(mu, lam):
             continue
         for e, c in lusztig_q_analogue(rs, lam, mu).terms().items():
             acc[e] = acc.get(e, 0) + m * c
     return QPoly(acc)
-
-
-def stabilizer_poincare_cached(rs: RootSystem, nu: Weight) -> QPoly:
-    ws = _ws(rs)
-    got = ws.tnu_cache.get(nu.coords)
-    if got is None:
-        got = stabilizer_poincare(rs, nu)
-        ws.tnu_cache[nu.coords] = got
-    return got
 
 
 def brylinski_form(rs: RootSystem, lam: Weight, gam: Weight) -> QPoly:
@@ -429,7 +387,7 @@ def brylinski_form(rs: RootSystem, lam: Weight, gam: Weight) -> QPoly:
     m_lam^nu(q) * m_gam^nu(q) * t_0(q)/t_nu(q), with exact division."""
     if not lam.is_dominant() or not gam.is_dominant():
         raise ValueError("both highest weights must be dominant")
-    t0 = stabilizer_poincare_cached(rs, Weight.zero(rs.rank))
+    t0 = stabilizer_poincare(rs, Weight.zero(rs.rank))
     out = QPoly.zero()
     for nu, _ in character(rs, lam).dominant_items():
         if not rs.dominance_leq(nu, gam):
@@ -437,7 +395,7 @@ def brylinski_form(rs: RootSystem, lam: Weight, gam: Weight) -> QPoly:
         p = lusztig_q_analogue(rs, lam, nu) * lusztig_q_analogue(rs, gam, nu)
         if p.is_zero():
             continue
-        out = out + p * t0.exact_div(stabilizer_poincare_cached(rs, nu))
+        out = out + p * t0.exact_div(stabilizer_poincare(rs, nu))
     return out
 
 

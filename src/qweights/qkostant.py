@@ -7,7 +7,8 @@ contributing q^(number of parts).  Equivalently the mu-coefficient of
 So one unbounded-knapsack pass per positive root fills P_q at every point of
 a box [0, bound] of root coordinates at once.  Every argument
 w(lam+rho) - (mu+rho) of the alternating sum lies in the box of lam - mu, so
-one table per root system answers a whole query (``alternating_sum``), and
+one table per root system, kept in the engine slot of its
+``root_system.context``, answers a whole query (``alternating_sum``), and
 usually the next ones.  Every weight mu of the module of lam has lam - mu in
 the box of lam - w0(lam), so a caller that names that module box lets the
 table grow to it at once instead of step by step.  Each cell packs its
@@ -23,7 +24,7 @@ from math import prod
 from operator import gt, mul
 
 from .poly import QPoly
-from .root_system import RootSystem, Weight
+from .root_system import RootSystem, Weight, _contexts, context
 
 # A target outside the box grows the table to the union of the two boxes
 # (to the module box, when the target lies in it and that box is not too
@@ -194,15 +195,11 @@ class PartitionEngine:
         self.chunk = ((1 << width) - 1) // max(top)
 
 
-_engines = {}
-
-
 def _engine(rs: RootSystem) -> PartitionEngine:
-    eng = _engines.get(rs.cartan)
-    if eng is None:
-        eng = PartitionEngine(rs.positive_roots)
-        _engines[rs.cartan] = eng
-    return eng
+    ctx = context(rs)
+    if ctx.engine is None:
+        ctx.engine = PartitionEngine(rs.positive_roots)
+    return ctx.engine
 
 
 def q_partition_root_coords(rs: RootSystem, coords) -> dict:
@@ -221,15 +218,16 @@ def q_partition(rs: RootSystem, mu: Weight) -> QPoly:
 def q_partition_cache_stats():
     """(table cells, lookups answered without a rebuild) across all root
     systems."""
-    entries = 0
-    hits = 0
-    for eng in _engines.values():
-        e, h = eng.stats()
-        entries += e
-        hits += h
+    entries = hits = 0
+    for ctx in _contexts.values():
+        if ctx.engine is not None:
+            e, h = ctx.engine.stats()
+            entries += e
+            hits += h
     return (entries, hits)
 
 
 def clear_partition_cache():
     """Drop the partition table of every root system."""
-    _engines.clear()
+    for ctx in _contexts.values():
+        ctx.engine = None

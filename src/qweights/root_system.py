@@ -11,6 +11,9 @@ Conventions, fixed once and documented in the README:
   from an integer multiple of the inverse Cartan matrix.
 * The symmetrizer d_i is normalized so short simple roots have (a,a) = 2;
   then the coroot of a short root is the root itself.
+
+Every cache about one root system lives in its ``Context`` (``context(rs)``),
+keyed by the Cartan matrix in one registry; ``clear_caches`` empties it.
 """
 
 from __future__ import annotations
@@ -52,10 +55,10 @@ class Weight:
         object.__setattr__(self, "coords", tuple(coords))
 
     def __add__(self, other):
-        return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return Weight(tuple(a + b for a, b in zip(self, other, strict=True)))
 
     def __sub__(self, other):
-        return Weight(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return Weight(tuple(a - b for a, b in zip(self, other, strict=True)))
 
     def __neg__(self):
         return Weight(tuple(-a for a in self.coords))
@@ -303,6 +306,8 @@ class RootSystem:
     def weight_to_root_coords(self, w: Weight) -> tuple:
         """Exact rational solution of cartan . x = coords."""
         c = w.coords
+        if len(c) != self.rank:
+            raise ValueError(f"{w} is not a weight of {self.name}")
         scale = self._inv_scale
         return tuple(
             Fraction(sum(x * y for x, y in zip(row, c) if y), scale)
@@ -426,23 +431,44 @@ def build_dual_root_system(rs: RootSystem) -> RootSystem:
                       unsafe_large_rank=rs.unsafe_large_rank)
 
 
-# Functional aliases matching the operation names used in docs/tests.
+class Context:
+    """Everything kept for reuse about one root system, in one slot per cache.
 
-def root_to_weight_basis(rs: RootSystem, root_coords) -> Weight:
-    return rs.root_to_weight_basis(root_coords)
+    The partition engine is filled by ``qkostant``, the Weyl group and the
+    stabilizer polynomials by ``weyl``, the rest by ``lusztig``.
+    """
+
+    __slots__ = ("engine", "weyl_group", "defining", "induction", "characters",
+                 "stabilizers", "module_boxes")
+
+    def __init__(self):
+        self.engine = None
+        self.weyl_group = None
+        self.defining = {}  # (lam, mu) -> the defining sum
+        self.induction = {}  # (lam, mu) -> the induction, at non-dominant mu
+        self.characters = {}  # lam -> character
+        self.stabilizers = {}  # nu -> t_nu(q)
+        # lam -> root coordinates of lam - w0(lam), the box of every sum for a
+        # weight of the module
+        self.module_boxes = {}
 
 
-def weight_to_root_coords(rs: RootSystem, w: Weight) -> tuple:
-    return rs.weight_to_root_coords(w)
+_contexts = {}
 
 
-def dominance_leq(rs: RootSystem, mu: Weight, lam: Weight) -> bool:
-    return rs.dominance_leq(mu, lam)
+def context(rs: RootSystem) -> Context:
+    """The caches of ``rs``, shared by every root system with its Cartan matrix."""
+    ctx = _contexts.get(rs.cartan)
+    if ctx is None:
+        ctx = _contexts[rs.cartan] = Context()
+    return ctx
 
 
-def height(rs: RootSystem, gamma: Weight) -> int:
-    return rs.height(gamma)
+def clear_caches():
+    """Drop every per-root-system cache: partition tables, Weyl groups and
+    the q-analogue, induction, character and stabilizer memos.
 
-
-def pairing(rs: RootSystem, mu: Weight, nu) -> int:
-    return rs.pairing(mu, nu)
+    The root systems that ``build_root_system`` hands out stay cached: they
+    hold only static data, and keeping them makes each type one object.
+    """
+    _contexts.clear()

@@ -8,15 +8,18 @@ instead (``orbit``, ``stabilizer_poincare`` here, the defining sum in
 ``lusztig``).  ``dominant_representative`` walks integer coordinates too:
 each simple reflection is a rank-one update of the point and of the matrix
 it builds, and the length is the number of steps, so no root is pushed
-through the matrix; ``inversion_count`` recomputes it for tests.
+through the matrix; ``inversion_count`` recomputes it for tests.  The
+materialised W and the stabilizer polynomials are kept in the root system's
+``root_system.context``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .poly import QPoly
-from .root_system import RankGuardError, RootSystem, WEYL_ORDER_GUARD, Weight
+from .root_system import (RankGuardError, RootSystem, WEYL_ORDER_GUARD, Weight,
+                          context)
 
 
 @dataclass(frozen=True)
@@ -49,10 +52,6 @@ def _identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def act(w: WeylElement, mu: Weight) -> Weight:
-    return w.act(mu)
-
-
 def enumerate_weyl(rs: RootSystem):
     """Yield every Weyl element exactly once, in length order (BFS)."""
     if rs.weyl_order > WEYL_ORDER_GUARD and not rs.unsafe_large_rank:
@@ -78,21 +77,17 @@ def enumerate_weyl(rs: RootSystem):
         depth += 1
 
 
-_weyl_cache = {}
-
-
 def weyl_elements(rs: RootSystem) -> tuple:
-    """Fully materialized Weyl group, cached per root system."""
-    key = rs.cartan
-    got = _weyl_cache.get(key)
-    if got is None:
+    """Fully materialized Weyl group, cached in the root system's context."""
+    ctx = context(rs)
+    if ctx.weyl_group is None:
         got = tuple(enumerate_weyl(rs))
         if len(got) != rs.weyl_order:
             raise AssertionError(
                 f"enumerated {len(got)} elements, expected {rs.weyl_order}"
             )
-        _weyl_cache[key] = got
-    return got
+        ctx.weyl_group = got
+    return ctx.weyl_group
 
 
 def inversion_count(rs: RootSystem, w: WeylElement) -> int:
@@ -153,9 +148,14 @@ def stabilizer_poincare(rs: RootSystem, nu: Weight) -> QPoly:
     reflections fixing nu.  It acts freely on the orbit of rho, and
     reflecting a point of that orbit at a positive coordinate raises the
     length by one, so the BFS layers of the walk count elements by length.
+    Memoised in the root system's context.
     """
     if not nu.is_dominant():
         raise ValueError(f"{nu} is not dominant")
+    memo = context(rs).stabilizers
+    got = memo.get(nu.coords)
+    if got is not None:
+        return got
     gens = [i for i in range(rs.rank) if nu.coords[i] == 0]
     a = rs.cartan
     n = rs.rank
@@ -172,7 +172,8 @@ def stabilizer_poincare(rs: RootSystem, nu: Weight) -> QPoly:
                     nxt.add(tuple(x[k] - a[k][i] * c for k in range(n)))
         layer = nxt
         depth += 1
-    return QPoly(terms)
+    got = memo[nu.coords] = QPoly(terms)
+    return got
 
 
 def orbit(rs: RootSystem, mu: Weight) -> frozenset:

@@ -179,6 +179,14 @@ class TestVerify:
         assert code == 0
         assert out.startswith("PASS subregular C3")
 
+    @pytest.mark.parametrize("which", ["induction", "subregular"])
+    @pytest.mark.parametrize("index", ["9", "-1"])
+    def test_alpha_index_out_of_range(self, capsys, which, index):
+        code, _, err = run(capsys, "verify", which, "B3", "--alpha-index", index)
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
 
 class TestGuardsAndBackend:
     def test_rank_guard(self, capsys):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from qweights import qkostant, weyl
+from qweights import qkostant, root_system, weyl
 from qweights.identities import verify_adjoint
 from qweights.lusztig import (
     WeightMultiset,
@@ -28,7 +28,7 @@ from qweights.lusztig import (
 from qweights.poly import QPoly
 from qweights.qkostant import q_partition, q_partition_cache_stats
 from qweights.root_system import Weight, build_root_system
-from qweights.weyl import dominant_representative, orbit
+from qweights.weyl import dominant_representative, orbit, stabilizer_poincare
 
 
 def P(pairs):
@@ -284,6 +284,21 @@ class FreudenthalReference:
         return [(w, entries[w]) for w in order]
 
 
+class TestWrongRank:
+    """A weight of another rank is an error, and nothing of it is cached."""
+
+    @pytest.mark.parametrize("lam,mu", [((1, 1, 0), (0, 0)), ((1, 1), (0,))])
+    def test_q_analogue(self, lam, mu):
+        with pytest.raises(ValueError):
+            lusztig_q_analogue(A2, Weight(lam), Weight(mu))
+        assert (lam, mu) not in root_system.context(A2).defining
+
+    def test_character(self):
+        with pytest.raises(ValueError):
+            character(A2, Weight((1,)))
+        assert (1,) not in root_system.context(A2).characters
+
+
 class TestCharacterAgainstFreudenthalReference:
     @pytest.mark.parametrize("name", [
         "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4", "D4",
@@ -471,10 +486,33 @@ class TestClearCaches:
     def test_empties_weyl_cache(self):
         weyl.weyl_elements(A2)
         lusztig_q_analogue(A2, A2.theta, ZERO2)
-        assert weyl._weyl_cache
+        assert root_system.context(A2).weyl_group is not None
         clear_caches()
-        assert not weyl._weyl_cache
+        assert not root_system._contexts
         assert lusztig_q_analogue(A2, A2.theta, ZERO2) == P({1: 1, 2: 1})
+
+    def test_leaves_nothing_behind(self):
+        routes = [
+            lambda: lusztig_q_analogue(B2, B2.theta, ZERO2),
+            lambda: q_analogue_by_induction(B2, B2.theta, -B2.theta),
+            lambda: q_analogue_via_kernel(G2, G2.theta, ZERO2),
+            lambda: character(G2, G2.theta_s),
+            lambda: stabilizer_poincare(A2, ZERO2),
+            lambda: weyl.weyl_elements(G2),
+            lambda: q_partition(A2, A2.theta),
+        ]
+        clear_caches()
+        first = [route() for route in routes]
+        ctx = root_system.context(B2)
+        assert ctx.defining and ctx.induction and ctx.module_boxes
+        assert root_system.context(G2).characters
+        assert root_system.context(A2).stabilizers
+        assert root_system.context(G2).weyl_group is not None
+        assert q_partition_cache_stats()[0] > 0
+        clear_caches()
+        assert not root_system._contexts
+        assert q_partition_cache_stats() == (0, 0)
+        assert [route() for route in routes] == first
 
     def test_empties_partition_tables(self):
         q_partition(B2, B2.theta)

@@ -166,6 +166,16 @@ def test_dominance_order():
     assert not a2.dominance_leq(w2, w1)
 
 
+def test_wrong_rank_is_rejected():
+    a2 = build_root_system("A2")
+    with pytest.raises(ValueError):
+        Weight((1, 1)) + Weight((1, 1, 0))
+    with pytest.raises(ValueError):
+        Weight((1, 1)) - Weight((0,))
+    with pytest.raises(ValueError):
+        a2.weight_to_root_coords(Weight((1, 1, 0)))
+
+
 def test_weight_arithmetic():
     a = Weight((1, -2))
     b = Weight((0, 5))
