@@ -1,15 +1,17 @@
 """q-analogues of weight multiplicities, computed three independent ways.
 
 * ``lusztig_q_analogue`` — the defining alternating sum of partition values
-  at w(lam+rho)-(mu+rho), read off the partition kernel's box table, which
-  covers every such point once it covers lam-mu.  Only the w with that
-  point in Q_+ contribute, and there are few of them, so instead of summing
-  over all of W the sum walks the orbit of lam+rho breadth-first from the
-  top, in integer root coordinates, and prunes each branch as soon as the
-  point leaves Q_+.  The layers of points go to the kernel in one call,
-  together with the box of lam - w0(lam), which holds the top point of
-  every weight of the module, so a stream of them grows the table to that
-  box at once;
+  at w(lam+rho)-(mu+rho).  The sum is linear in the partition function, so
+  for a fixed lam the whole family mu -> m_lam^mu(q) is one generating
+  function, (Weyl numerator of lam) / prod_{gamma>0}(1 - q e^gamma).  Each
+  lam gets one kernel table seeded with that numerator, and m_lam^mu is its
+  cell lam - mu.  The seeds are the points (lam+rho) - w(lam+rho) inside the
+  table's box, found by walking the orbit of lam+rho breadth-first from the
+  top, in integer root coordinates, pruned as soon as a point leaves the
+  box, so only a few w are visited instead of all of W.  The table grows to
+  the module box lam - w0(lam), which holds every weight of the module.  A
+  cell has negative coefficients where mu is not dominant; the kernel
+  decodes them exactly (see ``qkostant``);
 * ``q_analogue_by_induction`` — recursion on a negative coordinate of the
   target weight, reducing to dominant targets which fall back to the sum;
 * ``q_analogue_via_kernel`` — convolution of ordinary weight multiplicities
@@ -21,8 +23,8 @@ induction, so agreement between them is a genuine cross-check.
 Supporting operations: characters, tensor decomposition, stabilizer Poincare
 ratios, generalized exponents, and the coefficientwise-positivity test.
 
-The memos of the three routes, the characters and the module boxes are slots
-of the root system's ``root_system.context``, next to the partition table and
+The memos of the three routes, the characters and the seeded tables are
+slots of the root system's ``root_system.context``, next to the P_q table and
 the Weyl group; ``clear_caches`` (re-exported here) drops them all at once.
 """
 
@@ -31,7 +33,7 @@ from __future__ import annotations
 from operator import add, mul, sub
 
 from .poly import QPoly
-from .qkostant import _engine
+from .qkostant import PartitionEngine
 from .root_system import RootSystem, Weight, clear_caches, context
 from .weyl import dominant_representative, orbit, stabilizer_poincare
 
@@ -73,7 +75,7 @@ class WeightMultiset:
 def lusztig_q_analogue(rs: RootSystem, lam: Weight, mu: Weight) -> QPoly:
     """The q-analogue of the multiplicity of mu in the highest-weight module
     of lam: the alternating Weyl-group sum of partition values at
-    w(lam+rho)-(mu+rho), over the w for which that point lies in Q_+."""
+    w(lam+rho)-(mu+rho), read as cell lam - mu of lam's seeded table."""
     if not lam.is_dominant():
         raise ValueError(f"{lam} is not dominant")
     ctx = context(rs)
@@ -84,39 +86,49 @@ def lusztig_q_analogue(rs: RootSystem, lam: Weight, mu: Weight) -> QPoly:
     acc = {}
     diff = rs.weight_to_root_coords(lam - mu)
     if all(x.denominator == 1 and x >= 0 for x in diff):
-        cols = rs.cartan_columns
-        rank = rs.rank
-        # Walk the regular orbit of lam+rho down from the top.  Reflecting a
-        # point x at a coordinate c = x[i] > 0 raises the length by one and
-        # lowers root coordinate i of x - (mu+rho) by c, so BFS layers carry
-        # alternating signs and a child whose coordinate would go negative
-        # (and with it every point below it) can be dropped on the spot.
-        layer = {(lam + rs.rho).coords: tuple(int(x) for x in diff)}
-        layers = []
-        while layer:
-            layers.append(layer.values())
-            nxt = {}
-            for x, arg in layer.items():
-                for i in range(rank):
-                    c = x[i]
-                    if c <= 0 or arg[i] < c:
-                        continue
-                    y = list(x)
-                    for k, aki in cols[i]:
-                        y[k] -= aki * c
-                    y = tuple(y)
-                    if y not in nxt:
-                        nxt[y] = arg[:i] + (arg[i] - c,) + arg[i + 1:]
-            layer = nxt
-        module = ctx.module_boxes.get(lam.coords)
-        if module is None:
-            module = tuple(int(x) for x in
-                           rs.weight_to_root_coords(lam + dual_weight(rs, lam)))
-            ctx.module_boxes[lam.coords] = module
-        acc = _engine(rs).alternating_sum(layers, module)
+        eng = ctx.engines.get(lam.coords)
+        if eng is None:
+            module = rs.weight_to_root_coords(lam + dual_weight(rs, lam))
+            eng = ctx.engines[lam.coords] = PartitionEngine(
+                rs.positive_roots, lambda bound: _weyl_seeds(rs, lam, bound),
+                tuple(int(x) for x in module))
+        acc = eng.compute(tuple(int(x) for x in diff))
     poly = QPoly(acc)
     ctx.defining[key] = poly
     return poly
+
+
+def _weyl_seeds(rs: RootSystem, lam: Weight, bound) -> list:
+    """The seeds (d, sign(w)) of the Weyl numerator of lam: one at each
+    point d = (lam+rho) - w(lam+rho) that lies in the box [0, bound].
+
+    Walks the regular orbit of lam+rho down from the top.  Reflecting a
+    point x at a coordinate c = x[i] > 0 raises the length by one and raises
+    root coordinate i of d by c, so BFS layers carry alternating signs, and
+    a child that leaves the box (and with it every point below it) is
+    dropped on the spot.
+    """
+    cols = rs.cartan_columns
+    out = []
+    sign = 1
+    layer = {(lam + rs.rho).coords: (0,) * rs.rank}
+    while layer:
+        out += [(d, sign) for d in layer.values()]
+        nxt = {}
+        for x, d in layer.items():
+            for i in range(rs.rank):
+                c = x[i]
+                if c <= 0 or d[i] + c > bound[i]:
+                    continue
+                y = list(x)
+                for k, aki in cols[i]:
+                    y[k] -= aki * c
+                y = tuple(y)
+                if y not in nxt:
+                    nxt[y] = d[:i] + (d[i] + c,) + d[i + 1:]
+        layer = nxt
+        sign = -sign
+    return out
 
 
 def q_analogue_by_induction(rs: RootSystem, lam: Weight, mu: Weight) -> QPoly:
@@ -259,8 +271,7 @@ def character(rs: RootSystem, lam: Weight) -> WeightMultiset:
     """
     if not lam.is_dominant():
         raise ValueError(f"{lam} is not dominant")
-    if len(lam) != rs.rank:
-        raise ValueError(f"{lam} is not a weight of {rs.name}")
+    rs.check_rank(lam)
     characters = context(rs).characters
     got = characters.get(lam.coords)
     if got is not None:
@@ -413,4 +424,5 @@ def generalized_exponents(rs: RootSystem, lam: Weight) -> list:
 def broer_nonnegativity_test(rs: RootSystem, mu: Weight) -> bool:
     """True iff <mu, nu_check> >= -1 for every positive root nu — exactly the
     weights whose q-analogue has nonnegative coefficients for every module."""
+    rs.check_rank(mu)
     return all(rs.pairing(mu, r) >= -1 for r in rs.positive_roots)

@@ -5,21 +5,26 @@ contributing q^(number of parts).  Equivalently the mu-coefficient of
 1 / prod_{gamma > 0} (1 - q e^gamma), a product of geometric series.
 
 So one unbounded-knapsack pass per positive root fills P_q at every point of
-a box [0, bound] of root coordinates at once.  Every argument
-w(lam+rho) - (mu+rho) of the alternating sum lies in the box of lam - mu, so
-one table per root system, kept in the engine slot of its
-``root_system.context``, answers a whole query (``alternating_sum``), and
-usually the next ones.  Every weight mu of the module of lam has lam - mu in
-the box of lam - w0(lam), so a caller that names that module box lets the
-table grow to it at once instead of step by step.  Each cell packs its
-polynomial into one int, and no coefficient in the box exceeds the largest
-one of the cell at the bound, so a sum reads many cells as one plain int sum
-and decodes it once.  The packed cell format is read only in this module.
+a box [0, bound] of root coordinates at once.  The same pass, run on a
+table seeded with a numerator N instead of the single 1 at cell 0, fills
+every cell nu with the nu-coefficient of N / prod(1 - q e^gamma).  Seeded
+with the Weyl numerator of lam (``lusztig``), cell nu is m_lam^{lam-nu}(q),
+so each q-analogue is one table cell.  A table is kept per numerator in the
+root system's ``root_system.context``; its first box is exact, and a later
+target outside it grows the table, to the whole module box lam - w0(lam)
+when the engine was given that box and the growth limit allows.
+
+Each cell packs its polynomial into one int, a fixed number of bits per
+coefficient, read back as balanced digits, so a negative coefficient
+decodes exactly.  A cell is a signed sum of at most n partition values,
+one per seed in the box, and each of their coefficients is at most
+P_1(bound), so the width is the bits of that count (``_width``), plus those
+of n, plus a sign bit.  No table has more than ``MAX_TABLE_CELLS`` cells.  The packed cell
+format is read only in this module.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from math import prod
 from operator import gt, mul
 
@@ -34,6 +39,16 @@ from .root_system import RootSystem, Weight, _contexts, context
 # (0,k,0,0) do not fill (k+1)^rank cells.
 _MAX_GROWTH = 4
 
+# No table is built with more cells than this, counted from the bound before
+# anything is walked or allocated.  The box of E8 theta has 151,200 cells and
+# that of E7 2*theta 165,375, at about 150 bytes a cell; the 14,189,175 cells
+# of E8 2*theta are refused.
+MAX_TABLE_CELLS = 1_000_000
+
+
+class TableBudgetError(ValueError):
+    """A partition table would have more than MAX_TABLE_CELLS cells."""
+
 
 def kernel_backend() -> str:
     """Which partition kernel is live: always 'pure' (the box table)."""
@@ -45,7 +60,7 @@ def _cells(bound) -> int:
 
 
 def _width(roots, bound) -> int:
-    """Bits per packed coefficient that no coefficient in the box reaches.
+    """Bits that hold P_1(bound), which bounds every coefficient in the box.
 
     The coefficients of P_q(nu) are non-negative and each is at most P_1(nu),
     the number of partitions of nu.  P_1 is monotone on the box: adding a
@@ -53,8 +68,7 @@ def _width(roots, bound) -> int:
     those of nu + alpha_i, so P_1(nu) <= P_1(bound).  A partition of bound is
     a multiset of roots inside the box whose heights add up to ht(bound), so
     P_1(bound) is at most the number of such multisets: the count below, a
-    one-dimensional knapsack over heights.  The build only ever holds counts
-    over a subset of the roots, which are smaller still.
+    one-dimensional knapsack over heights.
     """
     n = sum(bound)
     count = [1] + [0] * n
@@ -67,31 +81,36 @@ def _width(roots, bound) -> int:
 
 
 class PartitionEngine:
-    """P_q over a box [0, bound] of root coordinates, for one root system.
+    """The coefficients of N / prod(1 - q e^gamma) over a box [0, bound] of
+    root coordinates, for one root system; N = 1 gives P_q.
 
-    The table is flat and row-major; cell nu holds P_q(nu) packed into one
-    int, ``width`` bits per coefficient: sum_j c_j * 2^(width*j).  Up to
-    ``chunk`` cells add up as plain ints without a carry between fields.
+    ``numerator``, when given, maps a bound to the (point, sign) seeds of N
+    inside its box.  The table is flat and row-major; cell nu holds its
+    polynomial packed into one int, ``width`` bits per coefficient:
+    sum_j c_j * 2^(width*j), each c_j in [-2^(width-1), 2^(width-1)).
     """
 
-    __slots__ = ("roots", "bound", "strides", "width", "chunk", "table", "hits")
+    __slots__ = ("roots", "numerator", "module", "bound", "strides", "width",
+                 "table", "hits")
 
-    def __init__(self, roots):
+    def __init__(self, roots, numerator=None, module=None):
         self.roots = [tuple(int(x) for x in r) for r in roots]
+        self.numerator = numerator
+        # the box every later target will lie in (lam - w0(lam) for the
+        # weights of one module), or None
+        self.module = module
         self.bound = None
         self.strides = ()
         self.width = 0
-        self.chunk = 1
         self.table = []
         self.hits = 0
 
-    def compute(self, mu, module=None) -> dict:
-        """Sparse {exponent: coefficient} dict of P_q(mu); {} off the cone.
+    def compute(self, mu) -> dict:
+        """Sparse {exponent: coefficient} dict of cell mu; {} off the cone.
 
-        ``module``, when given, is the box the caller's later targets will
-        need (lam - w0(lam) for the weights of one module); a target that
-        leaves the table for a point of that box grows it to the whole box
-        while the growth limit allows.  The first table is always exact.
+        A target that leaves the table for a point of the module box grows
+        it to the whole box while the growth limit allows.  The first table
+        is always exact.
         """
         if min(mu) < 0:
             return {}
@@ -100,9 +119,9 @@ class PartitionEngine:
             self._build(tuple(mu))
         elif any(map(gt, mu, bound)):
             union = tuple(map(max, mu, bound))
-            limit = _MAX_GROWTH * (_cells(bound) + _cells(mu))
-            if module is not None and not any(map(gt, mu, module)):
-                grown = tuple(map(max, union, module))
+            limit = min(_MAX_GROWTH * (_cells(bound) + _cells(mu)), MAX_TABLE_CELLS)
+            if self.module is not None and not any(map(gt, mu, self.module)):
+                grown = tuple(map(max, union, self.module))
                 if _cells(grown) <= limit:
                     union = grown
             if _cells(union) > limit:
@@ -110,71 +129,52 @@ class PartitionEngine:
             self._build(union)
         else:
             self.hits += 1
-        # P_q(nu) has degree ht(nu)
-        coeffs = [0] * (sum(mu) + 1)
-        self._read((mu,), coeffs)
-        return {e: c for e, c in enumerate(coeffs) if c}
-
-    def alternating_sum(self, layers, module) -> dict:
-        """Sparse dict of sum_d (-1)^d P_q(nu) over the points nu of layer d.
-
-        ``layers`` is a list; layer 0 holds the single top point, and every
-        other point must lie in Q_+ and in its box.  One ``compute`` sizes
-        the table (``module`` is its module box, see there), then the cells
-        of the even layers and those of the odd layers are added as plain
-        ints, up to ``chunk`` cells at a time, and each such sum is decoded
-        once.
-
-        No field carries: every coefficient in the box is at most M, the
-        largest coefficient of the cell at the bound.  Adding a simple root
-        alpha_i as one more part maps the j-part partitions of nu one-to-one
-        into the (j+1)-part partitions of nu + alpha_i.  Stepping up to the
-        bound one simple root at a time, with h = ht(bound - nu):
-
-            P_j(nu) <= P_{j+h}(bound) <= M.
-
-        So a sum of chunk = (2^width - 1) // M cells keeps every
-        coefficient below 2^width.
-        """
-        (top,) = layers[0]
-        n = sum(top) + 1
-        sums = ([0] * n, [0] * n)
-        for e, c in self.compute(top, module).items():
-            sums[0][e] = c
-        self._read(chain.from_iterable(layers[2::2]), sums[0])
-        self._read(chain.from_iterable(layers[1::2]), sums[1])
-        return {e: p - m for e, (p, m) in enumerate(zip(*sums)) if p != m}
-
-    def _read(self, points, acc):
-        """Add the coefficients of P_q at each point, a cell of the table, to
-        acc[exponent], decoding one packed sum per ``chunk`` cells."""
-        table, strides, width, chunk = self.table, self.strides, self.width, self.chunk
-        cells = [table[sum(map(mul, nu, strides))] for nu in points]
+        cell = self.table[sum(map(mul, mu, self.strides))]
+        width = self.width
         mask = (1 << width) - 1
-        for k in range(0, len(cells), chunk):
-            packed = sum(cells[k:k + chunk])
-            e = 0
-            while packed:
-                acc[e] += packed & mask
-                packed >>= width
-                e += 1
+        half = mask >> 1
+        out = {}
+        e = 0
+        while cell:
+            c = cell & mask
+            cell >>= width
+            if c > half:
+                # a negative digit borrowed one from the next field
+                c -= mask + 1
+                cell += 1
+            if c:
+                out[e] = c
+            e += 1
+        return out
 
     def stats(self):
         """(table cells, lookups answered without a rebuild)."""
         return (len(self.table), self.hits)
 
     def _build(self, bound):
+        size = _cells(bound)
+        if size > MAX_TABLE_CELLS:
+            raise TableBudgetError(
+                f"input too large: the partition table for the box {bound} "
+                f"needs {size:,} cells, over the budget of {MAX_TABLE_CELLS:,}")
         # drop the old table first, so the two are never held together
         self.bound, self.table = None, []
         strides = []
-        size = 1
+        step = 1
         for b in reversed(bound):
-            strides.append(size)
-            size *= b + 1
+            strides.append(step)
+            step *= b + 1
         strides.reverse()
-        width = _width(self.roots, bound)
+        seeds = self.numerator(bound) if self.numerator else [((0,) * len(bound), 1)]
+        # Every final cell is a signed sum of at most len(seeds) values of
+        # P_q, whose coefficients are each at most P_1(bound) < 2^_width (see
+        # there), so every |c_j| < 2^(width-1).  The packed cells are exact
+        # integer arithmetic on sum_j c_j 2^(width*j), so only the final
+        # cells need the bound.
+        width = _width(self.roots, bound) + len(seeds).bit_length() + 1
         f = [0] * size
-        f[0] = 1
+        for d, sign in seeds:
+            f[sum(map(mul, d, strides))] = sign
         *head, last = bound
         for gamma in self.roots:
             off = sum(map(mul, gamma, strides))
@@ -189,17 +189,14 @@ class PartitionEngine:
                 for i in range(c + lo, c + last + 1):
                     f[i] += f[i - off] << width
         self.bound, self.strides, self.width, self.table = bound, strides, width, f
-        # M >= 1: bound is a sum of simple roots
-        top = [0] * (sum(bound) + 1)
-        self._read((bound,), top)
-        self.chunk = ((1 << width) - 1) // max(top)
 
 
 def _engine(rs: RootSystem) -> PartitionEngine:
-    ctx = context(rs)
-    if ctx.engine is None:
-        ctx.engine = PartitionEngine(rs.positive_roots)
-    return ctx.engine
+    engines = context(rs).engines
+    eng = engines.get(None)
+    if eng is None:
+        eng = engines[None] = PartitionEngine(rs.positive_roots)
+    return eng
 
 
 def q_partition_root_coords(rs: RootSystem, coords) -> dict:
@@ -216,18 +213,18 @@ def q_partition(rs: RootSystem, mu: Weight) -> QPoly:
 
 
 def q_partition_cache_stats():
-    """(table cells, lookups answered without a rebuild) across all root
-    systems."""
+    """(table cells, lookups answered without a rebuild) over every table
+    of every root system: P_q and one per highest weight."""
     entries = hits = 0
     for ctx in _contexts.values():
-        if ctx.engine is not None:
-            e, h = ctx.engine.stats()
+        for eng in ctx.engines.values():
+            e, h = eng.stats()
             entries += e
             hits += h
     return (entries, hits)
 
 
 def clear_partition_cache():
-    """Drop the partition table of every root system."""
+    """Drop every partition table of every root system."""
     for ctx in _contexts.values():
-        ctx.engine = None
+        ctx.engines.clear()

@@ -303,11 +303,15 @@ class RootSystem:
             for k in range(n)
         ))
 
+    def check_rank(self, w: Weight):
+        """Raise ValueError unless w has one coordinate per simple root."""
+        if len(w.coords) != self.rank:
+            raise ValueError(f"{w} is not a weight of {self.name}")
+
     def weight_to_root_coords(self, w: Weight) -> tuple:
         """Exact rational solution of cartan . x = coords."""
+        self.check_rank(w)
         c = w.coords
-        if len(c) != self.rank:
-            raise ValueError(f"{w} is not a weight of {self.name}")
         scale = self._inv_scale
         return tuple(
             Fraction(sum(x * y for x, y in zip(row, c) if y), scale)
@@ -434,23 +438,21 @@ def build_dual_root_system(rs: RootSystem) -> RootSystem:
 class Context:
     """Everything kept for reuse about one root system, in one slot per cache.
 
-    The partition engine is filled by ``qkostant``, the Weyl group and the
-    stabilizer polynomials by ``weyl``, the rest by ``lusztig``.
+    The partition tables are filled by ``qkostant`` (P_q, under the key None)
+    and ``lusztig`` (one per highest weight lam, under lam), the Weyl group
+    and the stabilizer polynomials by ``weyl``, the rest by ``lusztig``.
     """
 
-    __slots__ = ("engine", "weyl_group", "defining", "induction", "characters",
-                 "stabilizers", "module_boxes")
+    __slots__ = ("engines", "weyl_group", "defining", "induction", "characters",
+                 "stabilizers")
 
     def __init__(self):
-        self.engine = None
+        self.engines = {}  # None or lam -> PartitionEngine
         self.weyl_group = None
         self.defining = {}  # (lam, mu) -> the defining sum
         self.induction = {}  # (lam, mu) -> the induction, at non-dominant mu
         self.characters = {}  # lam -> character
         self.stabilizers = {}  # nu -> t_nu(q)
-        # lam -> root coordinates of lam - w0(lam), the box of every sum for a
-        # weight of the module
-        self.module_boxes = {}
 
 
 _contexts = {}

@@ -109,6 +109,7 @@ def dominant_representative(rs: RootSystem, mu: Weight):
     k, so a step touches only the k with a[k][i] != 0.  The length of w is
     the number of steps.
     """
+    rs.check_rank(mu)
     cur = list(mu.coords)
     n = len(cur)
     rows = [[int(j == k) for j in range(n)] for k in range(n)]
@@ -150,6 +151,7 @@ def stabilizer_poincare(rs: RootSystem, nu: Weight) -> QPoly:
     length by one, so the BFS layers of the walk count elements by length.
     Memoised in the root system's context.
     """
+    rs.check_rank(nu)
     if not nu.is_dominant():
         raise ValueError(f"{nu} is not dominant")
     memo = context(rs).stabilizers
@@ -178,6 +180,7 @@ def stabilizer_poincare(rs: RootSystem, nu: Weight) -> QPoly:
 
 def orbit(rs: RootSystem, mu: Weight) -> frozenset:
     """Full Weyl orbit of a weight."""
+    rs.check_rank(mu)
     seen = {mu.coords}
     layer = [mu]
     a = rs.cartan

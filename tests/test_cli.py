@@ -3,6 +3,7 @@
 import json
 import shutil
 import subprocess
+import time
 
 import pytest
 
@@ -51,6 +52,21 @@ class TestQAnalogue:
         assert code == 2
         assert out == ""
         assert err.startswith("error: input too large")
+
+    def test_table_over_the_cell_budget_is_a_usage_error(self, capsys):
+        # the box of 2*theta in E8 has 14,189,175 cells: refused from the
+        # bound alone, before the orbit walk or any allocation
+        clear_caches()
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "qanalogue", "E8", "--unsafe-large-rank",
+                             "--lambda", "0,0,0,0,0,0,0,2", "--mu", "0,0,0,0,0,0,0,0")
+        assert time.perf_counter() - t0 < 5
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: input too large")
+        assert "14,189,175 cells" in err
+        assert f"budget of {qkostant.MAX_TABLE_CELLS:,}" in err
+        assert qkostant.q_partition_cache_stats() == (0, 0)
 
 
 class TestTable:

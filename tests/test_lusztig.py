@@ -2,6 +2,8 @@
 
 import itertools
 import random
+from math import prod
+from operator import le, sub
 
 import pytest
 
@@ -298,6 +300,27 @@ class TestWrongRank:
             character(A2, Weight((1,)))
         assert (1,) not in root_system.context(A2).characters
 
+    @pytest.mark.parametrize("w", [(1, 0, 0), (1,)])
+    def test_orbit(self, w):
+        with pytest.raises(ValueError):
+            orbit(A2, Weight(w))
+
+    @pytest.mark.parametrize("w", [(0, 0, 5), (1,)])
+    def test_stabilizer_poincare(self, w):
+        with pytest.raises(ValueError):
+            stabilizer_poincare(A2, Weight(w))
+        assert w not in root_system.context(A2).stabilizers
+
+    @pytest.mark.parametrize("w", [(-1, 0, 0), (-1,)])
+    def test_dominant_representative(self, w):
+        with pytest.raises(ValueError):
+            dominant_representative(A2, Weight(w))
+
+    @pytest.mark.parametrize("w", [(1, 0, 0), (1,)])
+    def test_broer_criterion(self, w):
+        with pytest.raises(ValueError):
+            broer_nonnegativity_test(A2, Weight(w))
+
 
 class TestCharacterAgainstFreudenthalReference:
     @pytest.mark.parametrize("name", [
@@ -466,20 +489,80 @@ class TestTableGrowth:
         ("E7", lambda rs: [Weight.zero(7)]),
         ("F4", lambda rs: list(character(rs, rs.theta))),
     ])
-    def test_packed_sums_match_one_cell_at_a_time(self, name, weights, monkeypatch):
+    def test_packed_sums_match_one_cell_at_a_time(self, name, weights):
+        # each cell of theta's seeded table is the alternating sum of the
+        # P_q cells at the orbit points the old pruned walk kept, read one
+        # at a time
         rs = build_root_system(name)
-        mus = weights(rs)
         clear_caches()
-        expected = [lusztig_q_analogue(rs, rs.theta, mu) for mu in mus]
+        for mu in weights(rs):
+            assert lusztig_q_analogue(rs, rs.theta, mu) == pruned_walk_sum(rs, rs.theta, mu), mu
+
+
+def pruned_walk_sum(rs, lam, mu):
+    """The alternating sum the way ``lusztig_q_analogue`` computed it before
+    the seeded tables, kept as a reference: walk the orbit of lam+rho down
+    from the top, drop a branch once its argument leaves Q_+, and add
+    (-1)^depth P_q(argument) for every point kept."""
+    diff = rs.weight_to_root_coords(lam - mu)
+    if not all(x.denominator == 1 and x >= 0 for x in diff):
+        return QPoly.zero()
+    acc = QPoly.zero()
+    sign = 1
+    layer = {(lam + rs.rho).coords: tuple(int(x) for x in diff)}
+    while layer:
+        for arg in layer.values():
+            acc = acc + sign * QPoly(qkostant.q_partition_root_coords(rs, arg))
+        nxt = {}
+        for x, arg in layer.items():
+            for i in range(rs.rank):
+                c = x[i]
+                if c > 0 and arg[i] >= c:
+                    y = tuple(x[k] - rs.cartan[k][i] * c for k in range(rs.rank))
+                    nxt[y] = arg[:i] + (arg[i] - c,) + arg[i + 1:]
+        layer = nxt
+        sign = -sign
+    return acc
+
+
+class TestSeededTable:
+    """One table per highest weight, seeded with its Weyl numerator."""
+
+    @pytest.mark.parametrize("name", ["G2", "B3", "F4"])
+    @pytest.mark.parametrize("which", ["theta", "theta_s"])
+    def test_every_cell_matches_full_weyl_sum(self, name, which):
+        # cell nu of lam's table is m_lam^{lam-nu}(q) for every nu of the
+        # module box lam - w0(lam), not only at the weights of the module
+        rs = build_root_system(name)
+        lam = getattr(rs, which)
+        top = lam + rs.rho
+        box = root_coords(rs, lam + dual_weight(rs, lam))
+        # a term whose d leaves the box is zero at every cell of it
+        terms = [(w.sign, d) for w in weyl.weyl_elements(rs)
+                 for d in [root_coords(rs, top - w.act(top))]
+                 if all(map(le, d, box))]
         clear_caches()
-        eng = qkostant._engine(rs)
-        tops = [root_coords(rs, rs.theta - mu) for mu in mus]
-        eng.compute(tuple(max(c) for c in zip(*tops)))
-        assert eng.chunk > 1
-        monkeypatch.setattr(eng, "chunk", 1)
-        assert [lusztig_q_analogue(rs, rs.theta, mu) for mu in mus] == expected
-        # no sum rebuilt the table, so every cell was decoded on its own
-        assert eng.chunk == 1
+        lowest = -dual_weight(rs, lam)
+        lusztig_q_analogue(rs, lam, lowest)
+        eng = root_system.context(rs).engines[lam.coords]
+        assert eng.bound == box
+        negative = 0
+        for nu in itertools.product(*(range(b + 1) for b in box)):
+            expected = {}
+            for sign, d in terms:
+                arg = tuple(map(sub, nu, d))
+                for e, c in qkostant.q_partition_root_coords(rs, arg).items():
+                    expected[e] = expected.get(e, 0) + sign * c
+            # each coefficient fits a balanced digit of the table's width
+            assert all(abs(c) < 1 << (eng.width - 1) for c in expected.values())
+            got = eng.compute(nu)
+            assert QPoly(got) == QPoly(expected), nu
+            negative += any(c < 0 for c in got.values())
+        # the signed decode was exercised
+        assert negative > 0
+        # one table answered every cell
+        cells = prod(b + 1 for b in box)
+        assert eng.stats() == (cells, cells)
 
 
 class TestClearCaches:
@@ -504,7 +587,7 @@ class TestClearCaches:
         clear_caches()
         first = [route() for route in routes]
         ctx = root_system.context(B2)
-        assert ctx.defining and ctx.induction and ctx.module_boxes
+        assert ctx.defining and ctx.induction and ctx.engines
         assert root_system.context(G2).characters
         assert root_system.context(A2).stabilizers
         assert root_system.context(G2).weyl_group is not None
@@ -513,6 +596,19 @@ class TestClearCaches:
         assert not root_system._contexts
         assert q_partition_cache_stats() == (0, 0)
         assert [route() for route in routes] == first
+
+    def test_stats_count_every_table(self):
+        # the tables of each highest weight count, next to the P_q table
+        clear_caches()
+        lusztig_q_analogue(B2, B2.theta, ZERO2)
+        cells, hits = q_partition_cache_stats()
+        assert cells > 0 and hits == 0
+        lusztig_q_analogue(B2, B2.theta, B2.theta)
+        assert q_partition_cache_stats() == (cells, 1)
+        q_partition(B2, B2.theta)
+        assert q_partition_cache_stats()[0] > cells
+        clear_caches()
+        assert q_partition_cache_stats() == (0, 0)
 
     def test_empties_partition_tables(self):
         q_partition(B2, B2.theta)

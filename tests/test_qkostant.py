@@ -9,6 +9,7 @@ from qweights.poly import QPoly
 from qweights.qkostant import (
     PartitionEngine,
     _engine,
+    _width,
     clear_partition_cache,
     kernel_backend,
     q_partition,
@@ -164,15 +165,17 @@ def test_every_cell_matches_reference(name, top, cells):
     bound = root_coords(rs, top(rs))
     clear_partition_cache()
     assert q_partition_root_coords(rs, bound) == ref.compute(bound)
-    # no coefficient in the box exceeds the largest one of the bound cell,
-    # which sets how many cells a packed sum may add without a carry
+    # no coefficient in the box exceeds the largest one of the bound cell
     most = max(ref.compute(bound).values())
     for nu in box(bound):
         expected = ref.compute(nu)
         assert q_partition_root_coords(rs, nu) == expected, nu
         assert max(expected.values()) <= most, nu
+    # one seed: the width is the bits of P_1(bound), one more for the count
+    # of seeds and one for the sign, so every coefficient is a balanced digit
     eng = _engine(rs)
-    assert eng.chunk == ((1 << eng.width) - 1) // most
+    assert eng.width == _width(eng.roots, bound) + 2
+    assert most < 1 << (eng.width - 1)
     # one table answered every cell: the first lookup built it
     assert q_partition_cache_stats() == (cells, cells)
 

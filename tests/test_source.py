@@ -20,8 +20,8 @@ def test_no_assert_statements():
 
 
 def test_packed_table_stays_in_qkostant():
-    # the layout of the kernel table (cells, strides, bits per coefficient,
-    # cells per carry-free sum) is read only inside qkostant.py
+    # the layout of the kernel table (cells, strides, bits per coefficient)
+    # is read only inside qkostant.py
     found = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "qkostant.py":
@@ -30,7 +30,7 @@ def test_packed_table_stays_in_qkostant():
         found += [f"{path.name}:{node.lineno} .{node.attr}"
                   for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute)
-                  and node.attr in ("table", "strides", "width", "chunk")]
+                  and node.attr in ("table", "strides", "width")]
     assert SRC.joinpath("qkostant.py").exists()
     assert found == []
 
