@@ -26,6 +26,12 @@ ratios, generalized exponents, and the coefficientwise-positivity test.
 The memos of the three routes, the characters and the seeded tables are
 slots of the root system's ``root_system.context``, next to the P_q table and
 the Weyl group; ``clear_caches`` (re-exported here) drops them all at once.
+
+Between the API call and the table cell everything runs on integer
+coordinate tuples: the difference lam - mu, its root coordinates
+(``RootSystem.root_coords``) and the decoded cell, which becomes a QPoly
+without a second check.  ``character`` fills orbits and Freudenthal's
+denominators on tuples too, and makes one Weight per weight of the module.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from __future__ import annotations
 from operator import add, mul, sub
 
 from .poly import QPoly
-from .qkostant import PartitionEngine
+from .qkostant import PartitionEngine, recent_engine
 from .root_system import RootSystem, Weight, clear_caches, context
 from .weyl import dominant_representative, orbit, stabilizer_poincare
 
@@ -79,21 +85,26 @@ def lusztig_q_analogue(rs: RootSystem, lam: Weight, mu: Weight) -> QPoly:
     if not lam.is_dominant():
         raise ValueError(f"{lam} is not dominant")
     ctx = context(rs)
-    key = (lam.coords, mu.coords)
+    lc, mc = lam.coords, mu.coords
+    key = (lc, mc)
     got = ctx.defining.get(key)
     if got is not None:
         return got
+    rs.check_rank(lam)
+    rs.check_rank(mu)
     acc = {}
-    diff = rs.weight_to_root_coords(lam - mu)
-    if all(x.denominator == 1 and x >= 0 for x in diff):
-        eng = ctx.engines.get(lam.coords)
-        if eng is None:
-            module = rs.weight_to_root_coords(lam + dual_weight(rs, lam))
-            eng = ctx.engines[lam.coords] = PartitionEngine(
-                rs.positive_roots, lambda bound: _weyl_seeds(rs, lam, bound),
-                tuple(int(x) for x in module))
-        acc = eng.compute(tuple(int(x) for x in diff))
-    poly = QPoly(acc)
+    diff = rs.root_coords(tuple(map(sub, lc, mc)))
+    if diff is not None and min(diff) >= 0:
+        engines = ctx.engines
+
+        def make():
+            module = rs.root_coords(tuple(map(add, lc, dual_weight(rs, lam).coords)))
+            return PartitionEngine(rs.positive_roots,
+                                   lambda bound: _weyl_seeds(rs, lam, bound),
+                                   module, engines)
+
+        acc = recent_engine(engines, lc, make).compute(diff)
+    poly = QPoly._wrap(acc)
     ctx.defining[key] = poly
     return poly
 
@@ -142,18 +153,20 @@ def q_analogue_by_induction(rs: RootSystem, lam: Weight, mu: Weight) -> QPoly:
     """
     if not lam.is_dominant():
         raise ValueError(f"{lam} is not dominant")
-    return _induct(rs, context(rs).induction, lam, mu)
+    rs.check_rank(lam)
+    rs.check_rank(mu)
+    return _induct(rs, context(rs).induction, lam, mu.coords)
 
 
-def _induct(rs: RootSystem, memo, lam: Weight, mu: Weight) -> QPoly:
+def _induct(rs: RootSystem, memo, lam: Weight, mu: tuple) -> QPoly:
     lc = lam.coords
 
     def value(nu):
-        if nu.is_dominant():
-            return lusztig_q_analogue(rs, lam, nu)
-        return memo[(lc, nu.coords)]
+        if min(nu) >= 0:
+            return lusztig_q_analogue(rs, lam, Weight(nu))
+        return memo[(lc, nu)]
 
-    if mu.is_dominant():
+    if min(mu) >= 0:
         return value(mu)
     # Depth-first on an explicit stack: a weight is popped once every
     # non-dominant weight its recursion step needs is in the memo.  The
@@ -162,24 +175,25 @@ def _induct(rs: RootSystem, memo, lam: Weight, mu: Weight) -> QPoly:
     stack = [mu]
     while stack:
         nu = stack[-1]
-        key = (lc, nu.coords)
+        key = (lc, nu)
         if key in memo:
             stack.pop()
             continue
-        diff = rs.weight_to_root_coords(lam - nu)
-        if any(x.denominator != 1 for x in diff) or sum(diff) < 0:
+        diff = rs.root_coords(tuple(map(sub, lc, nu)))
+        if diff is None or sum(diff) < 0:
             memo[key] = QPoly.zero()
             stack.pop()
             continue
-        i = next(k for k, c in enumerate(nu.coords) if c < 0)
-        n = -nu.coords[i]
-        alpha = rs.simple_roots[i]
+        i = next(k for k, c in enumerate(nu) if c < 0)
+        n = -nu[i]
+        alpha = rs.simple_roots[i].coords
+        up = tuple(map(add, nu, alpha))
         if n == 1:
-            deps = (nu + alpha,)
+            deps = (up,)
         else:
-            deps = (nu + alpha, nu + n * alpha, nu + (n - 1) * alpha)
-        missing = [d for d in deps
-                   if not d.is_dominant() and (lc, d.coords) not in memo]
+            deps = (up, tuple(x + n * a for x, a in zip(nu, alpha)),
+                    tuple(x + (n - 1) * a for x, a in zip(nu, alpha)))
+        missing = [d for d in deps if min(d) < 0 and (lc, d) not in memo]
         if missing:
             stack.extend(reversed(missing))
             continue
@@ -189,7 +203,7 @@ def _induct(rs: RootSystem, memo, lam: Weight, mu: Weight) -> QPoly:
             up, top, mid = (value(d) for d in deps)
             memo[key] = QPoly.q() * (up + top) - mid
         stack.pop()
-    return memo[(lc, mu.coords)]
+    return memo[(lc, mu)]
 
 
 def cherednik_coefficient(rs: RootSystem, nu: Weight) -> QPoly:
@@ -278,10 +292,7 @@ def character(rs: RootSystem, lam: Weight) -> WeightMultiset:
         return got
 
     support = _weight_support(rs, lam)
-    dominants = sorted(
-        (Weight(c) for c in support if all(x >= 0 for x in c)),
-        key=lambda w: support[w.coords],
-    )
+    dominants = sorted((c for c in support if min(c) >= 0), key=support.__getitem__)
     # each positive root in weight coordinates, with the coefficients of
     # (., gamma) on weight coordinates and (gamma, gamma)
     d = rs.symmetrizer
@@ -290,37 +301,39 @@ def character(rs: RootSystem, lam: Weight) -> WeightMultiset:
         gw = rs.root_to_weight_basis(gamma).coords
         form = tuple(g * di for g, di in zip(gamma, d))
         roots.append((gw, form, sum(map(mul, form, gw))))
-    two_rho = rs.rho + rs.rho
-    mult = dict.fromkeys((nu.coords for nu in orbit(rs, lam)), 1)
+    lc = lam.coords
+    weights = list(orbit(rs, lam))
+    mult = dict.fromkeys((nu.coords for nu in weights), 1)
     for mu in dominants[1:]:
-        x = mu.coords
         rhs = 0
         for gw, form, norm in roots:
             # (nu, gamma) along the string nu = mu + k*gamma
-            pair = sum(map(mul, form, x))
-            nu = tuple(map(add, x, gw))
+            pair = sum(map(mul, form, mu))
+            nu = tuple(map(add, mu, gw))
             m = mult.get(nu)
             while m is not None:
                 pair += norm
                 rhs += pair * m
                 nu = tuple(map(add, nu, gw))
                 m = mult.get(nu)
-        diff_rc = tuple(int(c) for c in rs.weight_to_root_coords(lam - mu))
-        denom = rs.inner(lam + mu + two_rho, diff_rc)
+        diff_rc = rs.root_coords(tuple(map(sub, lc, mu)))
+        # (lam + mu + 2 rho, lam - mu)
+        denom = sum(r * di * (a + b + 2) for r, di, a, b in zip(diff_rc, d, lc, mu))
         m, rem = divmod(2 * rhs, denom)
         if rem or m <= 0:
             raise AssertionError(
                 f"Freudenthal step failed for {lam}, {mu} in {rs.name}: "
                 f"2*{rhs} / {denom}"
             )
-        for nu in orbit(rs, mu):
+        for nu in orbit(rs, Weight(mu)):
             mult[nu.coords] = m
+            weights.append(nu)
 
-    order = [Weight(c) for c in sorted(mult, key=lambda c: (support[c], c))]
-    ch = WeightMultiset({w: mult[w.coords] for w in order}, order)
+    weights.sort(key=lambda w: (support[w.coords], w.coords))
+    ch = WeightMultiset({w: mult[w.coords] for w in weights}, weights)
     if ch.total_mass() != weyl_dimension(rs, lam):
         raise AssertionError(f"character mass mismatch for {lam} in {rs.name}")
-    characters[lam.coords] = ch
+    characters[lc] = ch
     return ch
 
 
@@ -328,6 +341,7 @@ def freudenthal_multiplicity(rs: RootSystem, lam: Weight, mu: Weight) -> int:
     """Ordinary weight multiplicity, independent of any q-machinery."""
     if not lam.is_dominant():
         raise ValueError(f"{lam} is not dominant")
+    rs.check_rank(mu)
     return character(rs, lam).get(mu)
 
 

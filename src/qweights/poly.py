@@ -45,6 +45,14 @@ class QPoly:
                         del data[e]
         self._terms = data
 
+    @classmethod
+    def _wrap(cls, terms: dict) -> "QPoly":
+        """The polynomial of ``terms`` as they are, with no copy and no check:
+        a dict with no zero coefficient that nothing else will change."""
+        out = cls.__new__(cls)
+        out._terms = terms
+        return out
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -114,16 +122,12 @@ class QPoly:
                 terms[e] = c0
             elif e in terms:
                 del terms[e]
-        out = QPoly.__new__(QPoly)
-        out._terms = terms
-        return out
+        return QPoly._wrap(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = QPoly.__new__(QPoly)
-        out._terms = {e: -c for e, c in self._terms.items()}
-        return out
+        return QPoly._wrap({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -165,9 +169,7 @@ class QPoly:
 
     def shift(self, k: int) -> "QPoly":
         """Multiply by q^k (k may be negative: Laurent shift)."""
-        out = QPoly.__new__(QPoly)
-        out._terms = {e + k: c for e, c in self._terms.items()}
-        return out
+        return QPoly._wrap({e + k: c for e, c in self._terms.items()})
 
     def exact_div(self, divisor: "QPoly") -> "QPoly":
         """Exact quotient self / divisor; InexactDivisionError if it does not divide."""

@@ -19,8 +19,10 @@ coefficient, read back as balanced digits, so a negative coefficient
 decodes exactly.  A cell is a signed sum of at most n partition values,
 one per seed in the box, and each of their coefficients is at most
 P_1(bound), so the width is the bits of that count (``_width``), plus those
-of n, plus a sign bit.  No table has more than ``MAX_TABLE_CELLS`` cells.  The packed cell
-format is read only in this module.
+of n, plus a sign bit.  No table has more than ``MAX_TABLE_CELLS`` cells,
+and neither have the tables of one context together: a build first drops
+the context's least recently used tables until the new one fits.  The packed
+cell format is read only in this module.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ from .root_system import RootSystem, Weight, _contexts, context
 _MAX_GROWTH = 4
 
 # No table is built with more cells than this, counted from the bound before
-# anything is walked or allocated.  The box of E8 theta has 151,200 cells and
+# anything is walked or allocated, and the tables of one context hold no
+# more than this together.  The box of E8 theta has 151,200 cells and
 # that of E7 2*theta 165,375, at about 150 bytes a cell; the 14,189,175 cells
 # of E8 2*theta are refused.
 MAX_TABLE_CELLS = 1_000_000
@@ -85,20 +88,23 @@ class PartitionEngine:
     root coordinates, for one root system; N = 1 gives P_q.
 
     ``numerator``, when given, maps a bound to the (point, sign) seeds of N
-    inside its box.  The table is flat and row-major; cell nu holds its
-    polynomial packed into one int, ``width`` bits per coefficient:
+    inside its box.  ``peers``, when given, is the dict of its context's
+    engines, least recently used first (see ``recent_engine``).  The table
+    is flat and row-major; cell nu holds its polynomial packed into one int,
+    ``width`` bits per coefficient:
     sum_j c_j * 2^(width*j), each c_j in [-2^(width-1), 2^(width-1)).
     """
 
-    __slots__ = ("roots", "numerator", "module", "bound", "strides", "width",
-                 "table", "hits")
+    __slots__ = ("roots", "numerator", "module", "peers", "bound", "strides",
+                 "width", "table", "hits")
 
-    def __init__(self, roots, numerator=None, module=None):
+    def __init__(self, roots, numerator=None, module=None, peers=None):
         self.roots = [tuple(int(x) for x in r) for r in roots]
         self.numerator = numerator
         # the box every later target will lie in (lam - w0(lam) for the
         # weights of one module), or None
         self.module = module
+        self.peers = peers
         self.bound = None
         self.strides = ()
         self.width = 0
@@ -157,8 +163,19 @@ class PartitionEngine:
             raise TableBudgetError(
                 f"input too large: the partition table for the box {bound} "
                 f"needs {size:,} cells, over the budget of {MAX_TABLE_CELLS:,}")
-        # drop the old table first, so the two are never held together
+        # drop the old table first, so the two are never held together, then
+        # the least recently used other tables of the context until the new
+        # one fits next to the rest
         self.bound, self.table = None, []
+        if self.peers is not None:
+            held = size + sum(len(eng.table) for eng in self.peers.values())
+            for key in list(self.peers):
+                if held <= MAX_TABLE_CELLS:
+                    break
+                eng = self.peers[key]
+                if eng is not self:
+                    held -= len(eng.table)
+                    del self.peers[key]
         strides = []
         step = 1
         for b in reversed(bound):
@@ -191,12 +208,21 @@ class PartitionEngine:
         self.bound, self.strides, self.width, self.table = bound, strides, width, f
 
 
+def recent_engine(engines: dict, key, make) -> PartitionEngine:
+    """The engine of ``key`` in one context's ``engines``, made by ``make()``
+    when missing, and moved to the end: the dict runs from the least to the
+    most recently used, which is the order in which builds drop them."""
+    eng = engines.pop(key, None)
+    if eng is None:
+        eng = make()
+    engines[key] = eng
+    return eng
+
+
 def _engine(rs: RootSystem) -> PartitionEngine:
     engines = context(rs).engines
-    eng = engines.get(None)
-    if eng is None:
-        eng = engines[None] = PartitionEngine(rs.positive_roots)
-    return eng
+    return recent_engine(engines, None,
+                         lambda: PartitionEngine(rs.positive_roots, peers=engines))
 
 
 def q_partition_root_coords(rs: RootSystem, coords) -> dict:
@@ -206,10 +232,10 @@ def q_partition_root_coords(rs: RootSystem, coords) -> dict:
 
 def q_partition(rs: RootSystem, mu: Weight) -> QPoly:
     """P_q(mu) as a polynomial; the zero polynomial when mu is not in Q_+."""
-    coords = rs.weight_to_root_coords(mu)
-    if any(x.denominator != 1 or x < 0 for x in coords):
+    coords = rs.root_coords(mu.coords)
+    if coords is None or min(coords) < 0:
         return QPoly.zero()
-    return QPoly(_engine(rs).compute(tuple(int(x) for x in coords)))
+    return QPoly._wrap(_engine(rs).compute(coords))
 
 
 def q_partition_cache_stats():

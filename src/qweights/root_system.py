@@ -7,8 +7,12 @@ Conventions, fixed once and documented in the README:
   of A is alpha_j written in the fundamental-weight basis.
 * Roots are stored in simple-root coordinates (always integer vectors);
   weights are stored in fundamental-weight coordinates (always integer
-  vectors).  Conversion between the two goes through exact rationals, computed
-  from an integer multiple of the inverse Cartan matrix.
+  vectors).  Weight -> root coordinates is one integer core, ``root_coords``:
+  a coordinate tuple times an integer multiple of the inverse Cartan matrix,
+  one ``divmod`` by the multiple per row, and ``None`` off the root lattice.
+  The lattice test, the dominance order and the height read it directly;
+  ``weight_to_root_coords`` is its exact-rational view, for callers that
+  want the coordinates of any weight as ``Fraction``s.
 * The symmetrizer d_i is normalized so short simple roots have (a,a) = 2;
   then the coroot of a short root is the root itself.
 
@@ -22,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import mul, sub
 
 WEYL_ORDER_GUARD = 10**7
 
@@ -303,40 +308,58 @@ class RootSystem:
             for k in range(n)
         ))
 
-    def check_rank(self, w: Weight):
-        """Raise ValueError unless w has one coordinate per simple root."""
-        if len(w.coords) != self.rank:
+    def check_rank(self, w):
+        """Raise ValueError unless w, a Weight or a coordinate tuple, has one
+        coordinate per simple root."""
+        if len(w) != self.rank:
             raise ValueError(f"{w} is not a weight of {self.name}")
 
-    def weight_to_root_coords(self, w: Weight) -> tuple:
-        """Exact rational solution of cartan . x = coords."""
-        self.check_rank(w)
-        c = w.coords
+    def root_coords(self, coords):
+        """Integer root coordinates of the weight with fundamental-weight
+        coordinates ``coords`` (a tuple of ints), or None when it is off the
+        root lattice."""
+        self.check_rank(coords)
         scale = self._inv_scale
-        return tuple(
-            Fraction(sum(x * y for x, y in zip(row, c) if y), scale)
-            for row in self._scaled_inv_cartan
-        )
+        out = []
+        for row in self._scaled_inv_cartan:
+            x, r = divmod(sum(map(mul, row, coords)), scale)
+            if r:
+                return None
+            out.append(x)
+        return tuple(out)
+
+    def weight_to_root_coords(self, w: Weight) -> tuple:
+        """Exact rational solution of cartan . x = coords, as Fractions."""
+        self.check_rank(w)
+        # scale * w lies in the root lattice, so the core returns the
+        # numerators over scale
+        scale = self._inv_scale
+        return tuple(Fraction(x, scale)
+                     for x in self.root_coords(tuple(scale * c for c in w.coords)))
 
     def in_root_lattice(self, w: Weight) -> bool:
-        return all(x.denominator == 1 for x in self.weight_to_root_coords(w))
+        return self.root_coords(w.coords) is not None
 
     # -- order, height, pairing -----------------------------------------
 
     def dominance_leq(self, mu: Weight, lam: Weight) -> bool:
         """True iff lam - mu is a nonnegative integer combination of simple roots."""
-        diff = self.weight_to_root_coords(lam - mu)
-        return all(x.denominator == 1 and x >= 0 for x in diff)
+        self.check_rank(lam)
+        self.check_rank(mu)
+        diff = self.root_coords(tuple(map(sub, lam.coords, mu.coords)))
+        return diff is not None and min(diff) >= 0
 
     def height(self, gamma: Weight) -> int:
         """Sum of simple-root coordinates; gamma must lie in Q_+."""
-        coords = self.weight_to_root_coords(gamma)
-        if not all(x.denominator == 1 and x >= 0 for x in coords):
+        coords = self.root_coords(gamma.coords)
+        if coords is None or min(coords) < 0:
             raise ValueError(f"{gamma} is not a nonnegative root-lattice element")
-        return int(sum(coords))
+        return sum(coords)
 
     def inner(self, w: Weight, root_coords) -> int:
         """Symmetrized form (w, beta) for beta given in root coordinates."""
+        self.check_rank(w)
+        self.check_rank(root_coords)
         d = self.symmetrizer
         return sum(root_coords[i] * d[i] * w.coords[i]
                    for i in range(self.rank) if root_coords[i] and w.coords[i])
@@ -344,10 +367,9 @@ class RootSystem:
     def pairing(self, mu: Weight, nu) -> int:
         """<mu, nu_check> for a positive root nu (Weight or root coords)."""
         if isinstance(nu, Weight):
-            rc = self.weight_to_root_coords(nu)
-            if not all(x.denominator == 1 for x in rc):
+            rc = self.root_coords(nu.coords)
+            if rc is None:
                 raise ValueError(f"{nu} is not a root of {self.name}")
-            rc = tuple(int(x) for x in rc)
         else:
             rc = tuple(nu)
         if rc not in self._root_index:

@@ -179,22 +179,24 @@ def stabilizer_poincare(rs: RootSystem, nu: Weight) -> QPoly:
 
 
 def orbit(rs: RootSystem, mu: Weight) -> frozenset:
-    """Full Weyl orbit of a weight."""
+    """Full Weyl orbit of a weight.  The walk runs on coordinate tuples, and
+    each point becomes one Weight at the end."""
     rs.check_rank(mu)
     seen = {mu.coords}
-    layer = [mu]
-    a = rs.cartan
-    n = rs.rank
+    layer = [mu.coords]
+    cols = rs.cartan_columns
     while layer:
         nxt = []
-        for w in layer:
-            for i in range(n):
-                ci = w.coords[i]
-                if ci == 0:
+        for x in layer:
+            for i, c in enumerate(x):
+                if c == 0:
                     continue
-                img = tuple(w.coords[k] - a[k][i] * ci for k in range(n))
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(Weight(img))
+                y = list(x)
+                for k, aki in cols[i]:
+                    y[k] -= aki * c
+                y = tuple(y)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
         layer = nxt
-    return frozenset(Weight(c) for c in seen)
+    return frozenset(map(Weight, seen))

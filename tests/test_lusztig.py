@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 from math import prod
 from operator import le, sub
 
@@ -316,6 +317,17 @@ class TestWrongRank:
         with pytest.raises(ValueError):
             dominant_representative(A2, Weight(w))
 
+    @pytest.mark.parametrize("lam,mu", [((1, 1, 0), (0, 0)), ((1, 1), (-1, 0, 0))])
+    def test_induction(self, lam, mu):
+        with pytest.raises(ValueError):
+            q_analogue_by_induction(A2, Weight(lam), Weight(mu))
+        assert (lam, mu) not in root_system.context(A2).induction
+
+    @pytest.mark.parametrize("mu", [(0, 0, 0), (0,)])
+    def test_freudenthal_multiplicity(self, mu):
+        with pytest.raises(ValueError):
+            freudenthal_multiplicity(A2, Weight((1, 1)), Weight(mu))
+
     @pytest.mark.parametrize("w", [(1, 0, 0), (1,)])
     def test_broer_criterion(self, w):
         with pytest.raises(ValueError):
@@ -615,6 +627,81 @@ class TestClearCaches:
         assert q_partition_cache_stats()[0] > 0
         clear_caches()
         assert q_partition_cache_stats() == (0, 0)
+
+
+class TestCellBudget:
+    """The tables of one context hold at most MAX_TABLE_CELLS cells together;
+    a build drops the least recently used tables, never its own."""
+
+    B3 = build_root_system("B3")
+    LAMS = [Weight((a, b, 2 * c)) for a in range(4) for b in range(4) for c in range(3)]
+
+    @staticmethod
+    def cells(rs):
+        return sum(eng.stats()[0] for eng in root_system.context(rs).engines.values())
+
+    def test_stream_stays_within_the_budget(self, monkeypatch):
+        rs = self.B3
+        # m_lam^0 for all 48 highest weights, then m_lam^theta, which
+        # rebuilds every table dropped since
+        queries = [(lam, mu) for mu in (Weight.zero(3), rs.theta) for lam in self.LAMS]
+        clear_caches()
+        want = [lusztig_q_analogue(rs, lam, mu) for lam, mu in queries]
+        assert self.cells(rs) > 4000
+        clear_caches()
+        monkeypatch.setattr(qkostant, "MAX_TABLE_CELLS", 4000)
+        engines = root_system.context(rs).engines
+        got = []
+        for lam, mu in queries:
+            got.append(lusztig_q_analogue(rs, lam, mu))
+            assert self.cells(rs) <= 4000
+            if got[-1]:
+                assert next(reversed(engines)) == lam.coords
+        assert got == want
+        assert len(engines) < len(self.LAMS)
+
+    def test_drops_the_least_recently_used(self, monkeypatch):
+        rs = self.B3
+        zero = Weight.zero(3)
+        first, second, third = Weight((1, 0, 0)), Weight((0, 1, 0)), Weight((0, 0, 2))
+        clear_caches()
+        sizes = {}
+        for lam in (first, second, third):
+            lusztig_q_analogue(rs, lam, zero)
+            sizes[lam] = root_system.context(rs).engines[lam.coords].stats()[0]
+        clear_caches()
+        monkeypatch.setattr(qkostant, "MAX_TABLE_CELLS", sizes[first] + sizes[third])
+        engines = root_system.context(rs).engines
+        lusztig_q_analogue(rs, first, zero)
+        lusztig_q_analogue(rs, second, zero)
+        lusztig_q_analogue(rs, first, first)  # first is now the most recent
+        lusztig_q_analogue(rs, third, zero)
+        assert list(engines) == [first.coords, third.coords]
+
+
+class TestIntegerQueryPath:
+    def test_no_fraction_after_the_table_is_built(self, monkeypatch):
+        # a query read from a built table and a character computation run on
+        # integer coordinates from the call to the cell
+        rs = build_root_system("B3")
+        lam = rs.theta + rs.theta_s
+        clear_caches()
+        lusztig_q_analogue(rs, lam, Weight.zero(3))
+        hits = q_partition_cache_stats()[1]
+        made = []
+        new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+        got = lusztig_q_analogue(rs, lam, rs.theta_s)
+        ch = character(rs, lam)
+        monkeypatch.undo()
+        assert made == []
+        assert q_partition_cache_stats()[1] == hits + 1
+        assert got.evaluate(1) == ch.get(rs.theta_s) > 0
 
 
 class TestBroerCriterion:

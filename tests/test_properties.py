@@ -1,0 +1,62 @@
+"""Property tests on random inputs: the integer weight -> root conversion
+against its exact-rational view, and the q-analogue at q = 1 against
+Freudenthal's multiplicity."""
+
+from math import prod
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+
+from qweights.lusztig import (  # noqa: E402
+    freudenthal_multiplicity,
+    lusztig_q_analogue,
+    weyl_dimension,
+)
+from qweights.root_system import Weight, build_root_system  # noqa: E402
+
+RANKS = {"A": range(1, 9), "B": range(2, 9), "C": range(2, 9), "D": range(4, 9),
+         "E": (6, 7, 8), "F": (4,), "G": (2,)}
+UP_TO_RANK_8 = [f"{t}{r}" for t, ranks in RANKS.items() for r in ranks]
+UP_TO_RANK_4 = [name for name in UP_TO_RANK_8 if int(name[1:]) <= 4]
+
+
+def coords(data, rank, lo, hi):
+    return tuple(data.draw(st.lists(st.integers(lo, hi), min_size=rank, max_size=rank)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_integer_root_coords_match_the_rational_view(data):
+    # static data only, so the large Weyl groups are allowed
+    rs = build_root_system(data.draw(st.sampled_from(UP_TO_RANK_8)),
+                           unsafe_large_rank=True)
+    c = coords(data, rs.rank, -30, 30)
+    exact = rs.weight_to_root_coords(Weight(c))
+    # the rational view solves cartan . x = c
+    assert all(sum(a * x for a, x in zip(row, exact)) == ci
+               for row, ci in zip(rs.cartan, c))
+    got = rs.root_coords(c)
+    if got is None:
+        assert any(x.denominator != 1 for x in exact)
+    else:
+        assert got == exact and all(type(x) is int for x in got)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_q_analogue_at_one_is_the_freudenthal_multiplicity(data):
+    rs = build_root_system(data.draw(st.sampled_from(UP_TO_RANK_4)))
+    lam = Weight(coords(data, rs.rank, 0, 2))
+    assume(weyl_dimension(rs, lam) <= 3000)
+    # a few simple roots below lam, moved by up to one fundamental weight
+    # each way, so mu may leave the module or the root lattice
+    mu = lam + Weight(coords(data, rs.rank, -1, 1))
+    for k, alpha in zip(coords(data, rs.rank, 0, 4), rs.simple_roots):
+        mu = mu - k * alpha
+    box = rs.root_coords((lam - mu).coords)
+    # keep the kernel table small
+    assume(box is None or min(box) < 0 or prod(b + 1 for b in box) <= 20000)
+    got = lusztig_q_analogue(rs, lam, mu).evaluate(1)
+    assert got == freudenthal_multiplicity(rs, lam, mu)

@@ -174,6 +174,18 @@ def test_wrong_rank_is_rejected():
         Weight((1, 1)) - Weight((0,))
     with pytest.raises(ValueError):
         a2.weight_to_root_coords(Weight((1, 1, 0)))
+    with pytest.raises(ValueError):
+        a2.root_coords((1, 1, 0))
+    with pytest.raises(ValueError):
+        a2.pairing(Weight((1, 0, 0)), (1, 1))
+    with pytest.raises(ValueError):
+        a2.inner(Weight((1, 1, 0)), (1, 1))
+    with pytest.raises(ValueError):
+        a2.inner(Weight((1, 1)), (1, 1, 0))
+    with pytest.raises(ValueError):
+        a2.dominance_leq(Weight((0, 0)), Weight((1, 1, 0)))
+    with pytest.raises(ValueError):
+        a2.in_root_lattice(Weight((1, 1, 0)))
 
 
 def test_weight_arithmetic():
