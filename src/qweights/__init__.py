@@ -47,7 +47,7 @@ from .qkostant import (
     q_partition_cache_stats,
 )
 from .root_system import (
-    RankGuardError,
+    BudgetError,
     RootSystem,
     Weight,
     build_dual_root_system,
@@ -67,9 +67,9 @@ from .weyl import (
 __version__ = "1.0.0"
 
 __all__ = [
+    "BudgetError",
     "InexactDivisionError",
     "QPoly",
-    "RankGuardError",
     "Report",
     "RootSystem",
     "Weight",

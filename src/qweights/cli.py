@@ -27,7 +27,7 @@ from .lusztig import (
     lusztig_q_analogue,
 )
 from .poly import QPoly
-from .root_system import RankGuardError, RootSystem, Weight, build_root_system
+from .root_system import RootSystem, Weight, build_root_system
 from .qkostant import kernel_backend
 
 
@@ -344,8 +344,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("type", help="root system, e.g. A2, B3, F4")
         p.add_argument("--format", choices=("text", "json", "csv", "latex"),
                        default="text")
-        p.add_argument("--unsafe-large-rank", action="store_true",
-                       help="lift the Weyl-group size guard")
 
     p = sub.add_parser("roots", help="print static root-system data")
     common(p)
@@ -394,8 +392,7 @@ def main(argv=None) -> int:
             else:
                 print(kernel_backend())
             return 0
-        rs = build_root_system(args.type,
-                               unsafe_large_rank=args.unsafe_large_rank)
+        rs = build_root_system(args.type)
         handler = {
             "roots": _cmd_roots,
             "qanalogue": _cmd_qanalogue,
@@ -405,10 +402,8 @@ def main(argv=None) -> int:
             "verify": _cmd_verify,
         }[args.command]
         return handler(rs, args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, RankGuardError) as exc:
+    except (UsageError, ValueError) as exc:
+        # a BudgetError is a ValueError whose message starts "input too large"
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OverflowError as exc:

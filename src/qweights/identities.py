@@ -23,7 +23,7 @@ from .lusztig import (
     weighted_sum,
 )
 from .poly import QPoly
-from .root_system import RootSystem, Weight, build_dual_root_system
+from .root_system import RootSystem, Weight, _dual_partition, build_dual_root_system
 from .weyl import dominant_representative, orbit, stabilizer_poincare
 
 
@@ -217,12 +217,10 @@ def verify_main_identity(rs: RootSystem, lam: Weight, gam: Weight) -> Report:
 
 
 def is_minuscule(rs: RootSystem, lam: Weight) -> bool:
-    """Nonzero dominant weight whose weight system is one Weyl orbit."""
-    if not lam.is_dominant() or lam.is_zero():
-        return False
-    from .lusztig import weyl_dimension
-
-    return len(orbit(rs, lam)) == weyl_dimension(rs, lam)
+    """Nonzero dominant weight whose weight system is one Weyl orbit: the
+    ones that pair to 1 with the highest coroot, the coroot of theta_s."""
+    return (lam.is_dominant() and not lam.is_zero()
+            and rs.pairing(lam, rs.theta_s_root_coords) == 1)
 
 
 def verify_minuscule(rs: RootSystem, lam: Weight) -> Report:
@@ -353,22 +351,10 @@ def verify_height_duality(rs: RootSystem, lam: Weight) -> Report:
         if lhs_num * rhs_den != rhs_num * lhs_den:
             _mismatch(failures, "height product identity", lam,
                       "equal cross-products", "mismatch")
-        # dual partition of the height-count sequence (n_1, n_2, ...)
-        counts = {}
-        for hot in heights:
-            counts[hot] = counts.get(hot, 0) + 1
-        seq = [counts.get(i, 0) for i in range(1, max(counts) + 1)] if counts else []
-        dual_part = []
-        j = 1
-        while True:
-            c = sum(1 for n in seq if n >= j)
-            if not c:
-                break
-            dual_part.append(c)
-            j += 1
-        if sorted(dual_part) != exps:
+        dual_part = list(_dual_partition(heights))
+        if dual_part != exps:
             _mismatch(failures, "exponents dual to height counts", lam,
-                      sorted(dual_part), exps)
+                      dual_part, exps)
         details["generalized_exponents"] = exps
     return _report("height-duality", rs, {"lambda": list(lam.coords)},
                    failures, details)

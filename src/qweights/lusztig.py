@@ -41,7 +41,7 @@ from operator import add, mul, sub
 from .poly import QPoly
 from .qkostant import PartitionEngine, recent_engine
 from .root_system import RootSystem, Weight, clear_caches, context
-from .weyl import dominant_representative, orbit, stabilizer_poincare
+from .weyl import _check_points, dominant_representative, orbit, stabilizer_poincare
 
 
 class WeightMultiset:
@@ -233,32 +233,6 @@ def q_analogue_via_kernel(rs: RootSystem, lam: Weight, mu: Weight) -> QPoly:
 # -- characters ---------------------------------------------------------
 
 
-def _weight_support(rs: RootSystem, lam: Weight):
-    """All weights of the irreducible module, as {coords: level} with
-    level = hot(lam - weight).  Uses unbroken-string descent from the top."""
-    known = {lam.coords: 0}
-    simple = [alpha.coords for alpha in rs.simple_roots]
-    cur = [lam.coords]
-    lvl = 0
-    while cur:
-        nxt = []
-        for nu in cur:
-            for i, alpha in enumerate(simple):
-                p = 0
-                up = tuple(map(add, nu, alpha))
-                while up in known:
-                    p += 1
-                    up = tuple(map(add, up, alpha))
-                if p + nu[i] >= 1:
-                    down = tuple(map(sub, nu, alpha))
-                    if down not in known:
-                        known[down] = lvl + 1
-                        nxt.append(down)
-        cur = nxt
-        lvl += 1
-    return known
-
-
 def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
     """Dimension of the irreducible module, by the product formula."""
     if not lam.is_dominant():
@@ -278,10 +252,17 @@ def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
 def character(rs: RootSystem, lam: Weight) -> WeightMultiset:
     """Full character: every weight with its multiplicity (Freudenthal).
 
-    The dominant weights are taken level by level from the top, and each
-    multiplicity, once known, is written onto the whole Weyl orbit of its
-    weight.  Every mu + k*gamma in Freudenthal's sum for mu lies above mu,
-    and so does its dominant representative, so it is already filled in.
+    The dominant weights are found by descent from lam, taking mu - gamma
+    for every positive root gamma while it stays dominant: two dominant
+    weights next to each other in the dominance order differ by a positive
+    root (Stembridge, "The partial order of dominant weights", 1998), so the
+    descent reaches every dominant weight of the module.  They are taken by
+    level ht(lam - mu) from the top, and each multiplicity, once known, is
+    written onto the whole Weyl orbit of its weight, so the weights are the
+    union of those orbits.  Every mu + k*gamma in Freudenthal's sum for mu
+    lies above mu, and so does its dominant representative, so it is
+    already filled in.  The dominant weights found and the weights held are
+    counted against the orbit-point budget.
     """
     if not lam.is_dominant():
         raise ValueError(f"{lam} is not dominant")
@@ -291,8 +272,6 @@ def character(rs: RootSystem, lam: Weight) -> WeightMultiset:
     if got is not None:
         return got
 
-    support = _weight_support(rs, lam)
-    dominants = sorted((c for c in support if min(c) >= 0), key=support.__getitem__)
     # each positive root in weight coordinates, with the coefficients of
     # (., gamma) on weight coordinates and (gamma, gamma)
     d = rs.symmetrizer
@@ -302,6 +281,24 @@ def character(rs: RootSystem, lam: Weight) -> WeightMultiset:
         form = tuple(g * di for g, di in zip(gamma, d))
         roots.append((gw, form, sum(map(mul, form, gw))))
     lc = lam.coords
+    found = {lc}
+    todo = [lc]
+    while todo:
+        mu = todo.pop()
+        for gw, _, _ in roots:
+            nu = tuple(map(sub, mu, gw))
+            if min(nu) >= 0 and nu not in found:
+                found.add(nu)
+                todo.append(nu)
+        _check_points(len(found), f"the dominant weights of {lam}")
+    # ht(lam - w), up to the scale of the inverse Cartan matrix and a shift
+    # that is the same for every weight, as one dot product
+    height = [sum(col) for col in zip(*rs._scaled_inv_cartan)]
+
+    def level(c):
+        return (-sum(map(mul, height, c)), c)
+
+    dominants = sorted(found, key=level)
     weights = list(orbit(rs, lam))
     mult = dict.fromkeys((nu.coords for nu in weights), 1)
     for mu in dominants[1:]:
@@ -328,8 +325,9 @@ def character(rs: RootSystem, lam: Weight) -> WeightMultiset:
         for nu in orbit(rs, Weight(mu)):
             mult[nu.coords] = m
             weights.append(nu)
+        _check_points(len(weights), f"the weights of {lam}")
 
-    weights.sort(key=lambda w: (support[w.coords], w.coords))
+    weights.sort(key=lambda w: level(w.coords))
     ch = WeightMultiset({w: mult[w.coords] for w in weights}, weights)
     if ch.total_mass() != weyl_dimension(rs, lam):
         raise AssertionError(f"character mass mismatch for {lam} in {rs.name}")

@@ -19,10 +19,11 @@ coefficient, read back as balanced digits, so a negative coefficient
 decodes exactly.  A cell is a signed sum of at most n partition values,
 one per seed in the box, and each of their coefficients is at most
 P_1(bound), so the width is the bits of that count (``_width``), plus those
-of n, plus a sign bit.  No table has more than ``MAX_TABLE_CELLS`` cells,
-and neither have the tables of one context together: a build first drops
-the context's least recently used tables until the new one fits.  The packed
-cell format is read only in this module.
+of n, plus a sign bit.  No table has more than ``MAX_TABLE_CELLS`` cells
+(a larger box raises ``root_system.BudgetError``), and neither have the
+tables of one context together: a build first drops the context's least
+recently used tables until the new one fits.  The packed cell format is
+read only in this module.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from math import prod
 from operator import gt, mul
 
 from .poly import QPoly
-from .root_system import RootSystem, Weight, _contexts, context
+from .root_system import BudgetError, RootSystem, Weight, _contexts, context
 
 # A target outside the box grows the table to the union of the two boxes
 # (to the module box, when the target lies in it and that box is not too
@@ -47,10 +48,6 @@ _MAX_GROWTH = 4
 # that of E7 2*theta 165,375, at about 150 bytes a cell; the 14,189,175 cells
 # of E8 2*theta are refused.
 MAX_TABLE_CELLS = 1_000_000
-
-
-class TableBudgetError(ValueError):
-    """A partition table would have more than MAX_TABLE_CELLS cells."""
 
 
 def kernel_backend() -> str:
@@ -160,7 +157,7 @@ class PartitionEngine:
     def _build(self, bound):
         size = _cells(bound)
         if size > MAX_TABLE_CELLS:
-            raise TableBudgetError(
+            raise BudgetError(
                 f"input too large: the partition table for the box {bound} "
                 f"needs {size:,} cells, over the budget of {MAX_TABLE_CELLS:,}")
         # drop the old table first, so the two are never held together, then

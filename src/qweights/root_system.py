@@ -18,17 +18,23 @@ Conventions, fixed once and documented in the README:
 
 Every cache about one root system lives in its ``Context`` (``context(rs)``),
 keyed by the Cartan matrix in one registry; ``clear_caches`` empties it.
+
+Every type builds: nothing here grows with the order of the Weyl group.
+Work that could grow without bound is refused with a ``BudgetError`` where
+it happens, against one of two budgets: ``qkostant.MAX_TABLE_CELLS`` on the
+cells of a partition table, counted from its bound before it is built, and
+``weyl.MAX_ORBIT_POINTS`` on the points an orbit walk, a character or the
+enumeration of W holds.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 from operator import mul, sub
-
-WEYL_ORDER_GUARD = 10**7
 
 _VALID_RANKS = {
     "A": lambda r: r >= 1,
@@ -41,8 +47,8 @@ _VALID_RANKS = {
 }
 
 
-class RankGuardError(ValueError):
-    """The Weyl group is too large to sum over by default."""
+class BudgetError(ValueError):
+    """The input needs more table cells or orbit points than their budget."""
 
 
 @dataclass(frozen=True)
@@ -203,22 +209,20 @@ def _invert(cartan):
     return tuple(tuple(row[rank:]) for row in aug)
 
 
-def _dual_partition(counts):
-    """Column lengths of the Young diagram with row lengths ``counts``."""
-    out = []
-    j = 1
-    while True:
-        c = sum(1 for n in counts if n >= j)
-        if c == 0:
-            return tuple(sorted(out))
-        out.append(c)
-        j += 1
+def _dual_partition(heights):
+    """The dual partition of the height counts, ascending: the column
+    lengths of the Young diagram whose rows n_1, n_2, ... count the heights
+    equal to 1, 2, ....  Of the heights of the positive roots of a root
+    system, reducible or not, these are its exponents."""
+    counts = Counter(heights).values()
+    return tuple(sorted(sum(n >= j for n in counts)
+                        for j in range(1, max(counts, default=0) + 1)))
 
 
 class RootSystem:
     """Immutable container for one simple root system."""
 
-    def __init__(self, cartan, letter: str, rank: int, unsafe_large_rank: bool = False):
+    def __init__(self, cartan, letter: str, rank: int):
         self.letter = letter
         self.rank = rank
         self.name = f"{letter}{rank}"
@@ -240,22 +244,9 @@ class RootSystem:
             tuple(int(x * self._inv_scale) for x in row) for row in self._inv_cartan
         )
 
-        # exponents = dual partition of the height-count sequence
-        hmax = self.heights[-1]
-        counts = [0] * hmax
-        for h in self.heights:
-            counts[h - 1] += 1
-        self.exponents = _dual_partition(counts)
-        self.coxeter_number = hmax + 1
-        self.weyl_order = 1
-        for m in self.exponents:
-            self.weyl_order *= m + 1
-        if self.weyl_order > WEYL_ORDER_GUARD and not unsafe_large_rank:
-            raise RankGuardError(
-                f"{self.name}: Weyl group has order {self.weyl_order} > "
-                f"{WEYL_ORDER_GUARD}; pass unsafe_large_rank=True to build anyway"
-            )
-        self.unsafe_large_rank = unsafe_large_rank
+        self.exponents = _dual_partition(self.heights)
+        self.coxeter_number = self.heights[-1] + 1
+        self.weyl_order = prod(m + 1 for m in self.exponents)
 
         # squared-length/2 of each positive root: 1 for short, 2 or 3 for long
         d = self.symmetrizer
@@ -269,10 +260,7 @@ class RootSystem:
         self.short_positive_roots = tuple(
             r for r in self.positive_roots if self.root_length[r] == 1
         )
-        s_counts = [0] * max(sum(r) for r in self.short_positive_roots)
-        for r in self.short_positive_roots:
-            s_counts[sum(r) - 1] += 1
-        self.short_exponents = _dual_partition(s_counts)
+        self.short_exponents = _dual_partition(map(sum, self.short_positive_roots))
 
         # distinguished weights
         self.rho = Weight((1,) * rank)
@@ -421,16 +409,14 @@ def parse_type(text: str):
 
 
 @lru_cache(maxsize=None)
-def _build_cached(letter, rank, unsafe_large_rank):
-    return RootSystem(_standard_cartan(letter, rank), letter, rank,
-                      unsafe_large_rank=unsafe_large_rank)
+def _build_cached(letter, rank):
+    return RootSystem(_standard_cartan(letter, rank), letter, rank)
 
 
-def build_root_system(type_letter, rank=None, unsafe_large_rank=False) -> RootSystem:
+def build_root_system(type_letter, rank=None) -> RootSystem:
     """Build the simple root system of the given type.
 
-    Accepts either ("B", 3) or a single string "B3".  Refuses systems whose
-    Weyl group exceeds the order guard unless unsafe_large_rank is set.
+    Accepts either ("B", 3) or a single string "B3".
     """
     if rank is None and isinstance(type_letter, tuple):
         type_letter, rank = type_letter
@@ -441,7 +427,7 @@ def build_root_system(type_letter, rank=None, unsafe_large_rank=False) -> RootSy
         rank = int(rank)
     if letter not in _VALID_RANKS or not _VALID_RANKS[letter](rank):
         raise ValueError(f"invalid simple type {letter}{rank}")
-    return _build_cached(letter, rank, bool(unsafe_large_rank))
+    return _build_cached(letter, rank)
 
 
 def build_dual_root_system(rs: RootSystem) -> RootSystem:
@@ -453,8 +439,7 @@ def build_dual_root_system(rs: RootSystem) -> RootSystem:
     dual_letter = {"B": "C", "C": "B"}.get(rs.letter, rs.letter)
     transposed = tuple(tuple(rs.cartan[j][i] for j in range(rs.rank))
                        for i in range(rs.rank))
-    return RootSystem(transposed, dual_letter, rs.rank,
-                      unsafe_large_rank=rs.unsafe_large_rank)
+    return RootSystem(transposed, dual_letter, rs.rank)
 
 
 class Context:
@@ -462,11 +447,10 @@ class Context:
 
     The partition tables are filled by ``qkostant`` (P_q, under the key None)
     and ``lusztig`` (one per highest weight lam, under lam), the Weyl group
-    and the stabilizer polynomials by ``weyl``, the rest by ``lusztig``.
+    by ``weyl``, the rest by ``lusztig``.
     """
 
-    __slots__ = ("engines", "weyl_group", "defining", "induction", "characters",
-                 "stabilizers")
+    __slots__ = ("engines", "weyl_group", "defining", "induction", "characters")
 
     def __init__(self):
         self.engines = {}  # None or lam -> PartitionEngine
@@ -474,7 +458,6 @@ class Context:
         self.defining = {}  # (lam, mu) -> the defining sum
         self.induction = {}  # (lam, mu) -> the induction, at non-dominant mu
         self.characters = {}  # lam -> character
-        self.stabilizers = {}  # nu -> t_nu(q)
 
 
 _contexts = {}
@@ -490,7 +473,7 @@ def context(rs: RootSystem) -> Context:
 
 def clear_caches():
     """Drop every per-root-system cache: partition tables, Weyl groups and
-    the q-analogue, induction, character and stabilizer memos.
+    the q-analogue, induction and character memos.
 
     The root systems that ``build_root_system`` hands out stay cached: they
     hold only static data, and keeping them makes each type one object.

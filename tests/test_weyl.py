@@ -1,9 +1,12 @@
 """Weyl group enumeration, orbits, dominant representatives, stabilizers."""
 
+import itertools
+
 import pytest
 
+from qweights import root_system, weyl
 from qweights.poly import QPoly
-from qweights.root_system import Weight, build_root_system
+from qweights.root_system import BudgetError, Weight, build_root_system
 from qweights.weyl import (
     dominant_representative,
     enumerate_weyl,
@@ -111,6 +114,61 @@ def test_stabilizer_poincare_values():
         assert len(orbit(b3, nu)) * t.evaluate(1) == b3.weyl_order
     with pytest.raises(ValueError):
         stabilizer_poincare(a2, Weight((-1, 0)))
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "G2", "F4"])
+def test_stabilizer_poincare_is_the_length_sum_over_the_stabilizer(name):
+    # the closed form against sum q^l(w) over the w in W fixing nu, for every
+    # face of the chamber
+    rs = build_root_system(name)
+    elems = weyl_elements(rs)
+    for nu in itertools.product((0, 1), repeat=rs.rank):
+        nu = Weight(nu)
+        terms = {}
+        for w in elems:
+            if w.act(nu) == nu:
+                terms[w.length] = terms.get(w.length, 0) + 1
+        assert stabilizer_poincare(rs, nu) == QPoly(terms), nu
+
+
+def test_stabilizer_poincare_e8():
+    # no walk over the 697 million elements of W(E8)
+    e8 = build_root_system("E8")
+    assert stabilizer_poincare(e8, Weight.zero(8)).evaluate(1) == 696729600
+    # the stabilizer of omega_8 is W(E7)
+    assert stabilizer_poincare(e8, e8.fundamental_weight(7)).evaluate(1) == 2903040
+
+
+class TestOrbitBudget:
+    """Past MAX_ORBIT_POINTS a walk raises BudgetError and keeps nothing."""
+
+    def test_orbit(self, monkeypatch):
+        b3 = build_root_system("B3")
+        # the orbit of rho has 48 points
+        assert len(orbit(b3, b3.rho)) == 48
+        monkeypatch.setattr(weyl, "MAX_ORBIT_POINTS", 47)
+        with pytest.raises(BudgetError, match="^input too large: .*budget of 47 orbit"):
+            orbit(b3, b3.rho)
+        # a smaller orbit still fits: the 12 long roots
+        assert len(orbit(b3, b3.theta)) == 12
+
+    def test_enumerate_weyl_yields_nothing(self, monkeypatch):
+        b3 = build_root_system("B3")
+        root_system.clear_caches()
+        monkeypatch.setattr(weyl, "MAX_ORBIT_POINTS", 47)
+        got = []
+        with pytest.raises(BudgetError, match="^input too large: .*budget of 47 orbit"):
+            for w in enumerate_weyl(b3):
+                got.append(w)
+        assert got == []
+        with pytest.raises(BudgetError):
+            weyl_elements(b3)
+        assert root_system.context(b3).weyl_group is None
+
+    def test_budget_is_a_value_error(self):
+        # E7 is over the default budget, and the error is a usage error
+        with pytest.raises(ValueError, match="2,903,040 points"):
+            next(enumerate_weyl(build_root_system("E7")))
 
 
 def test_simple_reflection_action():
