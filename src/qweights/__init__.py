@@ -41,7 +41,6 @@ from .lusztig import (
 )
 from .poly import InexactDivisionError, QPoly
 from .qkostant import (
-    clear_partition_cache,
     kernel_backend,
     q_partition,
     q_partition_cache_stats,
@@ -58,13 +57,12 @@ from .weyl import (
     WeylElement,
     dominant_representative,
     enumerate_weyl,
-    longest_element,
     orbit,
     stabilizer_poincare,
     weyl_elements,
 )
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "BudgetError",
@@ -83,7 +81,6 @@ __all__ = [
     "cherednik_coefficient",
     "classify_principal_pairs",
     "clear_caches",
-    "clear_partition_cache",
     "dominant_representative",
     "dual_weight",
     "enumerate_weyl",
@@ -92,7 +89,6 @@ __all__ = [
     "is_minuscule",
     "kernel_backend",
     "klimyk_decompose",
-    "longest_element",
     "lusztig_q_analogue",
     "orbit",
     "parse_type",

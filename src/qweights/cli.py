@@ -28,7 +28,6 @@ from .lusztig import (
 )
 from .poly import QPoly
 from .root_system import RootSystem, Weight, build_root_system
-from .qkostant import kernel_backend
 
 
 class UsageError(Exception):
@@ -374,11 +373,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", default=None)
     p.add_argument("--gamma", default=None)
     p.add_argument("--alpha-index", type=int, default=None)
-
-    p = sub.add_parser("backend",
-                       help="report the partition kernel: always 'pure', "
-                            "the packed box table")
-    p.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
 
@@ -386,12 +380,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "backend":
-            if args.format == "json":
-                print(_dumps({"backend": kernel_backend()}))
-            else:
-                print(kernel_backend())
-            return 0
         rs = build_root_system(args.type)
         handler = {
             "roots": _cmd_roots,

@@ -94,41 +94,8 @@ def _exponent_sum(exponents) -> QPoly:
 def verify_adjoint(rs: RootSystem) -> Report:
     """All q-analogues of the adjoint module against their closed forms,
     plus both displayed sum formulas."""
-    failures = []
-    th = rs.theta
-    zero = Weight.zero(rs.rank)
-    h = rs.coxeter_number
-    r = rs.rank
-
-    m0_closed = _exponent_sum(rs.exponents)
-    m0 = lusztig_q_analogue(rs, th, zero)
-    _expect(failures, "zero-weight exponents", zero, m0_closed, m0)
-
-    neg_simple_closed = (QPoly.q() - 1) * m0_closed + QPoly.q(h - 1)
-    plain_sum = m0
-    # highest root first: -theta sizes the kernel table for every later query
-    for root in reversed(rs.positive_roots):
-        mu = rs.root_to_weight_basis(root)
-        hot = sum(root)
-        got = lusztig_q_analogue(rs, th, mu)
-        _expect(failures, "positive root", mu, QPoly.q(h - 1 - hot), got)
-        got_neg = lusztig_q_analogue(rs, th, -mu)
-        _expect(
-            failures,
-            "negative root",
-            -mu,
-            neg_simple_closed.shift(hot - 1),
-            got_neg,
-        )
-        plain_sum = plain_sum + got + got_neg
-
-    plain_closed = m0_closed * (m0_closed - r + 1) + m0_closed.shift(-1) * _qh(rs)
-    _expect(failures, "plain sum over all weights", "all", plain_closed, plain_sum)
-
-    weighted = weighted_sum(rs, th, th)
-    weighted_closed = m0_closed * m0_closed + m0_closed.shift(-1) * _qh(rs)
-    _expect(failures, "weighted sum over all weights", "all", weighted_closed, weighted)
-
+    failures = _verify_root_module(rs, rs.theta, rs.theta_root_coords,
+                                   rs.positive_roots, rs.exponents, "")
     return _report("adjoint", rs, {}, failures, {"exponents": list(rs.exponents)})
 
 
@@ -139,32 +106,55 @@ def verify_little_adjoint(rs: RootSystem) -> Report:
         raise ValueError(
             f"{rs.name} has a single root length; the adjoint verifier covers it"
         )
+    exps = rs.short_exponents
+    roots = rs.short_positive_roots
+    failures = _verify_root_module(rs, rs.theta_s, rs.theta_s_root_coords,
+                                   roots, exps, "short ")
+    ell = len([r for r in roots if sum(r) == 1])
+    return _report(
+        "little-adjoint", rs, {},
+        failures,
+        {"short_exponents": list(exps), "short_simple_count": ell},
+    )
+
+
+def _verify_root_module(rs: RootSystem, top: Weight, top_rc, roots, exps,
+                        label: str) -> list:
+    """The failures of the module of a dominant root ``top`` (root
+    coordinates ``top_rc``), whose weights are zero and the roots ``roots``
+    with their negatives, against the closed forms in the exponents
+    ``exps``; ``label`` ("" or "short ") names the roots in the checks.
+
+    The adjoint module is the case top = theta with every root: there
+    hot(theta) = h - 1, and the simple roots among them number the rank, so
+    the duality of its exponents and the shifted zero-weight polynomial
+    hold by themselves.
+    """
     failures = []
-    ths = rs.theta_s
     zero = Weight.zero(rs.rank)
     h = rs.coxeter_number
-    hot_ths = sum(rs.theta_s_root_coords)
-    exps = rs.short_exponents
-    ell = len([r for r in rs.short_positive_roots if sum(r) == 1])
+    hot_top = sum(top_rc)
+    ell = len([r for r in roots if sum(r) == 1])
 
     m0_closed = _exponent_sum(exps)
-    m0 = lusztig_q_analogue(rs, ths, zero)
-    _expect(failures, "zero-weight short exponents", zero, m0_closed, m0)
+    m0 = lusztig_q_analogue(rs, top, zero)
+    _expect(failures, f"zero-weight {label}exponents", zero, m0_closed, m0)
     if sorted(m0.exponent_multiset() if m0.coefficients_nonnegative() else []) != list(exps):
-        _mismatch(failures, "exponents are dual to short height counts", zero,
+        _mismatch(failures, f"exponents are dual to {label}height counts", zero,
                   list(exps), m0)
 
-    neg_simple_closed = (QPoly.q() - 1) * m0_closed + QPoly.q(hot_ths)
+    neg_simple_closed = (QPoly.q() - 1) * m0_closed + QPoly.q(hot_top)
     plain_sum = m0
-    for root in reversed(rs.short_positive_roots):
+    # the top root first: -top sizes the kernel table for every later query
+    for root in reversed(roots):
         mu = rs.root_to_weight_basis(root)
         hot = sum(root)
-        got = lusztig_q_analogue(rs, ths, mu)
-        _expect(failures, "positive short root", mu, QPoly.q(hot_ths - hot), got)
-        got_neg = lusztig_q_analogue(rs, ths, -mu)
+        got = lusztig_q_analogue(rs, top, mu)
+        _expect(failures, f"positive {label}root", mu, QPoly.q(hot_top - hot), got)
+        got_neg = lusztig_q_analogue(rs, top, -mu)
         _expect(
             failures,
-            "negative short root",
+            f"negative {label}root",
             -mu,
             neg_simple_closed.shift(hot - 1),
             got_neg,
@@ -172,23 +162,18 @@ def verify_little_adjoint(rs: RootSystem) -> Report:
         plain_sum = plain_sum + got + got_neg
 
     # the q^{hot}-shifted zero-weight polynomial must stay a polynomial
-    shifted = m0.shift(hot_ths - h)
+    shifted = m0.shift(hot_top - h)
     if shifted.min_exponent() is not None and shifted.min_exponent() < 0:
         _mismatch(failures, "shifted zero-weight polynomial", zero,
                   "no negative exponents", shifted)
 
-    plain_closed = m0_closed * (m0_closed - ell + 1) + m0_closed.shift(hot_ths - h) * _qh(rs)
+    plain_closed = m0_closed * (m0_closed - ell + 1) + m0_closed.shift(hot_top - h) * _qh(rs)
     _expect(failures, "plain sum over all weights", "all", plain_closed, plain_sum)
 
-    weighted = weighted_sum(rs, ths, ths)
-    weighted_closed = m0_closed * m0_closed + m0_closed.shift(hot_ths - h) * _qh(rs)
+    weighted = weighted_sum(rs, top, top)
+    weighted_closed = m0_closed * m0_closed + m0_closed.shift(hot_top - h) * _qh(rs)
     _expect(failures, "weighted sum over all weights", "all", weighted_closed, weighted)
-
-    return _report(
-        "little-adjoint", rs, {},
-        failures,
-        {"short_exponents": list(exps), "short_simple_count": ell},
-    )
+    return failures
 
 
 # -- the four-way identity ------------------------------------------------
@@ -272,8 +257,9 @@ def verify_coxeter_identity(rs: RootSystem) -> Report:
 # -- height duality -------------------------------------------------------
 
 
-def _pairing_with_two_rho_check(rs: RootSystem, w: Weight):
-    """<w, 2 rho_check> = twice the height; exact rational for any weight."""
+def _twice_height(rs: RootSystem, w: Weight):
+    """Twice the height of w, its pairing with twice the dual Weyl vector;
+    exact rational for any weight."""
     return 2 * sum(rs.weight_to_root_coords(w))
 
 
@@ -307,7 +293,7 @@ def verify_height_duality(rs: RootSystem, lam: Weight) -> Report:
     d1 = 0
     positives = []  # (height, multiplicity)
     for nu, m in ch.items():
-        val = _pairing_with_two_rho_check(rs, nu)
+        val = _twice_height(rs, nu)
         if val == 0:
             d0 += m
         elif val == 1:
@@ -328,7 +314,7 @@ def verify_height_duality(rs: RootSystem, lam: Weight) -> Report:
         for nu, m in ch.items():
             if nu.is_zero():
                 continue
-            if _pairing_with_two_rho_check(rs, nu) == 0:
+            if _twice_height(rs, nu) == 0:
                 _mismatch(failures, "nonzero weight at height zero", nu,
                           "nonzero height", 0)
             if not _is_root_multiple(rs, nu):
@@ -381,7 +367,7 @@ def classify_principal_pairs(systems, height_bound: int):
             ch = character(rs, lam)
             d01 = 0
             for nu, m in ch.items():
-                val = _pairing_with_two_rho_check(rs, nu)
+                val = _twice_height(rs, nu)
                 if val == 0 or val == 1:
                     d01 += m
             if ch.get(Weight.zero(rs.rank)) == d01:

@@ -13,7 +13,9 @@
   cell has negative coefficients where mu is not dominant; the kernel
   decodes them exactly (see ``qkostant``);
 * ``q_analogue_by_induction`` — recursion on a negative coordinate of the
-  target weight, reducing to dominant targets which fall back to the sum;
+  target weight, reducing to dominant targets which fall back to the sum.
+  It is a cross-check, so its memo of non-dominant targets lives for one
+  call only;
 * ``q_analogue_via_kernel`` — convolution of ordinary weight multiplicities
   (Freudenthal) with the q-analogues at highest weight zero.
 
@@ -23,7 +25,7 @@ induction, so agreement between them is a genuine cross-check.
 Supporting operations: characters, tensor decomposition, stabilizer Poincare
 ratios, generalized exponents, and the coefficientwise-positivity test.
 
-The memos of the three routes, the characters and the seeded tables are
+The memo of the defining sum, the characters and the seeded tables are
 slots of the root system's ``root_system.context``, next to the P_q table and
 the Weyl group; ``clear_caches`` (re-exported here) drops them all at once.
 
@@ -41,7 +43,8 @@ from operator import add, mul, sub
 from .poly import QPoly
 from .qkostant import PartitionEngine, recent_engine
 from .root_system import RootSystem, Weight, clear_caches, context
-from .weyl import _check_points, dominant_representative, orbit, stabilizer_poincare
+from .weyl import (_check_points, dominant_representative, orbit, orbit_size,
+                   stabilizer_poincare)
 
 
 class WeightMultiset:
@@ -155,33 +158,29 @@ def q_analogue_by_induction(rs: RootSystem, lam: Weight, mu: Weight) -> QPoly:
         raise ValueError(f"{lam} is not dominant")
     rs.check_rank(lam)
     rs.check_rank(mu)
-    return _induct(rs, context(rs).induction, lam, mu.coords)
-
-
-def _induct(rs: RootSystem, memo, lam: Weight, mu: tuple) -> QPoly:
     lc = lam.coords
+    memo = {}  # non-dominant nu -> m^nu, for this call only
 
     def value(nu):
         if min(nu) >= 0:
             return lusztig_q_analogue(rs, lam, Weight(nu))
-        return memo[(lc, nu)]
+        return memo[nu]
 
-    if min(mu) >= 0:
-        return value(mu)
+    if mu.is_dominant():
+        return lusztig_q_analogue(rs, lam, mu)
     # Depth-first on an explicit stack: a weight is popped once every
     # non-dominant weight its recursion step needs is in the memo.  The
     # chain mu, mu+alpha, ... grows with -<mu, alpha_check>, which is
     # unbounded, so Python recursion would overflow.
-    stack = [mu]
+    stack = [mu.coords]
     while stack:
         nu = stack[-1]
-        key = (lc, nu)
-        if key in memo:
+        if nu in memo:
             stack.pop()
             continue
         diff = rs.root_coords(tuple(map(sub, lc, nu)))
         if diff is None or sum(diff) < 0:
-            memo[key] = QPoly.zero()
+            memo[nu] = QPoly.zero()
             stack.pop()
             continue
         i = next(k for k, c in enumerate(nu) if c < 0)
@@ -193,17 +192,17 @@ def _induct(rs: RootSystem, memo, lam: Weight, mu: tuple) -> QPoly:
         else:
             deps = (up, tuple(x + n * a for x, a in zip(nu, alpha)),
                     tuple(x + (n - 1) * a for x, a in zip(nu, alpha)))
-        missing = [d for d in deps if min(d) < 0 and (lc, d) not in memo]
+        missing = [d for d in deps if min(d) < 0 and d not in memo]
         if missing:
             stack.extend(reversed(missing))
             continue
         if n == 1:
-            memo[key] = QPoly.q() * value(deps[0])
+            memo[nu] = QPoly.q() * value(deps[0])
         else:
             up, top, mid = (value(d) for d in deps)
-            memo[key] = QPoly.q() * (up + top) - mid
+            memo[nu] = QPoly.q() * (up + top) - mid
         stack.pop()
-    return memo[(lc, mu)]
+    return memo[mu.coords]
 
 
 def cherednik_coefficient(rs: RootSystem, nu: Weight) -> QPoly:
@@ -261,8 +260,9 @@ def character(rs: RootSystem, lam: Weight) -> WeightMultiset:
     written onto the whole Weyl orbit of its weight, so the weights are the
     union of those orbits.  Every mu + k*gamma in Freudenthal's sum for mu
     lies above mu, and so does its dominant representative, so it is
-    already filled in.  The dominant weights found and the weights held are
-    counted against the orbit-point budget.
+    already filled in.  The dominant weights found, and then the weights of
+    the module (the sum of their orbit sizes, a closed form), are counted
+    against the orbit-point budget before any orbit is walked.
     """
     if not lam.is_dominant():
         raise ValueError(f"{lam} is not dominant")
@@ -291,6 +291,8 @@ def character(rs: RootSystem, lam: Weight) -> WeightMultiset:
                 found.add(nu)
                 todo.append(nu)
         _check_points(len(found), f"the dominant weights of {lam}")
+    _check_points(sum(orbit_size(rs, Weight(nu)) for nu in found),
+                  f"the weights of {lam}")
     # ht(lam - w), up to the scale of the inverse Cartan matrix and a shift
     # that is the same for every weight, as one dot product
     height = [sum(col) for col in zip(*rs._scaled_inv_cartan)]
@@ -325,7 +327,6 @@ def character(rs: RootSystem, lam: Weight) -> WeightMultiset:
         for nu in orbit(rs, Weight(mu)):
             mult[nu.coords] = m
             weights.append(nu)
-        _check_points(len(weights), f"the weights of {lam}")
 
     weights.sort(key=lambda w: level(w.coords))
     ch = WeightMultiset({w: mult[w.coords] for w in weights}, weights)
@@ -367,11 +368,11 @@ def klimyk_decompose(rs: RootSystem, lam: Weight, gam: Weight) -> WeightMultiset
     acc = {}
     for mu, m in character(rs, lam).items():
         xi = gam + mu + rho
-        xiplus, w = dominant_representative(rs, xi)
+        xiplus, length = dominant_representative(rs, xi)
         if any(c == 0 for c in xiplus.coords):
             continue
         kappa = (xiplus - rho).coords
-        acc[kappa] = acc.get(kappa, 0) + w.sign * m
+        acc[kappa] = acc.get(kappa, 0) + (-m if length & 1 else m)
     entries = {Weight(c): v for c, v in acc.items() if v}
     if any(v < 0 for v in entries.values()):
         raise AssertionError("negative constituent multiplicity")

@@ -222,11 +222,6 @@ def _engine(rs: RootSystem) -> PartitionEngine:
                          lambda: PartitionEngine(rs.positive_roots, peers=engines))
 
 
-def q_partition_root_coords(rs: RootSystem, coords) -> dict:
-    """Sparse coefficient dict of P_q at a root-lattice point (may be negative)."""
-    return _engine(rs).compute(tuple(int(x) for x in coords))
-
-
 def q_partition(rs: RootSystem, mu: Weight) -> QPoly:
     """P_q(mu) as a polynomial; the zero polynomial when mu is not in Q_+."""
     coords = rs.root_coords(mu.coords)
@@ -245,9 +240,3 @@ def q_partition_cache_stats():
             entries += e
             hits += h
     return (entries, hits)
-
-
-def clear_partition_cache():
-    """Drop every partition table of every root system."""
-    for ctx in _contexts.values():
-        ctx.engines.clear()

@@ -264,9 +264,6 @@ class RootSystem:
 
         # distinguished weights
         self.rho = Weight((1,) * rank)
-        # rho_check pairs to 1 with every simple root; <w, 2 rho_check> is
-        # twice the height for any w in the root lattice.
-        self.rho_check = Weight((1,) * rank)
         self.theta = self.root_to_weight_basis(self.positive_roots[-1])
         self.theta_root_coords = self.positive_roots[-1]
         short_dom = [r for r in self.short_positive_roots
@@ -447,16 +444,17 @@ class Context:
 
     The partition tables are filled by ``qkostant`` (P_q, under the key None)
     and ``lusztig`` (one per highest weight lam, under lam), the Weyl group
-    by ``weyl``, the rest by ``lusztig``.
+    by ``weyl``, the memo of the defining sum and the characters by
+    ``lusztig``.  The induction route keeps its memo for one call, so it has
+    no slot here.
     """
 
-    __slots__ = ("engines", "weyl_group", "defining", "induction", "characters")
+    __slots__ = ("engines", "weyl_group", "defining", "characters")
 
     def __init__(self):
         self.engines = {}  # None or lam -> PartitionEngine
         self.weyl_group = None
         self.defining = {}  # (lam, mu) -> the defining sum
-        self.induction = {}  # (lam, mu) -> the induction, at non-dominant mu
         self.characters = {}  # lam -> character
 
 
@@ -473,7 +471,7 @@ def context(rs: RootSystem) -> Context:
 
 def clear_caches():
     """Drop every per-root-system cache: partition tables, Weyl groups and
-    the q-analogue, induction and character memos.
+    the q-analogue and character memos.
 
     The root systems that ``build_root_system`` hands out stay cached: they
     hold only static data, and keeping them makes each type one object.

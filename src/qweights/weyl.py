@@ -5,25 +5,27 @@ coordinates, with lengths assigned as breadth-first depth from the identity,
 which for a Coxeter group equals the reduced word length.  Materialising W
 is for tests and reference sums; the hot paths walk orbits of vectors
 instead (``orbit`` here, the pruned walk of the defining sum in
-``lusztig``).  ``dominant_representative`` walks integer coordinates too:
-each simple reflection is a rank-one update of the point and of the matrix
-it builds, and the length is the number of steps, so no root is pushed
-through the matrix; ``inversion_count`` recomputes it for tests.  The
-stabilizer polynomials are a closed form in the exponents of a parabolic
-subsystem, so no walk grows with |W| unless it is asked to hold W or a
-whole orbit.  The materialised W is kept in the root system's
-``root_system.context``.
+``lusztig``).  ``dominant_representative`` walks integer coordinates too,
+one rank-one update of the point per simple reflection, and returns the
+length of the word it took, which is all ``klimyk_decompose`` needs of it.
+The stabilizer polynomials and the orbit sizes are closed forms in the
+exponents of a parabolic subsystem, so no walk grows with |W| unless it is
+asked to hold W or a whole orbit.  The materialised W is kept in the root
+system's ``root_system.context``.
 
 The points held are bounded by one budget, ``MAX_ORBIT_POINTS``, checked
 where they are made: by ``orbit`` after each breadth-first layer, by
 ``enumerate_weyl`` on the order of W before it yields anything, and by
-``lusztig.character`` on the dominant weights it finds and the weights it
-holds.  Over it, each raises ``root_system.BudgetError``.
+``lusztig.character`` on the dominant weights it finds and on the sum of
+their orbit sizes, before it walks any orbit.  Over it, each raises
+``root_system.BudgetError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
+from operator import mul
 
 from .poly import QPoly
 from .root_system import BudgetError, RootSystem, Weight, _dual_partition, context
@@ -108,29 +110,16 @@ def weyl_elements(rs: RootSystem) -> tuple:
     return ctx.weyl_group
 
 
-def inversion_count(rs: RootSystem, w: WeylElement) -> int:
-    """Number of positive roots sent to negative roots by w."""
-    count = 0
-    for r in rs.positive_roots:
-        img = w.act(rs.root_to_weight_basis(r))
-        if not rs.is_positive_root_weight(img):
-            count += 1
-    return count
-
-
 def dominant_representative(rs: RootSystem, mu: Weight):
-    """(mu_plus, w) with w(mu) = mu_plus dominant.
+    """(mu_plus, length): the dominant weight mu_plus in the orbit of mu,
+    and the length of the shortest w with w(mu) = mu_plus.
 
     Reflects at the first negative coordinate until none is left.  s_i
-    lowers coordinate k by a[k][i] times coordinate i, and multiplying the
-    matrix of w by s_i on the left subtracts a[k][i] times row i from row
-    k, so a step touches only the k with a[k][i] != 0.  The length of w is
-    the number of steps.
+    lowers coordinate k by a[k][i] times coordinate i, so a step touches
+    only the k with a[k][i] != 0, and the length is the number of steps.
     """
     rs.check_rank(mu)
     cur = list(mu.coords)
-    n = len(cur)
-    rows = [[int(j == k) for j in range(n)] for k in range(n)]
     cols = rs.cartan_columns
     steps = 0
     # Why the step count is the length: let N(x) be the positive roots beta
@@ -141,23 +130,14 @@ def dominant_representative(rs: RootSystem, mu: Weight):
     # < 0 with w(mu) dominant, so |N(mu)| <= l(w); and w is a word of |N(mu)|
     # simple reflections, so l(w) <= |N(mu)|.
     while True:
-        for i in range(n):
-            c = cur[i]
+        for i, c in enumerate(cur):
             if c < 0:
                 break
         else:
-            break
-        ri = rows[i]
+            return Weight(tuple(cur)), steps
         for k, aki in cols[i]:
             cur[k] -= aki * c
-            rows[k] = [x - aki * y for x, y in zip(rows[k], ri)]
         steps += 1
-    return Weight(tuple(cur)), WeylElement(tuple(map(tuple, rows)), steps)
-
-
-def longest_element(rs: RootSystem) -> WeylElement:
-    _, w0 = dominant_representative(rs, -rs.rho)
-    return w0
 
 
 def stabilizer_poincare(rs: RootSystem, nu: Weight) -> QPoly:
@@ -170,14 +150,26 @@ def stabilizer_poincare(rs: RootSystem, nu: Weight) -> QPoly:
     dual partition of the height counts of the positive roots supported on
     J, the rule of ``RootSystem.exponents``.
     """
+    out = QPoly.one()
+    for e in _stabilizer_exponents(rs, nu):
+        out = out * QPoly.q_int(e + 1)
+    return out
+
+
+def orbit_size(rs: RootSystem, nu: Weight) -> int:
+    """The number of points in the orbit of a dominant weight: |W| / t_nu(1),
+    with t_nu(1) the product of e+1 over the exponents of the stabilizer."""
+    return rs.weyl_order // prod(e + 1 for e in _stabilizer_exponents(rs, nu))
+
+
+def _stabilizer_exponents(rs: RootSystem, nu: Weight) -> tuple:
     rs.check_rank(nu)
     if not nu.is_dominant():
         raise ValueError(f"{nu} is not dominant")
-    out = QPoly.one()
-    for e in _dual_partition(h for r, h in zip(rs.positive_roots, rs.heights)
-                             if not any(x and c for x, c in zip(r, nu.coords))):
-        out = out * QPoly.q_int(e + 1)
-    return out
+    # a positive root lies in the subsystem on J = {i : nu_i = 0} exactly
+    # when every product r_i * nu_i vanishes, as no factor is negative
+    return _dual_partition(h for r, h in zip(rs.positive_roots, rs.heights)
+                           if not any(map(mul, r, nu.coords)))
 
 
 def orbit(rs: RootSystem, mu: Weight) -> frozenset:

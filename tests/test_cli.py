@@ -236,9 +236,12 @@ class TestGuardsAndBackend:
         assert "Traceback" not in err
 
     def test_backend(self, capsys):
-        code, out, _ = run(capsys, "backend")
-        assert code == 0
-        assert out.strip() == "pure"
+        # the subcommand is gone (the kernel is always the pure one); argparse
+        # refuses it as a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["backend"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'backend'" in capsys.readouterr().err
 
 
 @pytest.mark.skipif(shutil.which("qweights") is None,

@@ -165,3 +165,37 @@ class TestReports:
         failures = []
         idn._expect(failures, "demo", "mu", QPoly.q(), QPoly.q())
         assert failures == []
+
+
+class TestFaultInjection:
+    """A wrong q-analogue at one negative root fails the merged adjoint
+    verifier under the check name of each module."""
+
+    B3 = build_root_system("B3")
+    # -alpha_3, a short root: a weight of both the adjoint and the
+    # little-adjoint module
+    TARGET = -B3.simple_roots[2]
+
+    @pytest.fixture
+    def perturbed(self, monkeypatch):
+        real = idn.lusztig_q_analogue
+
+        def wrong(rs, lam, mu):
+            got = real(rs, lam, mu)
+            return got + QPoly.one() if mu == self.TARGET else got
+
+        monkeypatch.setattr(idn, "lusztig_q_analogue", wrong)
+
+    @pytest.mark.parametrize("verify,check", [
+        (idn.verify_adjoint, "negative root"),
+        (idn.verify_little_adjoint, "negative short root"),
+    ])
+    def test_negative_root_failure_names_mu(self, perturbed, verify, check):
+        report = verify(self.B3)
+        assert not report.passed
+        at_target = [f for f in report.failures if f["mu"] == str(self.TARGET)]
+        assert [f["check"] for f in at_target] == [check]
+        assert at_target[0]["actual"] != at_target[0]["expected"]
+        # the plain sum over the weights sees the same error; nothing else does
+        assert sorted(f["check"] for f in report.failures) == sorted(
+            [check, "plain sum over all weights"])

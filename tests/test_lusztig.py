@@ -8,7 +8,7 @@ from operator import le, sub
 
 import pytest
 
-from qweights import qkostant, root_system, weyl
+from qweights import lusztig, qkostant, root_system, weyl
 from qweights.identities import verify_adjoint
 from qweights.lusztig import (
     WeightMultiset,
@@ -100,6 +100,15 @@ class TestFrozenValues:
         expected = QPoly.q(3000)
         assert lusztig_q_analogue(A1, lam, mu) == expected
         assert q_analogue_by_induction(A1, lam, mu) == expected
+
+    def test_induction_keeps_no_memo(self):
+        # the memo of non-dominant targets lives for one call: afterwards the
+        # context holds only the defining sums at the dominant base cases
+        clear_caches()
+        got = q_analogue_by_induction(B2, B2.theta, -B2.theta)
+        keys = list(root_system.context(B2).defining)
+        assert keys and all(min(mu) >= 0 for _, mu in keys)
+        assert got == lusztig_q_analogue(B2, B2.theta, -B2.theta)
 
     def test_vanishing_off_lattice_and_cone(self):
         w1, w2 = A2.fundamental_weight(0), A2.fundamental_weight(1)
@@ -320,7 +329,7 @@ class TestWrongRank:
     def test_induction(self, lam, mu):
         with pytest.raises(ValueError):
             q_analogue_by_induction(A2, Weight(lam), Weight(mu))
-        assert (lam, mu) not in root_system.context(A2).induction
+        assert (lam, mu) not in root_system.context(A2).defining
 
     @pytest.mark.parametrize("mu", [(0, 0, 0), (0,)])
     def test_freudenthal_multiplicity(self, mu):
@@ -525,7 +534,7 @@ def pruned_walk_sum(rs, lam, mu):
     layer = {(lam + rs.rho).coords: tuple(int(x) for x in diff)}
     while layer:
         for arg in layer.values():
-            acc = acc + sign * QPoly(qkostant.q_partition_root_coords(rs, arg))
+            acc = acc + sign * QPoly(qkostant._engine(rs).compute(arg))
         nxt = {}
         for x, arg in layer.items():
             for i in range(rs.rank):
@@ -564,7 +573,7 @@ class TestSeededTable:
             expected = {}
             for sign, d in terms:
                 arg = tuple(map(sub, nu, d))
-                for e, c in qkostant.q_partition_root_coords(rs, arg).items():
+                for e, c in qkostant._engine(rs).compute(arg).items():
                     expected[e] = expected.get(e, 0) + sign * c
             # each coefficient fits a balanced digit of the table's width
             assert all(abs(c) < 1 << (eng.width - 1) for c in expected.values())
@@ -600,7 +609,7 @@ class TestClearCaches:
         clear_caches()
         first = [route() for route in routes]
         ctx = root_system.context(B2)
-        assert ctx.defining and ctx.induction and ctx.engines
+        assert ctx.defining and ctx.engines
         assert root_system.context(G2).characters
         assert root_system.context(G2).weyl_group is not None
         assert q_partition_cache_stats()[0] > 0
@@ -697,6 +706,21 @@ class TestCharacterBudget:
         assert lam.coords not in root_system.context(A2).characters
         monkeypatch.undo()
         assert len(character(A2, lam)) == 61
+
+    def test_refused_before_any_orbit_is_walked(self, monkeypatch):
+        # the weights of E8 omega_4 number 3,207,121, the sum of the orbit
+        # sizes of its dominant weights, found without a walk
+        e8 = build_root_system("E8")
+        lam = e8.fundamental_weight(3)
+
+        def no_walk(rs, mu):
+            raise AssertionError(f"walked the orbit of {mu}")
+
+        monkeypatch.setattr(lusztig, "orbit", no_walk)
+        with pytest.raises(root_system.BudgetError,
+                           match=r"^input too large: the weights of .* 3,207,121 points"):
+            character(e8, lam)
+        assert lam.coords not in root_system.context(e8).characters
 
 
 class TestIntegerQueryPath:

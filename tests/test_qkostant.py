@@ -10,13 +10,11 @@ from qweights.qkostant import (
     PartitionEngine,
     _engine,
     _width,
-    clear_partition_cache,
     kernel_backend,
     q_partition,
     q_partition_cache_stats,
-    q_partition_root_coords,
 )
-from qweights.root_system import Weight, build_root_system
+from qweights.root_system import Weight, build_root_system, clear_caches
 
 
 def brute_force(rs, target):
@@ -56,7 +54,7 @@ def test_matches_brute_force(name, bound):
     rs = build_root_system(name)
     for rc in cone(rs.rank, bound):
         expected = brute_force(rs, rc)
-        assert QPoly(q_partition_root_coords(rs, rc)) == expected, rc
+        assert q_partition(rs, rs.root_to_weight_basis(rc)) == expected, rc
         # q = 1 is the ordinary vector partition count
         assert expected.evaluate(1) == sum(
             c for _, c in brute_force(rs, rc).terms().items())
@@ -65,26 +63,27 @@ def test_matches_brute_force(name, bound):
 def test_empty_partition():
     rs = build_root_system("B3")
     assert q_partition(rs, Weight.zero(3)) == 1
-    assert QPoly(q_partition_root_coords(rs, (0, 0, 0))) == 1
+    assert QPoly(_engine(rs).compute((0, 0, 0))) == 1
 
 
 def test_single_root_values():
     rs = build_root_system("A2")
     # alpha_1 has exactly one partition, using one root
-    assert QPoly(q_partition_root_coords(rs, (1, 0))) == QPoly.q()
+    assert q_partition(rs, rs.simple_roots[0]) == QPoly.q()
     # alpha_1 + alpha_2: either the highest root or the two simples
-    assert QPoly(q_partition_root_coords(rs, (1, 1))) == QPoly({1: 1, 2: 1})
+    assert q_partition(rs, rs.theta) == QPoly({1: 1, 2: 1})
 
 
 def test_outside_cone_is_zero():
     rs = build_root_system("A2")
     assert q_partition(rs, rs.fundamental_weight(0)).is_zero()  # not in lattice
     assert q_partition(rs, -rs.theta).is_zero()
-    assert not q_partition_root_coords(rs, (-1, 2))
+    assert q_partition(rs, rs.root_to_weight_basis((-1, 2))).is_zero()
+    assert _engine(rs).compute((-1, 2)) == {}
 
 
 def test_memo_statistics_accumulate():
-    clear_partition_cache()
+    clear_caches()
     rs = build_root_system("C3")
     q_partition(rs, rs.theta)
     entries1, hits1 = q_partition_cache_stats()
@@ -163,13 +162,13 @@ def test_every_cell_matches_reference(name, top, cells):
     rs = build_root_system(name)
     ref = MemoReference(rs.positive_roots)
     bound = root_coords(rs, top(rs))
-    clear_partition_cache()
-    assert q_partition_root_coords(rs, bound) == ref.compute(bound)
+    clear_caches()
+    assert _engine(rs).compute(bound) == ref.compute(bound)
     # no coefficient in the box exceeds the largest one of the bound cell
     most = max(ref.compute(bound).values())
     for nu in box(bound):
         expected = ref.compute(nu)
-        assert q_partition_root_coords(rs, nu) == expected, nu
+        assert _engine(rs).compute(nu) == expected, nu
         assert max(expected.values()) <= most, nu
     # one seed: the width is the bits of P_1(bound), one more for the count
     # of seeds and one for the sign, so every coefficient is a balanced digit
@@ -198,10 +197,10 @@ def test_rebuilds_keep_values():
 def test_scattered_targets_do_not_fill_the_union_box():
     rs = build_root_system("A4")
     ref = MemoReference(rs.positive_roots)
-    clear_partition_cache()
+    clear_caches()
     for i in range(4):
         mu = tuple(6 if k == i else 0 for k in range(4))
-        assert q_partition_root_coords(rs, mu) == ref.compute(mu), mu
+        assert _engine(rs).compute(mu) == ref.compute(mu), mu
     # the union of the four boxes has 7**4 cells
     assert q_partition_cache_stats()[0] < 7 ** 4 // 10
 

@@ -1,11 +1,40 @@
 """Source-level checks on the package."""
 
 import ast
+import io
+import os
 import pathlib
+import subprocess
+import sys
+import tokenize
 
 import qweights
 
 SRC = pathlib.Path(qweights.__file__).parent
+LAYERBENCH = pathlib.Path(__file__).resolve().parent.parent / "layerbench"
+
+# Code lines in src/qweights, counted by ``code_lines``.  A change that adds
+# code raises this ceiling and says in CHANGES.md what the lines buy.
+CODE_LINE_CEILING = 1795
+
+
+def code_lines(path) -> int:
+    """Lines holding a token of code: no blank lines, comments or docstrings
+    (the string that opens a module, class or function)."""
+    text = path.read_text()
+    docs = set()
+    for node in ast.walk(ast.parse(text, filename=str(path))):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and ast.get_docstring(node) is not None:
+            first = node.body[0]
+            docs.update(range(first.lineno, first.end_lineno + 1))
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+              tokenize.DEDENT, tokenize.ENDMARKER}
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in layout:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docs)
 
 
 def test_no_assert_statements():
@@ -52,3 +81,24 @@ def test_caches_live_in_one_registry():
                 found.append(f"{path.name}:{getattr(stmt, 'name', stmt.lineno)}")
     assert sorted(set(found) - allowed) == []
     assert "root_system.py:_contexts" in found
+
+
+def test_code_line_ceiling():
+    counts = {path.name: code_lines(path) for path in sorted(SRC.glob("*.py"))}
+    assert counts["lusztig.py"] > 0
+    assert sum(counts.values()) <= CODE_LINE_CEILING, counts
+
+
+def test_benchmark_tracer_installs():
+    # layerbench/tracer.py wraps package functions and methods by name, so a
+    # refactor that deletes or renames one of them fails here at once
+    script = ("import sys, qweights, qweights.cli\n"
+              "sys.path.insert(0, sys.argv[1])\n"
+              "from tracer import Tracer\n"
+              "Tracer().install()\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", script, str(LAYERBENCH)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr

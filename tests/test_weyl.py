@@ -10,9 +10,8 @@ from qweights.root_system import BudgetError, Weight, build_root_system
 from qweights.weyl import (
     dominant_representative,
     enumerate_weyl,
-    inversion_count,
-    longest_element,
     orbit,
+    orbit_size,
     stabilizer_poincare,
     weyl_elements,
 )
@@ -47,13 +46,32 @@ def test_poincare_polynomial_of_whole_group():
         assert series == prod
 
 
-def test_longest_element():
+def negative_pairings(rs, mu):
+    """#{beta > 0 : <mu, beta_check> < 0}, the length of the shortest w
+    taking mu to its dominant representative."""
+    return sum(rs.pairing(mu, beta) < 0 for beta in rs.positive_roots)
+
+
+def shortest_to(rs, top):
+    """mu -> the least length of a w in W with w(mu) = top, over the orbit of
+    top: w(mu) = top exactly when w^-1(top) = mu, and w^-1 has the length of
+    w."""
+    out = {}
+    for w in weyl_elements(rs):
+        mu = w.act(top)
+        out[mu] = min(out.get(mu, w.length), w.length)
+    return out
+
+
+def test_w0_sends_minus_rho_to_rho():
+    # -rho goes to rho by the longest element, of length |Phi+|, and only by
+    # it; it is an involution
     for name in ("A2", "B2", "G2", "A3"):
         rs = build_root_system(name)
-        w0 = longest_element(rs)
-        assert w0.length == len(rs.positive_roots)
-        assert w0.act(rs.rho) == -rs.rho
-        # longest element is an involution
+        rep, length = dominant_representative(rs, -rs.rho)
+        assert rep == rs.rho and length == len(rs.positive_roots)
+        (w0,) = [w for w in weyl_elements(rs) if w.act(-rs.rho) == rs.rho]
+        assert w0.length == length
         assert w0.act(w0.act(rs.theta)) == rs.theta
 
 
@@ -61,13 +79,13 @@ def test_dominant_representative():
     rs = build_root_system("B3")
     for w in weyl_elements(rs):
         mu = w.act(rs.rho)
-        rep, u = dominant_representative(rs, mu)
+        rep, length = dominant_representative(rs, mu)
         assert rep == rs.rho
-        assert u.act(mu) == rep
-        assert u.length == inversion_count(rs, u)
-    # dominant inputs come back unchanged with the identity
-    rep, u = dominant_representative(rs, rs.theta)
-    assert rep == rs.theta and u.length == 0
+        # rho is regular, so w^-1, of the length of w, is the only element
+        # taking mu back to rho
+        assert length == w.length == negative_pairings(rs, mu)
+    # dominant inputs come back unchanged with length 0
+    assert dominant_representative(rs, rs.theta) == (rs.theta, 0)
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "G2", "F4"])
@@ -77,11 +95,14 @@ def test_dominant_representative_on_singular_orbits(name):
     tops = {rs.theta, rs.theta_s}
     tops.update(rs.fundamental_weight(i) for i in range(rs.rank))
     for top in tops:
-        for mu in orbit(rs, top):
-            rep, u = dominant_representative(rs, mu)
-            assert rep.is_dominant() and rep == top
-            assert u.act(mu) == rep
-            assert u.length == inversion_count(rs, u)
+        points = orbit(rs, top)
+        (dominant,) = [mu for mu in points if mu.is_dominant()]
+        shortest = shortest_to(rs, top)
+        assert set(shortest) == points
+        for mu in points:
+            rep, length = dominant_representative(rs, mu)
+            assert rep == dominant == top
+            assert length == negative_pairings(rs, mu) == shortest[mu]
 
 
 def test_orbit_sizes():
@@ -129,6 +150,8 @@ def test_stabilizer_poincare_is_the_length_sum_over_the_stabilizer(name):
             if w.act(nu) == nu:
                 terms[w.length] = terms.get(w.length, 0) + 1
         assert stabilizer_poincare(rs, nu) == QPoly(terms), nu
+        # the same exponents give the orbit size, |W| / t_nu(1)
+        assert orbit_size(rs, nu) == len(orbit(rs, nu)), nu
 
 
 def test_stabilizer_poincare_e8():
