@@ -8,6 +8,11 @@ Subcommands
     gen-exponents  exponent multiset of the zero-weight polynomial
     verify         run identity verifiers (one, or `all`)
 
+``roots``, ``table`` and ``cherednik`` print through one renderer,
+``_render``: the JSON payload, or the rows as CSV, LaTeX or captioned text.
+``VERIFY`` maps each identity name to its verifier with its default inputs;
+``verify NAME`` runs one entry and ``verify all`` every entry that applies.
+
 Exit status: 0 success, 1 a verifier reported failures, 2 usage error.
 """
 
@@ -46,112 +51,91 @@ def _parse_weight(text: str, rank: int, flag: str) -> Weight:
     return Weight(coords)
 
 
-def _poly_latex(p: QPoly) -> str:
-    if p.is_zero():
-        return "0"
+def _spaced(coords) -> str:
+    return " ".join(map(str, coords))
+
+
+def _poly_cell(p: QPoly, fmt: str) -> str:
+    """One polynomial as a table cell: ``$...$`` for latex, else ``str``."""
+    if fmt != "latex":
+        return str(p)
     parts = []
     for e, c in sorted(p.terms().items()):
-        if e == 0:
-            body = str(abs(c))
-        else:
-            mag = "" if abs(c) == 1 else str(abs(c))
-            power = "q" if e == 1 else f"q^{{{e}}}"
-            body = f"{mag}{power}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
-
-
-def _emit_rows(fmt: str, header, rows, caption: str) -> str:
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(header)
-        writer.writerows(rows)
-        return buf.getvalue().rstrip("\n")
-    if fmt == "latex":
-        lines = [r"\begin{tabular}{" + "l" * len(header) + "}", r"\hline"]
-        lines.append(" & ".join(str(h) for h in header) + r" \\")
-        lines.append(r"\hline")
-        for row in rows:
-            lines.append(" & ".join(str(x) for x in row) + r" \\")
-        lines.extend([r"\hline", r"\end{tabular}"])
-        return "\n".join(lines)
-    widths = [max(len(str(x)) for x in [h] + [r[i] for r in rows])
-              for i, h in enumerate(header)]
-    out = [caption] if caption else []
-    out.append("  ".join(str(h).ljust(w) for h, w in zip(header, widths)))
-    for row in rows:
-        out.append("  ".join(str(x).ljust(w) for x, w in zip(row, widths)))
-    return "\n".join(out)
+        mag = "" if abs(c) == 1 and e else str(abs(c))
+        power = "" if e == 0 else "q" if e == 1 else f"q^{{{e}}}"
+        sign = ("- " if c < 0 else "+ ") if parts else ("-" if c < 0 else "")
+        parts.append(f"{sign}{mag}{power}")
+    return f"${' '.join(parts) or '0'}$"
 
 
 def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
+def _render(fmt: str, payload, header, rows, caption: str) -> int:
+    """Print one table-shaped result: ``payload`` as JSON, or ``rows`` under
+    ``header`` as CSV, a LaTeX tabular, or aligned text below ``caption``."""
+    if fmt == "json":
+        print(_dumps(payload))
+    elif fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        writer.writerows(rows)
+        print(buf.getvalue().rstrip("\n"))
+    elif fmt == "latex":
+        lines = [r"\begin{tabular}{" + "l" * len(header) + "}", r"\hline",
+                 " & ".join(header) + r" \\", r"\hline"]
+        lines += [" & ".join(map(str, row)) + r" \\" for row in rows]
+        print("\n".join(lines + [r"\hline", r"\end{tabular}"]))
+    else:
+        widths = [max(len(str(x)) for x in [h] + [r[i] for r in rows])
+                  for i, h in enumerate(header)]
+        print("\n".join([caption] + ["  ".join(str(x).ljust(w) for x, w in zip(row, widths))
+                                     for row in [header] + rows]))
+    return 0
+
+
 # -- subcommands -----------------------------------------------------------
 
 
 def _cmd_roots(rs: RootSystem, args) -> int:
-    rows = []
-    for root in rs.positive_roots:
-        w = rs.root_to_weight_basis(root)
-        rows.append((
-            " ".join(map(str, root)),
-            " ".join(map(str, w.coords)),
-            sum(root),
-            "short" if rs.root_length[root] == 1 else "long",
-        ))
-    if args.format == "json":
-        payload = {
-            "name": rs.name,
-            "rank": rs.rank,
-            "cartan": [list(r) for r in rs.cartan],
-            "symmetrizer": list(rs.symmetrizer),
-            "exponents": list(rs.exponents),
-            "coxeter_number": rs.coxeter_number,
-            "weyl_order": rs.weyl_order,
-            "highest_root": list(rs.theta.coords),
-            "short_dominant_root": list(rs.theta_s.coords),
-            "positive_roots": [
-                {"root_coords": list(root),
-                 "weight_coords": list(rs.root_to_weight_basis(root).coords),
-                 "height": sum(root),
-                 "length": "short" if rs.root_length[root] == 1 else "long"}
-                for root in rs.positive_roots
-            ],
-        }
-        print(_dumps(payload))
-        return 0
+    header = ["root_coords", "weight_coords", "height", "length"]
+    roots = [(list(root), list(rs.root_to_weight_basis(root).coords), sum(root),
+              "short" if rs.root_length[root] == 1 else "long")
+             for root in rs.positive_roots]
+    payload = {
+        "name": rs.name,
+        "rank": rs.rank,
+        "cartan": [list(r) for r in rs.cartan],
+        "symmetrizer": list(rs.symmetrizer),
+        "exponents": list(rs.exponents),
+        "coxeter_number": rs.coxeter_number,
+        "weyl_order": rs.weyl_order,
+        "highest_root": list(rs.theta.coords),
+        "short_dominant_root": list(rs.theta_s.coords),
+        "positive_roots": [dict(zip(header, root)) for root in roots],
+    }
     caption = (
         f"{rs.name}: exponents {list(rs.exponents)}, "
         f"coxeter number {rs.coxeter_number}, weyl order {rs.weyl_order}\n"
         f"highest root {rs.theta}, short dominant root {rs.theta_s}"
     )
-    print(_emit_rows(args.format, ["root_coords", "weight_coords", "height", "length"],
-                     rows, caption if args.format == "text" else ""))
-    return 0
+    rows = [(_spaced(rc), _spaced(wc), hot, length) for rc, wc, hot, length in roots]
+    return _render(args.format, payload, header, rows, caption)
 
 
 def _cmd_qanalogue(rs: RootSystem, args) -> int:
     lam = _parse_weight(args.lam, rs.rank, "--lambda")
     mu = _parse_weight(args.mu, rs.rank, "--mu")
     poly = lusztig_q_analogue(rs, lam, mu)
-    if args.format == "json":
-        print(_dumps({
-            "root_system": rs.name,
-            "lambda": list(lam.coords),
-            "mu": list(mu.coords),
-            "poly": poly.json_pairs(),
-            "text": str(poly),
-        }))
-    elif args.format == "latex":
-        print(f"${_poly_latex(poly)}$")
-    else:
-        print(str(poly))
+    print(_dumps({
+        "root_system": rs.name,
+        "lambda": list(lam.coords),
+        "mu": list(mu.coords),
+        "poly": poly.json_pairs(),
+        "text": str(poly),
+    }) if args.format == "json" else _poly_cell(poly, args.format))
     return 0
 
 
@@ -162,27 +146,17 @@ def _cmd_table(rs: RootSystem, args) -> int:
     items = character(rs, lam).items()
     # lowest weights first: the kernel table is sized once, by the largest box
     polys = {mu: lusztig_q_analogue(rs, lam, mu) for mu, _ in reversed(items)}
-    entries = [(mu, mult, polys[mu]) for mu, mult in items]
-    if args.format == "json":
-        print(_dumps({
-            "root_system": rs.name,
-            "lambda": list(lam.coords),
-            "rows": [
-                {"weight": list(mu.coords), "multiplicity": mult,
-                 "poly": poly.json_pairs(), "text": str(poly)}
-                for mu, mult, poly in entries
-            ],
-        }))
-        return 0
-    if args.format == "latex":
-        rows = [(" ".join(map(str, mu.coords)), mult, f"${_poly_latex(poly)}$")
-                for mu, mult, poly in entries]
-    else:
-        rows = [(" ".join(map(str, mu.coords)), mult, str(poly))
-                for mu, mult, poly in entries]
-    print(_emit_rows(args.format, ["weight", "multiplicity", "q-analogue"], rows,
-                     f"{rs.name}, highest weight {lam}" if args.format == "text" else ""))
-    return 0
+    payload = {
+        "root_system": rs.name,
+        "lambda": list(lam.coords),
+        "rows": [{"weight": list(mu.coords), "multiplicity": mult,
+                  "poly": polys[mu].json_pairs(), "text": str(polys[mu])}
+                 for mu, mult in items],
+    }
+    rows = [(_spaced(mu.coords), mult, _poly_cell(polys[mu], args.format))
+            for mu, mult in items]
+    return _render(args.format, payload, ["weight", "multiplicity", "q-analogue"],
+                   rows, f"{rs.name}, highest weight {lam}")
 
 
 def _iter_cone(rank: int, bound: int, prefix=()):
@@ -200,25 +174,18 @@ def _cmd_cherednik(rs: RootSystem, args) -> int:
     items = []
     for rc in sorted(_iter_cone(rs.rank, bound), key=lambda t: (sum(t), t)):
         nu = rs.root_to_weight_basis(rc)
-        poly = cherednik_coefficient(rs, nu)
-        items.append((rc, rs.is_positive_root_weight(nu), poly))
-    if args.format == "json":
-        print(_dumps({
-            "root_system": rs.name,
-            "max_height": bound,
-            "rows": [
-                {"root_coords": list(rc), "is_root": is_root,
-                 "poly": poly.json_pairs(), "text": str(poly)}
-                for rc, is_root, poly in items
-            ],
-        }))
-        return 0
-    rows = [(" ".join(map(str, rc)), sum(rc), "yes" if is_root else "no",
-             f"${_poly_latex(poly)}$" if args.format == "latex" else str(poly))
+        items.append((rc, rs.is_positive_root_weight(nu), cherednik_coefficient(rs, nu)))
+    payload = {
+        "root_system": rs.name,
+        "max_height": bound,
+        "rows": [{"root_coords": list(rc), "is_root": is_root,
+                  "poly": poly.json_pairs(), "text": str(poly)}
+                 for rc, is_root, poly in items],
+    }
+    rows = [(_spaced(rc), sum(rc), "yes" if is_root else "no", _poly_cell(poly, args.format))
             for rc, is_root, poly in items]
-    print(_emit_rows(args.format, ["root_coords", "height", "is_root", "coefficient"],
-                     rows, f"{rs.name} zero-weight coefficients" if args.format == "text" else ""))
-    return 0
+    return _render(args.format, payload, ["root_coords", "height", "is_root", "coefficient"],
+                   rows, f"{rs.name} zero-weight coefficients")
 
 
 def _cmd_gen_exponents(rs: RootSystem, args) -> int:
@@ -228,101 +195,81 @@ def _cmd_gen_exponents(rs: RootSystem, args) -> int:
         print(_dumps({"root_system": rs.name, "lambda": list(lam.coords),
                       "exponents": exps}))
     else:
-        print(" ".join(map(str, exps)) if exps else "(empty)")
+        print(_spaced(exps) if exps else "(empty)")
     return 0
 
 
 # -- verify ----------------------------------------------------------------
+#
+# Each entry of VERIFY runs one identity on its inputs from the command line,
+# ``lam`` parsed from --lambda or None, and holds the identity's default
+# inputs.  It reads ``idn.verify_...`` when it runs, so that a wrapper
+# installed on the module later is the one called.
 
-IDENTITIES = ("adjoint", "little-adjoint", "main", "minuscule", "coxeter",
-              "height-duality", "induction", "subregular")
 
-
-def _is_simply_laced(rs: RootSystem) -> bool:
-    return all(d == 1 for d in rs.symmetrizer)
+def _gamma(rs: RootSystem, args, default: Weight) -> Weight:
+    return default if args.gamma is None else _parse_weight(args.gamma, rs.rank, "--gamma")
 
 
 def _minuscule_fundamentals(rs: RootSystem):
-    out = []
-    for i in range(rs.rank):
-        w = rs.fundamental_weight(i)
-        if idn.is_minuscule(rs, w):
-            out.append(w)
-    return out
+    return [w for w in map(rs.fundamental_weight, range(rs.rank))
+            if idn.is_minuscule(rs, w)]
 
 
-def _default_gamma_alpha(rs: RootSystem, args):
-    if args.gamma is not None:
-        gam = _parse_weight(args.gamma, rs.rank, "--gamma")
-    else:
-        gam = -rs.theta
-    neg = [i for i in range(rs.rank) if gam.coords[i] < 0]
-    if args.alpha_index is not None:
-        return gam, args.alpha_index
-    if not neg:
-        raise UsageError(f"--gamma {gam} has no negative pairing with a simple root")
-    return gam, neg[0]
+def _verify_minuscule(rs: RootSystem, lam, args):
+    if lam is not None:
+        return [idn.verify_minuscule(rs, lam)]
+    fundamentals = _minuscule_fundamentals(rs)
+    if not fundamentals:
+        raise ValueError(f"{rs.name} has no minuscule weights")
+    return [idn.verify_minuscule(rs, w) for w in fundamentals]
 
 
-def _run_verify(rs: RootSystem, which: str, args):
-    """Yield reports for one named identity with CLI or default inputs."""
-    lam = (_parse_weight(args.lam, rs.rank, "--lambda")
-           if args.lam is not None else None)
-    if which == "adjoint":
-        yield idn.verify_adjoint(rs)
-    elif which == "little-adjoint":
-        yield idn.verify_little_adjoint(rs)
-    elif which == "main":
-        gam = (_parse_weight(args.gamma, rs.rank, "--gamma")
-               if args.gamma is not None else rs.theta_s)
-        yield idn.verify_main_identity(rs, lam if lam else rs.theta, gam)
-    elif which == "minuscule":
-        if lam is not None:
-            yield idn.verify_minuscule(rs, lam)
-        else:
-            fundamentals = _minuscule_fundamentals(rs)
-            if not fundamentals:
-                raise ValueError(f"{rs.name} has no minuscule weights")
-            for w in fundamentals:
-                yield idn.verify_minuscule(rs, w)
-    elif which == "coxeter":
-        yield idn.verify_coxeter_identity(rs)
-    elif which == "height-duality":
-        yield idn.verify_height_duality(rs, lam if lam else rs.theta)
-    elif which == "induction":
-        gam, ai = _default_gamma_alpha(rs, args)
-        yield idn.verify_induction_lemma(rs, lam if lam else rs.theta, gam, ai)
-    elif which == "subregular":
-        if args.alpha_index is not None:
-            ai = args.alpha_index
-        else:
-            ai = next(i for i in range(rs.rank)
-                      if rs.root_length[tuple(1 if j == i else 0
-                                              for j in range(rs.rank))] == 1)
-        yield idn.verify_subregular_identity(rs, lam if lam else rs.theta_s, ai)
-    else:
-        raise UsageError(f"unknown identity {which!r}")
+def _verify_induction(rs: RootSystem, lam, args):
+    gam = _gamma(rs, args, -rs.theta)
+    ai = args.alpha_index
+    if ai is None:
+        # the first simple root that gamma pairs negatively with
+        ai = next((i for i, c in enumerate(gam.coords) if c < 0), None)
+        if ai is None:
+            raise UsageError(f"--gamma {gam} has no negative pairing with a simple root")
+    return [idn.verify_induction_lemma(rs, lam or rs.theta, gam, ai)]
+
+
+VERIFY = {
+    "adjoint": lambda rs, lam, args: [idn.verify_adjoint(rs)],
+    "little-adjoint": lambda rs, lam, args: [idn.verify_little_adjoint(rs)],
+    "main": lambda rs, lam, args: [idn.verify_main_identity(
+        rs, lam or rs.theta, _gamma(rs, args, rs.theta_s))],
+    "minuscule": _verify_minuscule,
+    "coxeter": lambda rs, lam, args: [idn.verify_coxeter_identity(rs)],
+    "height-duality": lambda rs, lam, args: [idn.verify_height_duality(rs, lam or rs.theta)],
+    "induction": _verify_induction,
+    # the default is the first short simple root, the first with d_i = 1
+    "subregular": lambda rs, lam, args: [idn.verify_subregular_identity(
+        rs, lam or rs.theta_s,
+        rs.symmetrizer.index(1) if args.alpha_index is None else args.alpha_index)],
+}
+IDENTITIES = tuple(VERIFY)
 
 
 def _cmd_verify(rs: RootSystem, args) -> int:
-    if args.identity == "all":
-        reports = []
-        for which in IDENTITIES:
-            if which == "little-adjoint" and _is_simply_laced(rs):
-                continue
-            if which == "minuscule" and not _minuscule_fundamentals(rs):
-                continue
-            reports.extend(_run_verify(rs, which, args))
+    lam = None if args.lam is None else _parse_weight(args.lam, rs.rank, "--lambda")
+    if args.identity != "all":
+        names = [args.identity]
     else:
-        reports = list(_run_verify(rs, args.identity, args))
+        # little-adjoint needs two root lengths, minuscule a minuscule weight
+        names = [name for name in IDENTITIES
+                 if not (name == "little-adjoint" and max(rs.symmetrizer) == 1)
+                 and not (name == "minuscule" and not _minuscule_fundamentals(rs))]
+    reports = [r for name in names for r in VERIFY[name](rs, lam, args)]
     if args.format == "json":
         print(_dumps([r.to_dict() for r in reports]))
     else:
         for r in reports:
             flag = "PASS" if r.passed else "FAIL"
             inputs = " ".join(f"{k}={v}" for k, v in sorted(r.inputs.items()))
-            line = f"{flag} {r.identity} {r.root_system}"
-            print(f"{line} {inputs}".rstrip())
+            print(f"{flag} {r.identity} {r.root_system} {inputs}".rstrip())
             for failure in r.failures:
                 print(f"     check={failure['check']!r} mu={failure['mu']} "
                       f"expected={failure['expected']} actual={failure['actual']}")

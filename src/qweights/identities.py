@@ -257,10 +257,11 @@ def verify_coxeter_identity(rs: RootSystem) -> Report:
 # -- height duality -------------------------------------------------------
 
 
-def _twice_height(rs: RootSystem, w: Weight):
-    """Twice the height of w, its pairing with twice the dual Weyl vector;
-    exact rational for any weight."""
-    return 2 * sum(rs.weight_to_root_coords(w))
+def _height_zero_mass(rs: RootSystem, ch) -> int:
+    """The multiplicities of the weights of height zero in the character
+    ``ch``, summed; every weight of ``ch`` lies in the root lattice, so this
+    is the dimension of the fixed space of a principal nilpotent."""
+    return sum(m for nu, m in ch.items() if sum(rs.root_coords(nu.coords)) == 0)
 
 
 def _is_root_multiple(rs: RootSystem, w: Weight) -> bool:
@@ -287,20 +288,8 @@ def verify_height_duality(rs: RootSystem, lam: Weight) -> Report:
     if not rs.in_root_lattice(lam):
         raise ValueError(f"{lam} is not in the root lattice")
     ch = character(rs, lam)
-    zero = Weight.zero(rs.rank)
-    dim_torus_fixed = ch.get(zero)
-    d0 = 0
-    d1 = 0
-    positives = []  # (height, multiplicity)
-    for nu, m in ch.items():
-        val = _twice_height(rs, nu)
-        if val == 0:
-            d0 += m
-        elif val == 1:
-            d1 += m
-        if val > 0:
-            positives.append((nu, m))
-    dim_principal_fixed = d0 + d1
+    dim_torus_fixed = ch.get(Weight.zero(rs.rank))
+    dim_principal_fixed = _height_zero_mass(rs, ch)
     hypothesis = dim_torus_fixed == dim_principal_fixed
     details = {
         "hypothesis_holds": hypothesis,
@@ -309,27 +298,25 @@ def verify_height_duality(rs: RootSystem, lam: Weight) -> Report:
     }
     failures = []
     if hypothesis:
-        # (i) weights split as positive-height / zero / negative-height,
-        # and every nonzero weight is a multiple of a root
-        for nu, m in ch.items():
-            if nu.is_zero():
-                continue
-            if _twice_height(rs, nu) == 0:
-                _mismatch(failures, "nonzero weight at height zero", nu,
-                          "nonzero height", 0)
-            if not _is_root_multiple(rs, nu):
+        # (i) the zero weight alone has height zero, so the weights split as
+        # positive / zero / negative height; every nonzero weight is a
+        # multiple of a root
+        for nu in ch:
+            if not nu.is_zero() and not _is_root_multiple(rs, nu):
                 _mismatch(failures, "weight is a multiple of a root", nu,
                           "k * root", str(nu))
-        # (ii) telescoping product, cross-multiplied to stay polynomial
+        # (ii) telescoping product over the positive weights, cross-multiplied
+        # to stay polynomial
         exps = generalized_exponents(rs, lam)
         lhs_num = QPoly.one()
         lhs_den = QPoly.one()
         heights = []
-        for nu, m in positives:
-            hot = rs.height(nu)
-            heights.extend([hot] * m)
-            lhs_num = lhs_num * (QPoly.one() - QPoly.q(hot + 1)) ** m
-            lhs_den = lhs_den * (QPoly.one() - QPoly.q(hot)) ** m
+        for nu, m in ch.items():
+            hot = sum(rs.root_coords(nu.coords))
+            if hot > 0:
+                heights.extend([hot] * m)
+                lhs_num = lhs_num * (QPoly.one() - QPoly.q(hot + 1)) ** m
+                lhs_den = lhs_den * (QPoly.one() - QPoly.q(hot)) ** m
         rhs_num = QPoly.one()
         for e in exps:
             rhs_num = rhs_num * (QPoly.one() - QPoly.q(e + 1))
@@ -355,22 +342,12 @@ def classify_principal_pairs(systems, height_bound: int):
                     for i in range(rs.rank)]
         ranges = [range(int(height_bound / h) + 1) for h in hot_fund]
         for coords in iproduct(*ranges):
+            rc = rs.root_coords(coords)
+            if rc is None or not 0 < sum(rc) <= height_bound:
+                continue
             lam = Weight(coords)
-            if lam.is_zero():
-                continue
-            rc = rs.weight_to_root_coords(lam)
-            if any(x.denominator != 1 for x in rc):
-                continue
-            hot = sum(rc)
-            if not 0 < hot <= height_bound:
-                continue
             ch = character(rs, lam)
-            d01 = 0
-            for nu, m in ch.items():
-                val = _twice_height(rs, nu)
-                if val == 0 or val == 1:
-                    d01 += m
-            if ch.get(Weight.zero(rs.rank)) == d01:
+            if ch.get(Weight.zero(rs.rank)) == _height_zero_mass(rs, ch):
                 found.append((rs, lam))
     return sorted(found, key=lambda p: (p[0].name, p[1].coords))
 

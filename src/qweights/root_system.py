@@ -159,35 +159,26 @@ def _symmetrizer(cartan):
 
 
 def _positive_roots(cartan):
-    """All positive roots in simple-root coordinates, by the string rule.
+    """All positive roots in simple-root coordinates, sorted by height then
+    lexicographically.
 
-    Returns them sorted by height then lexicographically.
+    They are the closure of the simple roots under the simple reflections
+    that raise the height: s_i(beta) = beta - c alpha_i when
+    c = <beta, alpha_i_check> < 0.  Every positive root beta that is not
+    simple has some s_i(beta) positive and lower, so it is reached.
     """
     rank = len(cartan)
-    simple = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
-    roots = set(simple)
-    layer = list(simple)
-    while layer:
-        nxt = []
-        for beta in layer:
-            for i in range(rank):
-                # back up along the alpha_i string through beta
-                p = 0
-                down = list(beta)
-                while True:
-                    down[i] -= 1
-                    if down[i] < 0 or tuple(down) not in roots:
-                        break
-                    p += 1
-                ci = sum(cartan[i][j] * beta[j] for j in range(rank))
-                if p - ci > 0:
-                    up = list(beta)
-                    up[i] += 1
-                    up = tuple(up)
-                    if up not in roots:
-                        roots.add(up)
-                        nxt.append(up)
-        layer = nxt
+    todo = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
+    roots = set(todo)
+    while todo:
+        beta = todo.pop()
+        for i in range(rank):
+            c = sum(cartan[i][j] * beta[j] for j in range(rank))
+            if c < 0:
+                up = beta[:i] + (beta[i] - c,) + beta[i + 1:]
+                if up not in roots:
+                    roots.add(up)
+                    todo.append(up)
     return tuple(sorted(roots, key=lambda r: (sum(r), r)))
 
 
@@ -359,12 +350,9 @@ class RootSystem:
             rc = tuple(nu)
         if rc not in self._root_index:
             raise ValueError(f"{rc} is not a positive root of {self.name}")
-        num = self.inner(mu, rc)
-        length = self.root_length[rc]
-        q, r = divmod(num, length)
-        if r:
-            return Fraction(num, length)
-        return q
+        # (mu, beta) / ((beta, beta) / 2): exact, since beta_check is an
+        # integer sum of simple coroots and mu is integral
+        return self.inner(mu, rc) // self.root_length[rc]
 
     def is_positive_root_weight(self, w: Weight) -> bool:
         return w.coords in self._positive_root_weights

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from qweights import identities as idn
 from qweights import qkostant, weyl
 from qweights.cli import main
 from qweights.lusztig import clear_caches
@@ -194,6 +195,21 @@ class TestVerify:
                            "--lambda", "2,0,0", "--alpha-index", "1")
         assert code == 0
         assert out.startswith("PASS subregular C3")
+
+    def test_verifiers_are_looked_up_when_run(self, capsys, monkeypatch):
+        # a wrapper set on identities after import (as the benchmark tracer
+        # sets one) is the verifier that the CLI calls
+        called = []
+        for name in [n for n in dir(idn) if n.startswith("verify_")]:
+            def wrapper(*a, _name=name, _real=getattr(idn, name)):
+                called.append(_name)
+                return _real(*a)
+            monkeypatch.setattr(idn, name, wrapper)
+        assert run(capsys, "verify", "all", "G2")[0] == 0
+        assert run(capsys, "verify", "minuscule", "A3")[0] == 0
+        assert sorted(set(called)) == sorted(n for n in dir(idn)
+                                             if n.startswith("verify_"))
+        assert len(called) == 7 + 3
 
     @pytest.mark.parametrize("which", ["induction", "subregular"])
     @pytest.mark.parametrize("index", ["9", "-1"])

@@ -44,6 +44,44 @@ def test_classical_invariants(name, nroots, exps, h, worder):
     assert rs.height(rs.theta) == h - 1             # height of highest root
 
 
+# |positive roots| of each type, by rank
+ROOT_COUNTS = {
+    "A": lambda n: n * (n + 1) // 2,
+    "B": lambda n: n * n,
+    "C": lambda n: n * n,
+    "D": lambda n: n * (n - 1),
+    "E": {6: 36, 7: 63, 8: 120}.get,
+    "F": lambda n: 24,
+    "G": lambda n: 6,
+}
+UP_TO_RANK_8 = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+                + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(4, 9)]
+                + ["E6", "E7", "E8", "F4", "G2"])
+
+
+@pytest.mark.parametrize("name", UP_TO_RANK_8)
+def test_positive_roots_are_closed_under_simple_reflections(name):
+    # s_i permutes the positive roots other than alpha_i
+    rs = build_root_system(name)
+    roots = set(rs.positive_roots)
+    assert len(roots) == len(rs.positive_roots) == ROOT_COUNTS[rs.letter](rs.rank)
+    for i in range(rs.rank):
+        alpha = tuple(1 if j == i else 0 for j in range(rs.rank))
+        for beta in roots - {alpha}:
+            c = sum(rs.cartan[i][j] * beta[j] for j in range(rs.rank))
+            assert beta[:i] + (beta[i] - c,) + beta[i + 1:] in roots
+
+
+@pytest.mark.parametrize("name", UP_TO_RANK_8)
+def test_fundamental_weights_pair_integrally(name):
+    # <omega_i, beta_check> = (omega_i, beta) / ((beta, beta) / 2) exactly
+    rs = build_root_system(name)
+    for i in range(rs.rank):
+        w = rs.fundamental_weight(i)
+        for beta in rs.positive_roots:
+            assert rs.pairing(w, beta) * rs.root_length[beta] == rs.inner(w, beta)
+
+
 HIGHEST_ROOTS = {
     "A3": (1, 1, 1),
     "B3": (1, 2, 2),
