@@ -23,6 +23,7 @@ import csv
 import io
 import json
 import sys
+from math import comb
 
 from . import identities as idn
 from .lusztig import (
@@ -33,6 +34,7 @@ from .lusztig import (
 )
 from .poly import QPoly
 from .root_system import RootSystem, Weight, build_root_system
+from .weyl import _check_points
 
 
 class UsageError(Exception):
@@ -171,6 +173,8 @@ def _cmd_cherednik(rs: RootSystem, args) -> int:
     bound = args.max_height
     if bound < 0:
         raise UsageError("--max-height must be nonnegative")
+    # the cone holds C(bound + rank, rank) points, one row each
+    _check_points(comb(bound + rs.rank, rs.rank), f"the cone up to height {bound}")
     items = []
     for rc in sorted(_iter_cone(rs.rank, bound), key=lambda t: (sum(t), t)):
         nu = rs.root_to_weight_basis(rc)
@@ -258,6 +262,11 @@ def _cmd_verify(rs: RootSystem, args) -> int:
     if args.identity != "all":
         names = [args.identity]
     else:
+        # each of these inputs suits some identities and refuses others
+        for flag, value in (("--lambda", args.lam), ("--gamma", args.gamma),
+                            ("--alpha-index", args.alpha_index)):
+            if value is not None:
+                raise UsageError(f"{flag} applies to one identity, not to all")
         # little-adjoint needs two root lengths, minuscule a minuscule weight
         names = [name for name in IDENTITIES
                  if not (name == "little-adjoint" and max(rs.symmetrizer) == 1)

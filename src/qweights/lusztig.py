@@ -6,10 +6,11 @@
   function, (Weyl numerator of lam) / prod_{gamma>0}(1 - q e^gamma).  Each
   lam gets one kernel table seeded with that numerator, and m_lam^mu is its
   cell lam - mu.  The seeds are the points (lam+rho) - w(lam+rho) inside the
-  table's box, found by walking the orbit of lam+rho breadth-first from the
-  top, in integer root coordinates, pruned as soon as a point leaves the
-  box, so only a few w are visited instead of all of W.  The table grows to
-  the module box lam - w0(lam), which holds every weight of the module.  A
+  table's box, the depths of the orbit of lam+rho walked down from the top
+  one length layer at a time (``weyl.descend``), in integer root
+  coordinates, pruned as soon as a point leaves the box, so only a few w
+  are visited instead of all of W.  The table grows to the module box
+  lam - w0(lam), which holds every weight of the module.  A
   cell has negative coefficients where mu is not dominant; the kernel
   decodes them exactly (see ``qkostant``);
 * ``q_analogue_by_induction`` — recursion on a negative coordinate of the
@@ -26,8 +27,8 @@ Supporting operations: characters, tensor decomposition, stabilizer Poincare
 ratios, generalized exponents, and the coefficientwise-positivity test.
 
 The memo of the defining sum, the characters and the seeded tables are
-slots of the root system's ``root_system.context``, next to the P_q table and
-the Weyl group; ``clear_caches`` (re-exported here) drops them all at once.
+slots of the root system's ``root_system.context``, next to the P_q table;
+``clear_caches`` (re-exported here) drops them all at once.
 
 Between the API call and the table cell everything runs on integer
 coordinate tuples: the difference lam - mu, its root coordinates
@@ -43,8 +44,8 @@ from operator import add, mul, sub
 from .poly import QPoly
 from .qkostant import PartitionEngine, recent_engine
 from .root_system import RootSystem, Weight, clear_caches, context
-from .weyl import (_check_points, dominant_representative, orbit, orbit_size,
-                   stabilizer_poincare)
+from .weyl import (_check_points, descend, dominant_representative, orbit,
+                   orbit_size, stabilizer_poincare)
 
 
 class WeightMultiset:
@@ -116,33 +117,13 @@ def _weyl_seeds(rs: RootSystem, lam: Weight, bound) -> list:
     """The seeds (d, sign(w)) of the Weyl numerator of lam: one at each
     point d = (lam+rho) - w(lam+rho) that lies in the box [0, bound].
 
-    Walks the regular orbit of lam+rho down from the top.  Reflecting a
-    point x at a coordinate c = x[i] > 0 raises the length by one and raises
-    root coordinate i of d by c, so BFS layers carry alternating signs, and
-    a child that leaves the box (and with it every point below it) is
-    dropped on the spot.
+    They are the depths of the regular orbit of lam+rho walked down from
+    the top (``weyl.descend``), pruned to the box; layer k holds the w of
+    length k, so odd layers carry the sign -1.
     """
-    cols = rs.cartan_columns
-    out = []
-    sign = 1
-    layer = {(lam + rs.rho).coords: (0,) * rs.rank}
-    while layer:
-        out += [(d, sign) for d in layer.values()]
-        nxt = {}
-        for x, d in layer.items():
-            for i in range(rs.rank):
-                c = x[i]
-                if c <= 0 or d[i] + c > bound[i]:
-                    continue
-                y = list(x)
-                for k, aki in cols[i]:
-                    y[k] -= aki * c
-                y = tuple(y)
-                if y not in nxt:
-                    nxt[y] = d[:i] + (d[i] + c,) + d[i + 1:]
-        layer = nxt
-        sign = -sign
-    return out
+    return [(d, -1 if k & 1 else 1)
+            for k, layer in enumerate(descend(rs, (lam + rs.rho).coords, bound))
+            for d in layer.values()]
 
 
 def q_analogue_by_induction(rs: RootSystem, lam: Weight, mu: Weight) -> QPoly:

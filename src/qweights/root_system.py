@@ -219,7 +219,7 @@ class RootSystem:
         self.name = f"{letter}{rank}"
         self.cartan = tuple(tuple(int(x) for x in row) for row in cartan)
         # column i as its nonzero (k, a[k][i]): s_i lowers coordinate k of a
-        # weight by a[k][i] times coordinate i
+        # weight by a[k][i] times coordinate i, the one rule ``weyl`` walks by
         self.cartan_columns = tuple(
             tuple((k, row[i]) for k, row in enumerate(self.cartan) if row[i])
             for i in range(rank)
@@ -359,16 +359,6 @@ class RootSystem:
 
     # -- misc -------------------------------------------------------------
 
-    def simple_reflection_matrix(self, i: int):
-        """Matrix of s_i on fundamental-weight coordinates (acts on columns)."""
-        a = self.cartan
-        n = self.rank
-        return tuple(
-            tuple((1 if k == j else 0) - (a[k][i] if j == i else 0)
-                  for j in range(n))
-            for k in range(n)
-        )
-
     def fundamental_weight(self, i: int) -> Weight:
         return Weight(tuple(1 if j == i else 0 for j in range(self.rank)))
 
@@ -431,17 +421,16 @@ class Context:
     """Everything kept for reuse about one root system, in one slot per cache.
 
     The partition tables are filled by ``qkostant`` (P_q, under the key None)
-    and ``lusztig`` (one per highest weight lam, under lam), the Weyl group
-    by ``weyl``, the memo of the defining sum and the characters by
-    ``lusztig``.  The induction route keeps its memo for one call, so it has
-    no slot here.
+    and ``lusztig`` (one per highest weight lam, under lam), the memo of the
+    defining sum and the characters by ``lusztig``.  The induction route
+    keeps its memo for one call and ``weyl_elements`` rebuilds W on each
+    call, so neither has a slot here.
     """
 
-    __slots__ = ("engines", "weyl_group", "defining", "characters")
+    __slots__ = ("engines", "defining", "characters")
 
     def __init__(self):
         self.engines = {}  # None or lam -> PartitionEngine
-        self.weyl_group = None
         self.defining = {}  # (lam, mu) -> the defining sum
         self.characters = {}  # lam -> character
 
@@ -458,8 +447,8 @@ def context(rs: RootSystem) -> Context:
 
 
 def clear_caches():
-    """Drop every per-root-system cache: partition tables, Weyl groups and
-    the q-analogue and character memos.
+    """Drop every per-root-system cache: the partition tables and the
+    q-analogue and character memos.
 
     The root systems that ``build_root_system`` hands out stay cached: they
     hold only static data, and keeping them makes each type one object.

@@ -1,24 +1,26 @@
-"""Weyl group enumeration, lengths, orbits, dominant representatives.
+"""Orbits, dominant representatives, stabilizers and the Weyl group.
 
-Elements are stored as integer matrices acting on fundamental-weight
-coordinates, with lengths assigned as breadth-first depth from the identity,
-which for a Coxeter group equals the reduced word length.  Materialising W
-is for tests and reference sums; the hot paths walk orbits of vectors
-instead (``orbit`` here, the pruned walk of the defining sum in
-``lusztig``).  ``dominant_representative`` walks integer coordinates too,
-one rank-one update of the point per simple reflection, and returns the
-length of the word it took, which is all ``klimyk_decompose`` needs of it.
-The stabilizer polynomials and the orbit sizes are closed forms in the
-exponents of a parabolic subsystem, so no walk grows with |W| unless it is
-asked to hold W or a whole orbit.  The materialised W is kept in the root
-system's ``root_system.context``.
+One rule moves a weight: s_i lowers coordinate k of a weight by
+a[k][i] times coordinate i (``RootSystem.cartan_columns``), and only this
+module applies it to weights.  ``descend`` walks the orbit of a dominant point down,
+one length layer at a time; ``orbit`` is the union of its layers, and
+``lusztig`` reads the seeds of its Weyl numerators off the same walk, in
+root coordinates and pruned to a box.  ``dominant_representative`` walks
+the other way, up to the chamber, and returns the length of the word it
+took, which is all ``klimyk_decompose`` needs of it.  ``enumerate_weyl``
+materialises W as integer matrices on fundamental-weight coordinates, with
+s_i as a row update and lengths as breadth-first depth from the identity,
+which for a Coxeter group equals the reduced word length; it is a
+reference for tests, so nothing keeps W.  The stabilizer polynomials and
+the orbit sizes are closed forms in the exponents of a parabolic
+subsystem, so no walk grows with |W| unless it is asked to hold W or a
+whole orbit.
 
 The points held are bounded by one budget, ``MAX_ORBIT_POINTS``, checked
-where they are made: by ``orbit`` after each breadth-first layer, by
-``enumerate_weyl`` on the order of W before it yields anything, and by
-``lusztig.character`` on the dominant weights it finds and on the sum of
-their orbit sizes, before it walks any orbit.  Over it, each raises
-``root_system.BudgetError``.
+before they are made: by ``orbit`` on the closed-form size of the orbit,
+by ``enumerate_weyl`` on the order of W, and by ``lusztig.character`` on
+the dominant weights it finds and on the sum of their orbit sizes.  Over
+it, each raises ``root_system.BudgetError``.
 """
 
 from __future__ import annotations
@@ -28,12 +30,12 @@ from math import prod
 from operator import mul
 
 from .poly import QPoly
-from .root_system import BudgetError, RootSystem, Weight, _dual_partition, context
+from .root_system import BudgetError, RootSystem, Weight, _dual_partition
 
 # The points one walk may hold.  The largest fundamental orbit of E8 (of
 # omega_4, 483,840 points) fits: on one Xeon core under Python 3.11 its walk
-# takes 6.3 s (13 microseconds a point) and holds 223 bytes a point, 361 at
-# its peak (tracemalloc), 212 MB of process RSS in all.
+# takes 5.0-5.1 s (10 microseconds a point) and holds 222 bytes a point, no
+# more at its peak (tracemalloc), 132 MB of process RSS in all.
 MAX_ORBIT_POINTS = 500_000
 
 
@@ -54,32 +56,14 @@ class WeylElement:
         return -1 if self.length & 1 else 1
 
     def act(self, w: Weight) -> Weight:
-        m = self.matrix
-        c = w.coords
-        n = len(c)
-        return Weight(tuple(
-            sum(m[k][j] * c[j] for j in range(n) if c[j]) for k in range(n)
-        ))
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
-def _identity(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+        return Weight(tuple(sum(map(mul, row, w.coords)) for row in self.matrix))
 
 
 def enumerate_weyl(rs: RootSystem):
     """Yield every Weyl element exactly once, in length order (BFS).  A group
     over the orbit-point budget is refused before anything is yielded."""
     _check_points(rs.weyl_order, f"the Weyl group of {rs.name}")
-    gens = [rs.simple_reflection_matrix(i) for i in range(rs.rank)]
-    ident = _identity(rs.rank)
+    ident = tuple(tuple(int(j == k) for j in range(rs.rank)) for k in range(rs.rank))
     seen = {ident}
     layer = [ident]
     depth = 0
@@ -88,8 +72,12 @@ def enumerate_weyl(rs: RootSystem):
             yield WeylElement(m, depth)
         nxt = []
         for m in layer:
-            for g in gens:
-                m2 = _mat_mul(g, m)
+            for i, col in enumerate(rs.cartan_columns):
+                # s_i after m: row k of m loses a[k][i] times row i
+                rows = list(m)
+                for k, aki in col:
+                    rows[k] = tuple(a - aki * b for a, b in zip(m[k], m[i]))
+                m2 = tuple(rows)
                 if m2 not in seen:
                     seen.add(m2)
                     nxt.append(m2)
@@ -98,16 +86,12 @@ def enumerate_weyl(rs: RootSystem):
 
 
 def weyl_elements(rs: RootSystem) -> tuple:
-    """Fully materialized Weyl group, cached in the root system's context."""
-    ctx = context(rs)
-    if ctx.weyl_group is None:
-        got = tuple(enumerate_weyl(rs))
-        if len(got) != rs.weyl_order:
-            raise AssertionError(
-                f"enumerated {len(got)} elements, expected {rs.weyl_order}"
-            )
-        ctx.weyl_group = got
-    return ctx.weyl_group
+    """The Weyl group, materialised in length order.  Nothing keeps it: it
+    is a reference for tests, rebuilt on each call."""
+    got = tuple(enumerate_weyl(rs))
+    if len(got) != rs.weyl_order:
+        raise AssertionError(f"enumerated {len(got)} elements, expected {rs.weyl_order}")
+    return got
 
 
 def dominant_representative(rs: RootSystem, mu: Weight):
@@ -172,27 +156,42 @@ def _stabilizer_exponents(rs: RootSystem, nu: Weight) -> tuple:
                            if not any(map(mul, r, nu.coords)))
 
 
-def orbit(rs: RootSystem, mu: Weight) -> frozenset:
-    """Full Weyl orbit of a weight.  The walk runs on coordinate tuples, and
-    each point becomes one Weight at the end.  The points are counted
-    against the orbit-point budget after each breadth-first layer."""
-    rs.check_rank(mu)
-    seen = {mu.coords}
-    layer = [mu.coords]
+def descend(rs: RootSystem, top, bound=None):
+    """Walk the orbit of the dominant coordinate tuple ``top`` down, and
+    yield it one length layer at a time: a dict from each point x of the
+    layer to its depth, the root coordinates of top - x.  A point whose
+    depth leaves the box [0, bound] is dropped with everything below it.
+
+    Layer k holds the points x = w(top) whose shortest w has length k, the
+    number of positive roots pairing negatively with x.  At a coordinate
+    c = x[i] > 0, s_i w is one longer and still the shortest for s_i(x),
+    and root coordinate i of the depth grows by c.  A point x below the
+    top has some x[i] < 0 and is reached from s_i(x), one layer up, whose
+    coordinate i is -x[i] > 0.  So each point lies in exactly one layer,
+    and a point is looked up only in the layer that is being made.
+    """
     cols = rs.cartan_columns
+    layer = {tuple(top): (0,) * rs.rank}
     while layer:
-        nxt = []
-        for x in layer:
+        yield layer
+        nxt = {}
+        for x, d in layer.items():
             for i, c in enumerate(x):
-                if c == 0:
+                if c <= 0 or bound is not None and d[i] + c > bound[i]:
                     continue
                 y = list(x)
                 for k, aki in cols[i]:
                     y[k] -= aki * c
                 y = tuple(y)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        _check_points(len(seen), f"the orbit of {mu}")
+                if y not in nxt:
+                    nxt[y] = d[:i] + (d[i] + c,) + d[i + 1:]
         layer = nxt
-    return frozenset(map(Weight, seen))
+
+
+def orbit(rs: RootSystem, mu: Weight) -> frozenset:
+    """Full Weyl orbit of a weight, walked down from its dominant point.
+    Its closed-form size is counted against the orbit-point budget before
+    the walk, and each point becomes one Weight."""
+    top, _ = dominant_representative(rs, mu)
+    _check_points(orbit_size(rs, top), f"the orbit of {mu}")
+    return frozenset(Weight(x) for layer in descend(rs, top.coords) for x in layer)

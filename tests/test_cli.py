@@ -4,11 +4,12 @@ import json
 import shutil
 import subprocess
 import time
+from math import comb
 
 import pytest
 
+from qweights import cli, qkostant, weyl
 from qweights import identities as idn
-from qweights import qkostant, weyl
 from qweights.cli import main
 from qweights.lusztig import clear_caches
 
@@ -154,6 +155,37 @@ class TestCherednik:
         code, _, err = run(capsys, "cherednik", "A2", "--max-height", "-1")
         assert code == 2
 
+    @pytest.mark.parametrize("rank,bound", [(1, 0), (1, 7), (2, 5), (3, 4), (4, 3)])
+    def test_cone_count(self, rank, bound):
+        # the rows are the points of the cone, C(bound + rank, rank) of them
+        assert len(list(cli._iter_cone(rank, bound))) == comb(bound + rank, rank)
+
+    @pytest.mark.parametrize("name,bound", [("A1", 100_000_000), ("A2", 1000)])
+    def test_refused_before_it_enumerates(self, capsys, monkeypatch, name, bound):
+        # 10^8 + 1 and 501,501 rows, over the budget of 500,000
+        def no_cone(rank, bound):
+            raise AssertionError("enumerated the cone")
+
+        monkeypatch.setattr(cli, "_iter_cone", no_cone)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "cherednik", name, "--max-height", str(bound))
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err.startswith("error: input too large: the cone up to height")
+
+    def test_e8_height_5_is_not_refused(self, monkeypatch):
+        # its 1,287 rows fit the budget; the cone is reached, not computed
+        class Reached(Exception):
+            pass
+
+        def reached(rank, bound):
+            raise Reached((rank, bound))
+
+        assert comb(5 + 8, 8) == 1287
+        monkeypatch.setattr(cli, "_iter_cone", reached)
+        with pytest.raises(Reached, match=r"\(8, 5\)"):
+            main(["cherednik", "E8", "--max-height", "5"])
+
 
 class TestVerify:
     def test_all_g2(self, capsys):
@@ -189,6 +221,16 @@ class TestVerify:
         assert run(capsys, "qanalogue", "A2", "--lambda", "1,1,1",
                    "--mu", "0,0")[0] == 2
         assert run(capsys, "roots", "H3")[0] == 2
+
+    @pytest.mark.parametrize("flag,value", [("--lambda", "0,2"), ("--gamma", "0,-1"),
+                                            ("--alpha-index", "0")])
+    def test_all_refuses_per_identity_flags(self, capsys, monkeypatch, flag, value):
+        # refused before any identity runs
+        for name in [n for n in dir(idn) if n.startswith("verify_")]:
+            monkeypatch.setattr(idn, name, None)
+        code, out, err = run(capsys, "verify", "all", "B2", flag, value)
+        assert code == 2 and out == ""
+        assert err == f"error: {flag} applies to one identity, not to all\n"
 
     def test_verify_alpha_index(self, capsys):
         code, out, _ = run(capsys, "verify", "subregular", "C3",

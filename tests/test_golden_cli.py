@@ -43,6 +43,8 @@ COMMANDS = [
     ["verify", "subregular", "B3", "--alpha-index", "0"],
     ["qanalogue", "E8", "--lambda", "0,0,0,0,0,0,0,2",
      "--mu", "0,0,0,0,0,0,0,0"],
+    ["verify", "all", "B2", "--lambda", "0,2"],
+    ["verify", "all", "G2", "--alpha-index", "0"],
 ]
 
 # run with the q-analogue that the verifiers read one too large at -alpha_3

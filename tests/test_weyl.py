@@ -186,7 +186,8 @@ class TestOrbitBudget:
         assert got == []
         with pytest.raises(BudgetError):
             weyl_elements(b3)
-        assert root_system.context(b3).weyl_group is None
+        # nothing is kept about b3, not even an empty context
+        assert not root_system._contexts
 
     def test_budget_is_a_value_error(self):
         # E7 is over the default budget, and the error is a usage error
@@ -195,14 +196,64 @@ class TestOrbitBudget:
 
 
 def test_simple_reflection_action():
+    # the length-1 elements are the simple reflections: s_i sends omega_j to
+    # omega_j - delta_ij alpha_i
     rs = build_root_system("C3")
-    for i in range(rs.rank):
-        m = rs.simple_reflection_matrix(i)
-        alpha = rs.simple_roots[i]
-        # s_i fixes the hyperplane and negates alpha_i
-        for j in range(rs.rank):
-            w = rs.fundamental_weight(j)
-            image = Weight(tuple(sum(m[k][t] * w.coords[t] for t in range(rs.rank))
-                                 for k in range(rs.rank)))
-            expected = w - alpha if i == j else w
-            assert image == expected
+    omegas = [rs.fundamental_weight(j) for j in range(rs.rank)]
+    reflections = [w for w in weyl_elements(rs) if w.length == 1]
+    assert len(reflections) == rs.rank
+    assert {tuple(w.act(om) for om in omegas) for w in reflections} == {
+        tuple(om - rs.simple_roots[i] if i == j else om for j, om in enumerate(omegas))
+        for i in range(rs.rank)}
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "G2", "F4"])
+def test_descend_walks_each_point_once_at_its_length(name):
+    # layer k holds the points with exactly k positive roots pairing
+    # negatively, the layers are disjoint, and together they are the orbit
+    rs = build_root_system(name)
+    for nu in itertools.product((0, 1), repeat=rs.rank):
+        layers = [set(layer) for layer in weyl.descend(rs, nu)]
+        for k, layer in enumerate(layers):
+            assert all(negative_pairings(rs, Weight(x)) == k for x in layer), (nu, k)
+        union = set().union(*layers)
+        assert sum(map(len, layers)) == len(union) == orbit_size(rs, Weight(nu)), nu
+        assert {Weight(x) for x in union} == orbit(rs, Weight(nu))
+
+
+def test_descend_carries_root_coordinate_depths():
+    # the depth of x is top - x in root coordinates, and the bound prunes
+    # every point whose depth leaves the box
+    rs = build_root_system("B3")
+    top = (rs.theta + rs.rho).coords
+    full = {x: d for layer in weyl.descend(rs, top) for x, d in layer.items()}
+    assert len(full) == rs.weyl_order
+    for x, d in full.items():
+        assert d == rs.root_coords(tuple(a - b for a, b in zip(top, x)))
+    bound = (3, 4, 5)
+    pruned = {x: d for layer in weyl.descend(rs, top, bound) for x, d in layer.items()}
+    assert pruned == {x: d for x, d in full.items()
+                      if all(a <= b for a, b in zip(d, bound))}
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "G2"])
+def test_orbit_of_a_non_dominant_weight(name):
+    rs = build_root_system(name)
+    for mu in itertools.product(range(-2, 3), repeat=rs.rank):
+        mu = Weight(mu)
+        top, _ = dominant_representative(rs, mu)
+        points = orbit(rs, mu)
+        assert mu in points and points == orbit(rs, top), mu
+
+
+def test_orbit_is_refused_before_it_is_walked(monkeypatch):
+    # the orbit of omega_4 in E8 has 483,840 points, one over this budget
+    e8 = build_root_system("E8")
+
+    def no_walk(rs, top, bound=None):
+        raise AssertionError(f"walked the orbit of {top}")
+
+    monkeypatch.setattr(weyl, "descend", no_walk)
+    monkeypatch.setattr(weyl, "MAX_ORBIT_POINTS", 483_839)
+    with pytest.raises(BudgetError, match="reaches 483,840 points"):
+        orbit(e8, e8.fundamental_weight(3))
