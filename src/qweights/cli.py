@@ -19,9 +19,6 @@ Exit status: 0 success, 1 a verifier reported failures, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 from math import comb
 
@@ -71,6 +68,8 @@ def _poly_cell(p: QPoly, fmt: str) -> str:
 
 
 def _dumps(obj) -> str:
+    import json
+
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
@@ -80,11 +79,10 @@ def _render(fmt: str, payload, header, rows, caption: str) -> int:
     if fmt == "json":
         print(_dumps(payload))
     elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(header)
-        writer.writerows(rows)
-        print(buf.getvalue().rstrip("\n"))
+        import csv
+
+        # each row ends in "\r\n", the last one too
+        csv.writer(sys.stdout).writerows([header, *rows])
     elif fmt == "latex":
         lines = [r"\begin{tabular}{" + "l" * len(header) + "}", r"\hline",
                  " & ".join(header) + r" \\", r"\hline"]

@@ -8,8 +8,6 @@ always carries the offending input and both polynomials, stringified.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
 from itertools import product as iproduct
 from math import gcd
 
@@ -27,42 +25,43 @@ from .root_system import RootSystem, Weight, _dual_partition, build_dual_root_sy
 from .weyl import dominant_representative, orbit, stabilizer_poincare
 
 
-@dataclass
 class Report:
-    identity: str
-    root_system: str
-    inputs: dict
-    status: str
-    failures: list = field(default_factory=list)
-    details: dict = field(default_factory=dict)
+    """The outcome of one verifier: its inputs, "pass" or "fail", the failed
+    checks and details.  Equal to a Report with equal fields."""
+
+    def __init__(self, identity: str, root_system: str, inputs: dict, status: str,
+                 failures: list = None, details: dict = None):
+        self.identity = identity
+        self.root_system = root_system
+        self.inputs = inputs
+        self.status = status
+        self.failures = [] if failures is None else failures
+        self.details = {} if details is None else details
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        return f"Report({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     @property
     def passed(self) -> bool:
         return self.status == "pass"
 
     def to_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "root_system": self.root_system,
-            "inputs": self.inputs,
-            "status": self.status,
-            "failures": self.failures,
-            "details": self.details,
-        }
+        return dict(vars(self))
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _report(identity, rs, inputs, failures, details=None) -> Report:
-    return Report(
-        identity=identity,
-        root_system=rs.name,
-        inputs=inputs,
-        status="pass" if not failures else "fail",
-        failures=failures,
-        details=details or {},
-    )
+    return Report(identity, rs.name, inputs, "fail" if failures else "pass",
+                  failures, details)
 
 
 def _mismatch(failures, check, mu, expected, actual):
@@ -137,6 +136,8 @@ def _verify_root_module(rs: RootSystem, top: Weight, top_rc, roots, exps,
     ell = len([r for r in roots if sum(r) == 1])
 
     m0_closed = _exponent_sum(exps)
+    # -top first: its box, 2 top, sizes the kernel table for every query here
+    lusztig_q_analogue(rs, top, -top)
     m0 = lusztig_q_analogue(rs, top, zero)
     _expect(failures, f"zero-weight {label}exponents", zero, m0_closed, m0)
     if sorted(m0.exponent_multiset() if m0.coefficients_nonnegative() else []) != list(exps):
@@ -145,7 +146,6 @@ def _verify_root_module(rs: RootSystem, top: Weight, top_rc, roots, exps,
 
     neg_simple_closed = (QPoly.q() - 1) * m0_closed + QPoly.q(hot_top)
     plain_sum = m0
-    # the top root first: -top sizes the kernel table for every later query
     for root in reversed(roots):
         mu = rs.root_to_weight_basis(root)
         hot = sum(root)
@@ -265,10 +265,9 @@ def _height_zero_mass(rs: RootSystem, ch) -> int:
 
 
 def _is_root_multiple(rs: RootSystem, w: Weight) -> bool:
-    rc = rs.weight_to_root_coords(w)
-    if any(x.denominator != 1 for x in rc):
+    ints = rs.root_coords(w.coords)
+    if ints is None:
         return False
-    ints = [int(x) for x in rc]
     g = gcd(*ints)
     if g == 0:
         return True
@@ -338,9 +337,9 @@ def classify_principal_pairs(systems, height_bound: int):
     and keep the pairs satisfying the fixed-space dimension hypothesis."""
     found = []
     for rs in systems:
-        hot_fund = [sum(rs.weight_to_root_coords(rs.fundamental_weight(i)))
-                    for i in range(rs.rank)]
-        ranges = [range(int(height_bound / h) + 1) for h in hot_fund]
+        # hot(omega_i) is column i of the inverse Cartan matrix, summed
+        ranges = [range(height_bound * rs._inv_scale // sum(col) + 1)
+                  for col in zip(*rs._scaled_inv_cartan)]
         for coords in iproduct(*ranges):
             rc = rs.root_coords(coords)
             if rc is None or not 0 < sum(rc) <= height_bound:

@@ -43,7 +43,7 @@ from operator import add, mul, sub
 
 from .poly import QPoly
 from .qkostant import PartitionEngine, recent_engine
-from .root_system import RootSystem, Weight, clear_caches, context
+from .root_system import MAX_MEMO_ENTRIES, RootSystem, Weight, clear_caches, context
 from .weyl import (_check_points, descend, dominant_representative, orbit,
                    orbit_size, stabilizer_poincare)
 
@@ -109,6 +109,8 @@ def lusztig_q_analogue(rs: RootSystem, lam: Weight, mu: Weight) -> QPoly:
 
         acc = recent_engine(engines, lc, make).compute(diff)
     poly = QPoly._wrap(acc)
+    if len(ctx.defining) >= MAX_MEMO_ENTRIES:
+        ctx.defining.popitem(last=False)
     ctx.defining[key] = poly
     return poly
 

@@ -9,7 +9,6 @@ immutable after construction and safe to share.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 
 class InexactDivisionError(ArithmeticError):
@@ -204,11 +203,14 @@ class QPoly:
     # -- specialisations ----------------------------------------------
 
     def evaluate(self, n):
-        """Exact value at q = n (int or Fraction result)."""
+        """Exact value at q = n (int or Fraction result); ``fractions`` is
+        imported on the first call with n != 0."""
         if n == 0:
             if any(e < 0 for e in self._terms):
                 raise ValueError("evaluation at 0 with negative exponents")
             return self._terms.get(0, 0)
+        from fractions import Fraction
+
         total = Fraction(0)
         for e, c in self._terms.items():
             total += c * Fraction(n) ** e

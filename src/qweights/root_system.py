@@ -7,12 +7,15 @@ Conventions, fixed once and documented in the README:
   of A is alpha_j written in the fundamental-weight basis.
 * Roots are stored in simple-root coordinates (always integer vectors);
   weights are stored in fundamental-weight coordinates (always integer
-  vectors).  Weight -> root coordinates is one integer core, ``root_coords``:
-  a coordinate tuple times an integer multiple of the inverse Cartan matrix,
-  one ``divmod`` by the multiple per row, and ``None`` off the root lattice.
-  The lattice test, the dominance order and the height read it directly;
-  ``weight_to_root_coords`` is its exact-rational view, for callers that
-  want the coordinates of any weight as ``Fraction``s.
+  vectors), as ``Weight``, a slotted immutable class hashed as the tuple
+  ``(coords,)``.  Weight -> root coordinates is one integer core,
+  ``root_coords``: a coordinate tuple times the inverse Cartan matrix scaled
+  by its least common denominator, one ``divmod`` by that scale per row,
+  and ``None`` off the root lattice.  The lattice test, the dominance order
+  and the height read it directly; ``weight_to_root_coords`` is its
+  exact-rational view, for callers that want the coordinates of any weight
+  as ``Fraction``s, and the only code here that imports ``fractions``.
+  The symmetrizer and the scaled inverse are computed in integers.
 * The symmetrizer d_i is normalized so short simple roots have (a,a) = 2;
   then the coroot of a short root is the root itself.
 
@@ -29,11 +32,9 @@ enumeration of W holds.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import Counter, OrderedDict
 from functools import lru_cache
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import mul, sub
 
 _VALID_RANKS = {
@@ -51,19 +52,40 @@ class BudgetError(ValueError):
     """The input needs more table cells or orbit points than their budget."""
 
 
-@dataclass(frozen=True)
 class Weight:
-    """Integral weight in fundamental-weight coordinates."""
+    """Integral weight in fundamental-weight coordinates.  Immutable; equal
+    only to a Weight with the same coordinates, and hashed as the tuple
+    ``(coords,)``."""
 
-    coords: tuple
+    __slots__ = ("coords",)
 
-    def __post_init__(self):
-        coords = []
-        for c in self.coords:
-            if int(c) != c:
-                raise ValueError(f"non-integral weight coordinate {c!r}")
-            coords.append(int(c))
-        object.__setattr__(self, "coords", tuple(coords))
+    def __init__(self, coords):
+        coords = tuple(coords)
+        ints = tuple(map(int, coords))
+        if ints != coords:
+            bad = next(c for c in coords if int(c) != c)
+            raise ValueError(f"non-integral weight coordinate {bad!r}")
+        object.__setattr__(self, "coords", ints)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, (self.coords,)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self):
+        return hash((self.coords,))
+
+    def __repr__(self):
+        return f"Weight(coords={self.coords!r})"
 
     def __add__(self, other):
         return Weight(tuple(a + b for a, b in zip(self, other, strict=True)))
@@ -140,22 +162,22 @@ def _standard_cartan(letter: str, rank: int):
 def _symmetrizer(cartan):
     """Positive integers d_i with d_i * A[i][j] = d_j * A[j][i], min = 1."""
     rank = len(cartan)
-    d = [None] * rank
-    d[0] = Fraction(1)
+    # d_0 starts as a multiple of every entry's product along a path of the
+    # diagram, so each d_j = d_i * A[i][j] / A[j][i] below is an integer
+    d = [prod(abs(x) for row in cartan for x in row if x)] + [0] * (rank - 1)
     todo = [0]
     while todo:
         i = todo.pop()
         for j in range(rank):
-            if i != j and cartan[i][j] and d[j] is None:
-                d[j] = d[i] * cartan[i][j] / cartan[j][i]
+            if i != j and cartan[i][j] and not d[j]:
+                d[j] = d[i] * cartan[i][j] // cartan[j][i]
                 todo.append(j)
-    if any(x is None for x in d):
+    if not all(d):
         raise ValueError("Dynkin diagram is not connected")
     lo = min(d)
-    d = [x / lo for x in d]
-    if any(x.denominator != 1 for x in d):
+    if any(x % lo for x in d):
         raise ValueError("symmetrizer is not integral")
-    return tuple(int(x) for x in d)
+    return tuple(x // lo for x in d)
 
 
 def _positive_roots(cartan):
@@ -183,21 +205,25 @@ def _positive_roots(cartan):
 
 
 def _invert(cartan):
-    """Exact inverse of the Cartan matrix, as Fractions."""
+    """(scale, M): the least positive integer scale for which M = scale * A^-1
+    is an integer matrix, by Gauss-Jordan elimination in integers."""
     rank = len(cartan)
-    aug = [[Fraction(cartan[i][j]) for j in range(rank)]
-           + [Fraction(1 if j == i else 0) for j in range(rank)]
-           for i in range(rank)]
+    aug = [list(row) + [int(j == i) for j in range(rank)] for i, row in enumerate(cartan)]
     for col in range(rank):
         piv = next(r for r in range(col, rank) if aug[r][col])
         aug[col], aug[piv] = aug[piv], aug[col]
-        scale = aug[col][col]
-        aug[col] = [x / scale for x in aug[col]]
+        top = aug[col]
         for r in range(rank):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[rank:]) for row in aug)
+            f = aug[r][col]
+            if r != col and f:
+                row = [top[col] * x - f * y for x, y in zip(aug[r], top)]
+                g = gcd(*row)
+                aug[r] = [x // g for x in row]
+    # row i is now (p_i e_i | p_i times row i of A^-1); its entries over p_i
+    # in lowest terms have the denominator p_i / gcd(p_i, row)
+    scale = lcm(*(row[i] // gcd(*row) for i, row in enumerate(aug)))
+    return scale, tuple(tuple(x * scale // row[i] for x in row[rank:])
+                        for i, row in enumerate(aug))
 
 
 def _dual_partition(heights):
@@ -228,12 +254,8 @@ class RootSystem:
         self.positive_roots = _positive_roots(self.cartan)
         self.heights = tuple(sum(r) for r in self.positive_roots)
         self._root_index = {r: k for k, r in enumerate(self.positive_roots)}
-        self._inv_cartan = _invert(self.cartan)
-        # the same matrix times a common denominator, as ints
-        self._inv_scale = lcm(*[x.denominator for row in self._inv_cartan for x in row])
-        self._scaled_inv_cartan = tuple(
-            tuple(int(x * self._inv_scale) for x in row) for row in self._inv_cartan
-        )
+        # the inverse Cartan matrix times its least common denominator, as ints
+        self._inv_scale, self._scaled_inv_cartan = _invert(self.cartan)
 
         self.exponents = _dual_partition(self.heights)
         self.coxeter_number = self.heights[-1] + 1
@@ -305,7 +327,10 @@ class RootSystem:
         return tuple(out)
 
     def weight_to_root_coords(self, w: Weight) -> tuple:
-        """Exact rational solution of cartan . x = coords, as Fractions."""
+        """Exact rational solution of cartan . x = coords, as Fractions
+        (``fractions`` is imported on the first call)."""
+        from fractions import Fraction
+
         self.check_rank(w)
         # scale * w lies in the root lattice, so the core returns the
         # numerators over scale
@@ -417,21 +442,30 @@ def build_dual_root_system(rs: RootSystem) -> RootSystem:
     return RootSystem(transposed, dual_letter, rs.rank)
 
 
+# The entries the memo of the defining sum keeps per root system; a miss
+# over it drops the oldest entry first.  An entry holds 300 bytes (an empty
+# polynomial of A2) to 750 (the weights of B3 and F4 modules; tracemalloc),
+# so a full memo holds under 8 MB.
+MAX_MEMO_ENTRIES = 10_000
+
+
 class Context:
     """Everything kept for reuse about one root system, in one slot per cache.
 
     The partition tables are filled by ``qkostant`` (P_q, under the key None)
     and ``lusztig`` (one per highest weight lam, under lam), the memo of the
-    defining sum and the characters by ``lusztig``.  The induction route
-    keeps its memo for one call and ``weyl_elements`` rebuilds W on each
-    call, so neither has a slot here.
+    defining sum and the characters by ``lusztig``.  The defining memo runs
+    from the oldest entry to the newest and holds at most
+    ``MAX_MEMO_ENTRIES``.  The induction route keeps its memo for one call
+    and ``weyl_elements`` rebuilds W on each call, so neither has a slot
+    here.
     """
 
     __slots__ = ("engines", "defining", "characters")
 
     def __init__(self):
         self.engines = {}  # None or lam -> PartitionEngine
-        self.defining = {}  # (lam, mu) -> the defining sum
+        self.defining = OrderedDict()  # (lam, mu) -> the defining sum
         self.characters = {}  # lam -> character
 
 

@@ -25,7 +25,7 @@ it, each raises ``root_system.BudgetError``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import prod
 from operator import mul
 
@@ -46,10 +46,11 @@ def _check_points(count: int, what: str):
                           f"over the budget of {MAX_ORBIT_POINTS:,} orbit points")
 
 
-@dataclass(frozen=True)
-class WeylElement:
-    matrix: tuple
-    length: int
+class WeylElement(namedtuple("WeylElement", "matrix length")):
+    """One element of W: its matrix on fundamental-weight coordinates and
+    its length."""
+
+    __slots__ = ()
 
     @property
     def sign(self) -> int:

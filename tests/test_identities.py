@@ -161,6 +161,36 @@ class TestReports:
         assert not report.passed
         assert json.loads(report.to_json())["failures"][0]["check"] == "demo"
 
+    def test_defaults_are_fresh_per_report(self):
+        a = Report(identity="demo", root_system="A2", inputs={}, status="pass")
+        b = Report("demo", "A2", {}, "pass")
+        assert a.failures == [] and a.details == {}
+        assert a.failures is not b.failures and a.details is not b.details
+        a.failures.append({"check": "demo"})
+        a.details["n"] = 1
+        assert b.failures == [] and b.details == {}
+        assert a != b
+        assert b == Report("demo", "A2", {}, "pass", [], {})
+        assert b != b.to_dict()
+
+    def test_to_json_bytes(self):
+        # the bytes the report wrote as a dataclass
+        report = Report(identity="main", root_system="B2",
+                        inputs={"lambda": [1, 0], "gamma": [0, 1]}, status="fail",
+                        failures=[{"check": "x", "mu": "(0,0)", "expected": "0",
+                                   "actual": "1*q^1"}],
+                        details={"value": "1*q^2"})
+        assert report.to_json() == (
+            '{"details": {"value": "1*q^2"}, "failures": [{"actual": "1*q^1", '
+            '"check": "x", "expected": "0", "mu": "(0,0)"}], "identity": "main", '
+            '"inputs": {"gamma": [0, 1], "lambda": [1, 0]}, "root_system": "B2", '
+            '"status": "fail"}')
+        assert list(report.to_dict()) == ["identity", "root_system", "inputs",
+                                          "status", "failures", "details"]
+        assert repr(Report("a", "A2", {}, "pass")) == (
+            "Report(identity='a', root_system='A2', inputs={}, status='pass', "
+            "failures=[], details={})")
+
     def test_equal_polynomials_record_nothing(self):
         failures = []
         idn._expect(failures, "demo", "mu", QPoly.q(), QPoly.q())

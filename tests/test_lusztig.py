@@ -9,7 +9,7 @@ from operator import le, sub
 import pytest
 
 from qweights import lusztig, qkostant, root_system, weyl
-from qweights.identities import verify_adjoint
+from qweights.identities import verify_adjoint, verify_little_adjoint
 from qweights.lusztig import (
     WeightMultiset,
     broer_nonnegativity_test,
@@ -498,6 +498,16 @@ class TestTableGrowth:
         assert len(builds) <= 4
         assert builds[-1] == root_coords(rs, lam + dual_weight(rs, lam))
 
+    @pytest.mark.parametrize("name,short", [("F4", False), ("F4", True), ("E6", False)])
+    def test_adjoint_verifiers_build_one_table(self, builds, name, short):
+        # -top is asked first, so the exact box of 2 top, which holds every
+        # weight of the module, is the one table built
+        rs = build_root_system(name)
+        verify = verify_little_adjoint if short else verify_adjoint
+        top_rc = rs.theta_s_root_coords if short else rs.theta_root_coords
+        assert verify(rs).passed
+        assert builds == [tuple(2 * c for c in top_rc)]
+
     def test_module_box_respects_the_growth_limit(self, builds):
         # theta - (-alpha_1) leaves the box of theta for a point of the module
         # box 2*theta, whose 3,375 cells are more than four times the 216 + 324
@@ -639,6 +649,37 @@ class TestClearCaches:
         assert q_partition_cache_stats()[0] > 0
         clear_caches()
         assert q_partition_cache_stats() == (0, 0)
+
+
+class TestDefiningMemo:
+    def test_memo_stays_at_its_cap(self):
+        # 20,000 distinct queries off the cone build no table; the memo of
+        # the defining sum keeps the newest MAX_MEMO_ENTRIES of them
+        cap = root_system.MAX_MEMO_ENTRIES
+        assert cap < 20_000
+        clear_caches()
+        memo = root_system.context(A2).defining
+        keys = [(A2.theta.coords, (3 * k + 1, -k)) for k in range(20_000)]
+        for lc, mc in keys:
+            assert lusztig_q_analogue(A2, A2.theta, Weight(mc)).is_zero()
+            assert len(memo) <= cap
+        assert list(memo) == keys[-cap:]
+        assert not root_system.context(A2).engines
+
+    def test_a_hit_does_not_refresh_an_entry(self):
+        # the oldest entry in insertion order goes first, even when it was
+        # just read: a hit does nothing but read
+        cap = root_system.MAX_MEMO_ENTRIES
+        clear_caches()
+        memo = root_system.context(A2).defining
+        for k in range(cap):
+            lusztig_q_analogue(A2, A2.theta, Weight((3 * k + 1, -k)))
+        oldest = next(iter(memo))
+        lusztig_q_analogue(A2, A2.theta, Weight(oldest[1]))
+        assert next(iter(memo)) == oldest
+        lusztig_q_analogue(A2, A2.theta, ZERO2)
+        assert oldest not in memo and len(memo) == cap
+        assert memo[(A2.theta.coords, (0, 0))] == P({1: 1, 2: 1})
 
 
 class TestCellBudget:

@@ -1,6 +1,8 @@
 """Static root-system data against the classical tables."""
 
-from fractions import Fraction
+import copy
+import pickle
+from math import gcd
 
 import pytest
 
@@ -145,11 +147,15 @@ def test_cartan_structure(name):
                 assert (A[i][j] == 0) == (A[j][i] == 0)
             # d_i * <alpha_j, alpha_i^vee> is symmetric in (i, j)
             assert d[i] * A[i][j] == d[j] * A[j][i]
-    # inverse Cartan really inverts
+    # the scaled inverse Cartan matrix really inverts, in integers:
+    # A . M = scale * I, and no smaller scale makes M integral
+    M, scale = rs._scaled_inv_cartan, rs._inv_scale
     for i in range(n):
         for j in range(n):
-            acc = sum(Fraction(A[i][k]) * rs._inv_cartan[k][j] for k in range(n))
-            assert acc == (1 if i == j else 0)
+            acc = sum(A[i][k] * M[k][j] for k in range(n))
+            assert acc == (scale if i == j else 0)
+    assert scale > 0
+    assert gcd(scale, *(x for row in M for x in row)) == 1
 
 
 @pytest.mark.parametrize("name", ["A2", "B3", "C3", "G2", "F4"])
@@ -243,6 +249,29 @@ def test_weight_arithmetic():
     assert Weight((1.0, 2.0)).coords == (1, 2)
     with pytest.raises(ValueError):
         Weight((1.5, 0))
+
+
+def test_weight_is_an_immutable_value():
+    # hashed, compared and shown as the frozen dataclass it replaces, so set
+    # and frozenset iteration orders are unchanged
+    w = Weight((1, -2, 0))
+    assert hash(w) == hash((w.coords,)) == hash(Weight([1, -2, 0]))
+    assert w == Weight((1, -2, 0)) and w != Weight((1, -2, 1))
+    assert w != (1, -2, 0) and w != ((1, -2, 0),) and (1, -2, 0) != w
+    assert repr(w) == "Weight(coords=(1, -2, 0))"
+    assert {w: 1}[Weight((1, -2, 0))] == 1
+    with pytest.raises(AttributeError):
+        w.coords = (0, 0, 0)
+    with pytest.raises(AttributeError):
+        w.other = 1
+    with pytest.raises(AttributeError):
+        del w.coords
+    assert w.coords == (1, -2, 0)
+    assert copy.copy(w) == w == pickle.loads(pickle.dumps(w))
+    with pytest.raises(ValueError, match="non-integral weight coordinate 0.5"):
+        Weight((1, 0.5))
+    with pytest.raises(ValueError):
+        Weight(("1", 0))
 
 
 def test_parse_type():

@@ -8,6 +8,7 @@ from qweights import root_system, weyl
 from qweights.poly import QPoly
 from qweights.root_system import BudgetError, Weight, build_root_system
 from qweights.weyl import (
+    WeylElement,
     dominant_representative,
     enumerate_weyl,
     orbit,
@@ -193,6 +194,24 @@ class TestOrbitBudget:
         # E7 is over the default budget, and the error is a usage error
         with pytest.raises(ValueError, match="2,903,040 points"):
             next(enumerate_weyl(build_root_system("E7")))
+
+
+def test_weyl_element_value():
+    # equal on matrix and length, signed by the parity of the length, and
+    # acting on fundamental-weight coordinates by its matrix
+    rs = build_root_system("B2")
+    elements = weyl_elements(rs)
+    assert elements == weyl_elements(rs)
+    assert len(set(elements)) == rs.weyl_order
+    ident, s0 = elements[0], elements[1]
+    assert ident == WeylElement(((1, 0), (0, 1)), 0) != WeylElement(((1, 0), (0, 1)), 2)
+    assert (ident.sign, s0.sign) == (1, -1)
+    assert [w.sign for w in elements] == [(-1) ** w.length for w in elements]
+    lam = Weight((2, -3))
+    assert ident.act(lam) == lam
+    assert s0.act(lam) == lam - 2 * rs.simple_roots[0]
+    assert s0.act(s0.act(lam)) == lam
+    assert repr(ident) == "WeylElement(matrix=((1, 0), (0, 1)), length=0)"
 
 
 def test_simple_reflection_action():
