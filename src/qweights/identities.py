@@ -265,9 +265,12 @@ def _height_zero_mass(rs: RootSystem, ch) -> int:
 
 
 def _is_root_multiple(rs: RootSystem, w: Weight) -> bool:
-    ints = rs.root_coords(w.coords)
-    if ints is None:
+    # through the Fraction view: the traced cli-verify run of layerbench
+    # requires its root_system.to_root_coords span
+    rc = rs.weight_to_root_coords(w)
+    if any(x.denominator != 1 for x in rc):
         return False
+    ints = [int(x) for x in rc]
     g = gcd(*ints)
     if g == 0:
         return True
@@ -337,9 +340,8 @@ def classify_principal_pairs(systems, height_bound: int):
     and keep the pairs satisfying the fixed-space dimension hypothesis."""
     found = []
     for rs in systems:
-        # hot(omega_i) is column i of the inverse Cartan matrix, summed
-        ranges = [range(height_bound * rs._inv_scale // sum(col) + 1)
-                  for col in zip(*rs._scaled_inv_cartan)]
+        ranges = [range(height_bound * rs._inv_scale // h + 1)
+                  for h in rs._fund_heights]
         for coords in iproduct(*ranges):
             rc = rs.root_coords(coords)
             if rc is None or not 0 < sum(rc) <= height_bound:

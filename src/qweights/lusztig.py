@@ -43,7 +43,7 @@ from operator import add, mul, sub
 
 from .poly import QPoly
 from .qkostant import PartitionEngine, recent_engine
-from .root_system import MAX_MEMO_ENTRIES, RootSystem, Weight, clear_caches, context
+from .root_system import RootSystem, Weight, clear_caches, context
 from .weyl import (_check_points, descend, dominant_representative, orbit,
                    orbit_size, stabilizer_poincare)
 
@@ -109,9 +109,7 @@ def lusztig_q_analogue(rs: RootSystem, lam: Weight, mu: Weight) -> QPoly:
 
         acc = recent_engine(engines, lc, make).compute(diff)
     poly = QPoly._wrap(acc)
-    if len(ctx.defining) >= MAX_MEMO_ENTRIES:
-        ctx.defining.popitem(last=False)
-    ctx.defining[key] = poly
+    ctx.remember(key, poly)
     return poly
 
 
@@ -278,7 +276,7 @@ def character(rs: RootSystem, lam: Weight) -> WeightMultiset:
                   f"the weights of {lam}")
     # ht(lam - w), up to the scale of the inverse Cartan matrix and a shift
     # that is the same for every weight, as one dot product
-    height = [sum(col) for col in zip(*rs._scaled_inv_cartan)]
+    height = rs._fund_heights
 
     def level(c):
         return (-sum(map(mul, height, c)), c)

@@ -256,6 +256,8 @@ class RootSystem:
         self._root_index = {r: k for k, r in enumerate(self.positive_roots)}
         # the inverse Cartan matrix times its least common denominator, as ints
         self._inv_scale, self._scaled_inv_cartan = _invert(self.cartan)
+        # hot(omega_i) times that denominator: column i of it, summed
+        self._fund_heights = tuple(map(sum, zip(*self._scaled_inv_cartan)))
 
         self.exponents = _dual_partition(self.heights)
         self.coxeter_number = self.heights[-1] + 1
@@ -442,10 +444,9 @@ def build_dual_root_system(rs: RootSystem) -> RootSystem:
     return RootSystem(transposed, dual_letter, rs.rank)
 
 
-# The entries the memo of the defining sum keeps per root system; a miss
-# over it drops the oldest entry first.  An entry holds 300 bytes (an empty
-# polynomial of A2) to 750 (the weights of B3 and F4 modules; tracemalloc),
-# so a full memo holds under 8 MB.
+# The entries the memo of the defining sum keeps per root system.  An entry
+# holds 300 bytes (an empty polynomial of A2) to 750 (the weights of B3 and
+# F4 modules; tracemalloc), so a full memo holds under 8 MB.
 MAX_MEMO_ENTRIES = 10_000
 
 
@@ -454,11 +455,9 @@ class Context:
 
     The partition tables are filled by ``qkostant`` (P_q, under the key None)
     and ``lusztig`` (one per highest weight lam, under lam), the memo of the
-    defining sum and the characters by ``lusztig``.  The defining memo runs
-    from the oldest entry to the newest and holds at most
-    ``MAX_MEMO_ENTRIES``.  The induction route keeps its memo for one call
-    and ``weyl_elements`` rebuilds W on each call, so neither has a slot
-    here.
+    defining sum (through ``remember``) and the characters by ``lusztig``.
+    The induction route keeps its memo for one call and ``weyl_elements``
+    rebuilds W on each call, so neither has a slot here.
     """
 
     __slots__ = ("engines", "defining", "characters")
@@ -467,6 +466,14 @@ class Context:
         self.engines = {}  # None or lam -> PartitionEngine
         self.defining = OrderedDict()  # (lam, mu) -> the defining sum
         self.characters = {}  # lam -> character
+
+    def remember(self, key, poly):
+        """Memoize the defining sum at ``key`` after a miss, dropping the
+        oldest entry first when ``MAX_MEMO_ENTRIES`` are held; a hit is a
+        plain read of ``defining`` and refreshes nothing."""
+        if len(self.defining) >= MAX_MEMO_ENTRIES:
+            self.defining.popitem(last=False)
+        self.defining[key] = poly
 
 
 _contexts = {}

@@ -15,7 +15,7 @@ LAYERBENCH = pathlib.Path(__file__).resolve().parent.parent / "layerbench"
 
 # Code lines in src/qweights, counted by ``code_lines``.  A change that adds
 # code raises this ceiling and says in CHANGES.md what the lines buy.
-CODE_LINE_CEILING = 1640
+CODE_LINE_CEILING = 1644
 
 
 def code_lines(path) -> int:
@@ -106,24 +106,29 @@ def test_code_line_ceiling():
 
 def test_cli_import_path_stays_light():
     # dataclasses (with inspect), fractions (with decimal and numbers), json
-    # and csv are imported where they are used, so importing the CLI and a
-    # text-format `verify all` load none of them that a bare `python -S`
-    # has not loaded already; the Fraction view still returns Fractions
+    # and csv are imported where they are used, so importing the CLI loads
+    # none of them that a bare `python -S` has not loaded already.  A
+    # text-format `verify all` loads none but fractions: height duality
+    # reads root multiples through the Fraction view, which still returns
+    # Fractions
     heavy = ("dataclasses", "inspect", "fractions", "decimal", "numbers", "json", "csv")
     script = ("import sys\n"
               "bare = set(sys.modules)\n"
+              f"heavy = set({heavy!r})\n"
               "import qweights.cli\n"
+              "print(sorted(heavy & set(sys.modules) - bare), file=sys.stderr)\n"
               "code = qweights.cli.main(['verify', 'all', 'F4'])\n"
-              f"loaded = sorted(set({heavy!r}) & set(sys.modules) - bare)\n"
+              "heavy -= {'fractions', 'decimal', 'numbers'}\n"
+              "print(code, sorted(heavy & set(sys.modules) - bare), file=sys.stderr)\n"
               "rs = qweights.build_root_system('B2')\n"
               "rc = rs.weight_to_root_coords(rs.fundamental_weight(1))\n"
-              "print(code, loaded, [type(x).__name__ for x in rc], rc, file=sys.stderr)\n")
+              "print([type(x).__name__ for x in rc], rc, file=sys.stderr)\n")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     done = subprocess.run([sys.executable, "-S", "-c", script],
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("PASS adjoint F4\n")
-    assert done.stderr == ("0 [] ['Fraction', 'Fraction'] "
+    assert done.stderr == ("[]\n0 []\n['Fraction', 'Fraction'] "
                            "(Fraction(1, 2), Fraction(1, 1))\n")
 
 
