@@ -43,9 +43,16 @@ from operator import add, mul, sub
 
 from .poly import QPoly
 from .qkostant import PartitionEngine, recent_engine
-from .root_system import RootSystem, Weight, clear_caches, context
+from .root_system import BudgetError, RootSystem, Weight, clear_caches, context
 from .weyl import (_check_points, descend, dominant_representative, orbit,
                    orbit_size, stabilizer_poincare)
+
+# Freudenthal's sum for a dominant weight mu walks the string mu + k*gamma up
+# each positive root gamma while it stays in the module.  No character walks
+# more steps than this in all; the count is checked after each dominant
+# weight.  A2 (900,0), whose orbits fit the orbit-point budget, would walk
+# tens of millions of steps and is refused after a few seconds.
+MAX_STRING_STEPS = 2_000_000
 
 
 class WeightMultiset:
@@ -243,7 +250,8 @@ def character(rs: RootSystem, lam: Weight) -> WeightMultiset:
     lies above mu, and so does its dominant representative, so it is
     already filled in.  The dominant weights found, and then the weights of
     the module (the sum of their orbit sizes, a closed form), are counted
-    against the orbit-point budget before any orbit is walked.
+    against the orbit-point budget before any orbit is walked, and the
+    string steps of Freudenthal's sums against ``MAX_STRING_STEPS``.
     """
     if not lam.is_dominant():
         raise ValueError(f"{lam} is not dominant")
@@ -284,6 +292,7 @@ def character(rs: RootSystem, lam: Weight) -> WeightMultiset:
     dominants = sorted(found, key=level)
     weights = list(orbit(rs, lam))
     mult = dict.fromkeys((nu.coords for nu in weights), 1)
+    steps = 0
     for mu in dominants[1:]:
         rhs = 0
         for gw, form, norm in roots:
@@ -292,10 +301,15 @@ def character(rs: RootSystem, lam: Weight) -> WeightMultiset:
             nu = tuple(map(add, mu, gw))
             m = mult.get(nu)
             while m is not None:
+                steps += 1
                 pair += norm
                 rhs += pair * m
                 nu = tuple(map(add, nu, gw))
                 m = mult.get(nu)
+        if steps > MAX_STRING_STEPS:
+            raise BudgetError(
+                f"input too large: the character of {lam} walks {steps:,} "
+                f"string steps, over the budget of {MAX_STRING_STEPS:,}")
         diff_rc = rs.root_coords(tuple(map(sub, lc, mu)))
         # (lam + mu + 2 rho, lam - mu)
         denom = sum(r * di * (a + b + 2) for r, di, a, b in zip(diff_rc, d, lc, mu))

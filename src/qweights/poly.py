@@ -8,14 +8,9 @@ immutable after construction and safe to share.
 
 from __future__ import annotations
 
-import re
-
 
 class InexactDivisionError(ArithmeticError):
     """Polynomial division left a nonzero remainder where exactness was required."""
-
-
-_TERM_RE = re.compile(r"^(-?\d+)\*q\^(-?\d+)$")
 
 
 def _coerce(value):
@@ -262,12 +257,16 @@ class QPoly:
 
     @classmethod
     def from_string(cls, text: str) -> "QPoly":
+        """Parse the form ``str`` writes: terms ``c*q^e`` joined by ' + ',
+        or "0"; ``re`` is imported on the first call."""
+        import re
+
         text = text.strip()
         if text == "0":
             return cls.zero()
         terms = {}
         for part in text.split(" + "):
-            m = _TERM_RE.match(part.strip())
+            m = re.match(r"^(-?\d+)\*q\^(-?\d+)$", part.strip())
             if not m:
                 raise ValueError(f"cannot parse polynomial term {part!r}")
             c, e = int(m.group(1)), int(m.group(2))

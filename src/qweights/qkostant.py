@@ -14,6 +14,13 @@ root system's ``root_system.context``; its first box is exact, and a later
 target outside it grows the table, to the whole module box lam - w0(lam)
 when the engine was given that box and the growth limit allows.
 
+The factors of the product commute and the packed cells are exact
+integers, so the passes may run in any order; they run tallest root first.
+The table then stays sparse until the simple roots' passes at the end, and
+a pass skips each row along the last coordinate whose source row has never
+held a nonzero cell: one flag per row, set at the seeds' rows and at every
+row a pass writes.  Such a row would only add zeros.
+
 Each cell packs its polynomial into one int, a fixed number of bits per
 coefficient, read back as balanced digits, so a negative coefficient
 decodes exactly.  A cell is a signed sum of at most n partition values,
@@ -187,10 +194,17 @@ class PartitionEngine:
         # cells need the bound.
         width = _width(self.roots, bound) + len(seeds).bit_length() + 1
         f = [0] * size
+        # live[c] is set for the row starting at flat index c once it may
+        # hold a nonzero cell; a row never set holds only zeros
+        live = bytearray(size)
         for d, sign in seeds:
-            f[sum(map(mul, d, strides))] = sign
+            i = sum(map(mul, d, strides))
+            f[i] = sign
+            live[i - d[-1]] = 1
         *head, last = bound
-        for gamma in self.roots:
+        # the factors commute, so the tallest roots go first and the table
+        # stays sparse until the simple roots' passes at the end
+        for gamma in sorted(self.roots, key=sum, reverse=True):
             off = sum(map(mul, gamma, strides))
             # the cells nu >= gamma, visited in increasing flat order, so
             # f[nu - gamma] already counts any number of gamma parts; each
@@ -199,9 +213,13 @@ class PartitionEngine:
             for lo, hi, s in zip(gamma, head, strides):
                 bases = [c + k * s for c in bases for k in range(lo, hi + 1)]
             lo = gamma[-1]
+            # the row that row c reads from starts at c - shift
+            shift = off - lo
             for c in bases:
-                for i in range(c + lo, c + last + 1):
-                    f[i] += f[i - off] << width
+                if live[c - shift]:
+                    live[c] = 1
+                    for i in range(c + lo, c + last + 1):
+                        f[i] += f[i - off] << width
         self.bound, self.strides, self.width, self.table = bound, strides, width, f
 
 

@@ -2,13 +2,14 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 from math import prod
 from operator import le, sub
 
 import pytest
 
-from qweights import lusztig, qkostant, root_system, weyl
+from qweights import cli, lusztig, qkostant, root_system, weyl
 from qweights.identities import verify_adjoint, verify_little_adjoint
 from qweights.lusztig import (
     WeightMultiset,
@@ -765,6 +766,38 @@ class TestCharacterBudget:
                            match=r"^input too large: the weights of .* 3,207,121 points"):
             character(e8, lam)
         assert lam.coords not in root_system.context(e8).characters
+
+
+class TestStringBudget:
+    """The string steps of Freudenthal's sums are counted against
+    MAX_STRING_STEPS after each dominant weight; over it, nothing is
+    memoised."""
+
+    @pytest.mark.parametrize("budget,refused", [(2699, False), (2698, True)])
+    def test_largest_benchmark_character(self, monkeypatch, budget, refused):
+        # G2 (6,6), a cli-table module of the benchmark and the character
+        # there that walks the most steps, walks 2,699 of them
+        lam = Weight((6, 6))
+        clear_caches()
+        monkeypatch.setattr(lusztig, "MAX_STRING_STEPS", budget)
+        if refused:
+            with pytest.raises(root_system.BudgetError,
+                               match="^input too large: the character of .* 2,699 "
+                                     "string steps, over the budget of 2,698$"):
+                character(G2, lam)
+            assert lam.coords not in root_system.context(G2).characters
+        else:
+            assert len(character(G2, lam)) == 901
+
+    def test_refused_in_seconds(self, capsys):
+        # A2 (900,0): 406,351 weights fit the orbit-point budget, but
+        # Freudenthal's sums would walk about 31 million steps
+        start = time.perf_counter()
+        code = cli.main(["table", "A2", "--lambda", "900,0"])
+        out, err = capsys.readouterr()
+        assert time.perf_counter() - start < 60
+        assert code == 2 and out == ""
+        assert err.startswith("error: input too large: the character of (900,0) walks")
 
 
 class TestIntegerQueryPath:

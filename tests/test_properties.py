@@ -1,6 +1,7 @@
 """Property tests on random inputs: the integer weight -> root conversion
-against its exact-rational view, and the q-analogue at q = 1 against
-Freudenthal's multiplicity."""
+against its exact-rational view, the q-analogue at q = 1 against
+Freudenthal's multiplicity, and the kernel's seeded tables against the
+dense pass of ``test_qkostant``."""
 
 from math import prod
 
@@ -15,6 +16,7 @@ from qweights.lusztig import (  # noqa: E402
     weyl_dimension,
 )
 from qweights.root_system import Weight, build_root_system  # noqa: E402
+from test_qkostant import assert_matches_dense_pass, module_engine  # noqa: E402
 
 RANKS = {"A": range(1, 9), "B": range(2, 9), "C": range(2, 9), "D": range(4, 9),
          "E": (6, 7, 8), "F": (4,), "G": (2,)}
@@ -58,3 +60,20 @@ def test_q_analogue_at_one_is_the_freudenthal_multiplicity(data):
     assume(box is None or min(box) < 0 or prod(b + 1 for b in box) <= 20000)
     got = lusztig_q_analogue(rs, lam, mu).evaluate(1)
     assert got == freudenthal_multiplicity(rs, lam, mu)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_table_matches_dense_pass(data):
+    rs = build_root_system(data.draw(st.sampled_from(UP_TO_RANK_4)))
+    eng, module = module_engine(rs, Weight(coords(data, rs.rank, 0, 2)))
+    # each coordinate is drawn as a cut below the module box's, so that the
+    # box stays within 20,000 cells and the draws lean to large boxes
+    bound = []
+    cells = 1
+    for m in module:
+        hi = min(m, 20_000 // cells - 1)
+        b = hi - data.draw(st.integers(0, hi))
+        cells *= b + 1
+        bound.append(b)
+    assert_matches_dense_pass(eng, tuple(bound))

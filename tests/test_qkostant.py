@@ -1,10 +1,11 @@
-"""Graded vector-partition kernel against a brute-force multiset enumerator
-and the layered memo recursion it replaced."""
+"""Graded vector-partition kernel against a brute-force multiset enumerator,
+the layered memo recursion it replaced and the dense pass it sped up."""
 
 import itertools
 
 import pytest
 
+from qweights.lusztig import _weyl_seeds, dual_weight
 from qweights.poly import QPoly
 from qweights.qkostant import (
     PartitionEngine,
@@ -207,3 +208,68 @@ def test_scattered_targets_do_not_fill_the_union_box():
 
 def test_kernel_backend_is_pure():
     assert kernel_backend() == "pure"
+
+
+def dense_pass(roots, bound, seeds):
+    """The box table as the dense pass built it, kept as a reference: the
+    roots in their given (ascending) order, every row of every pass walked.
+    Returns (width, table)."""
+    size = 1
+    strides = []
+    for b in reversed(bound):
+        strides.append(size)
+        size *= b + 1
+    strides.reverse()
+    width = _width(roots, bound) + len(seeds).bit_length() + 1
+    f = [0] * size
+    for d, sign in seeds:
+        f[sum(x * s for x, s in zip(d, strides))] = sign
+    *head, last = bound
+    for gamma in roots:
+        off = sum(x * s for x, s in zip(gamma, strides))
+        bases = [0]
+        for lo, hi, s in zip(gamma, head, strides):
+            bases = [c + k * s for c in bases for k in range(lo, hi + 1)]
+        lo = gamma[-1]
+        for c in bases:
+            for i in range(c + lo, c + last + 1):
+                f[i] += f[i - off] << width
+    return width, f
+
+
+def module_engine(rs, lam):
+    """An engine seeded with the Weyl numerator of lam, as lusztig makes it,
+    and the module box lam - w0(lam) in root coordinates."""
+    module = root_coords(rs, lam + dual_weight(rs, lam))
+    return PartitionEngine(rs.positive_roots,
+                           lambda bound: _weyl_seeds(rs, lam, bound), module), module
+
+
+def assert_matches_dense_pass(eng, bound):
+    eng.compute(bound)
+    seeds = eng.numerator(bound) if eng.numerator else [((0,) * len(bound), 1)]
+    width, table = dense_pass(eng.roots, bound, seeds)
+    assert eng.bound == bound
+    assert eng.width == width
+    assert eng.table == table
+    return seeds
+
+
+@pytest.mark.parametrize("name,lam,bound,seeds", [
+    # A1: no coordinate before the last, so each pass walks one row; past
+    # the module box (5,), the reflected seed at 6 alpha is in the box
+    ("A1", (5,), (8,), 2),
+    # the last extent is 0, so every row holds one cell
+    ("B3", (1, 1, 1), (3, 4, 0), 4),
+    # P_q: the one seed 1 at cell 0, no numerator
+    ("C4", None, (3, 4, 4, 2), 1),
+    # every other seed lies at (lam_i + 1) alpha_i or beyond, outside the box
+    ("A3", (2, 2, 2), (2, 2, 2), 1),
+])
+def test_dense_pass_edge_cases(name, lam, bound, seeds):
+    rs = build_root_system(name)
+    if lam is None:
+        eng = PartitionEngine(rs.positive_roots)
+    else:
+        eng, _ = module_engine(rs, Weight(lam))
+    assert len(assert_matches_dense_pass(eng, bound)) == seeds
