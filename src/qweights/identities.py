@@ -285,8 +285,7 @@ def verify_height_duality(rs: RootSystem, lam: Weight) -> Report:
     """When the zero-weight space has the same dimension as the fixed space
     of a principal nilpotent, the positive weights are graded by height like
     a union of strings, and the telescoping product identity holds."""
-    if not lam.is_dominant():
-        raise ValueError(f"{lam} is not dominant")
+    lam.check_dominant()
     if not rs.in_root_lattice(lam):
         raise ValueError(f"{lam} is not in the root lattice")
     ch = character(rs, lam)
@@ -365,8 +364,7 @@ def _check_alpha_index(rs: RootSystem, alpha_index: int):
 def verify_induction_lemma(rs: RootSystem, lam: Weight, gam: Weight,
                            alpha_index: int) -> Report:
     """The four-term reflection relation, all terms from the defining sum."""
-    if not lam.is_dominant():
-        raise ValueError(f"{lam} is not dominant")
+    lam.check_dominant()
     _check_alpha_index(rs, alpha_index)
     n = -gam.coords[alpha_index]
     if n <= 0:
@@ -393,8 +391,7 @@ def verify_subregular_identity(rs: RootSystem, lam: Weight,
                                alpha_index: int) -> Report:
     """q * m^alpha = q^{hot(alpha+)} * m^{alpha+} for a short simple root,
     and nonnegativity of the subregular Poincare series m^0 - q*m^alpha."""
-    if not lam.is_dominant():
-        raise ValueError(f"{lam} is not dominant")
+    lam.check_dominant()
     if not rs.in_root_lattice(lam):
         raise ValueError(f"{lam} is not in the root lattice")
     _check_alpha_index(rs, alpha_index)

@@ -28,13 +28,20 @@ ratios, generalized exponents, and the coefficientwise-positivity test.
 
 The memo of the defining sum, the characters and the seeded tables are
 slots of the root system's ``root_system.context``, next to the P_q table;
-``clear_caches`` (re-exported here) drops them all at once.
+``clear_caches`` (re-exported here) drops them all at once.  Both memos
+are bounded: the defining sum by its entries, the characters by the
+weights they hold.
 
 Between the API call and the table cell everything runs on integer
-coordinate tuples: the difference lam - mu, its root coordinates
-(``RootSystem.root_coords``) and the decoded cell, which becomes a QPoly
-without a second check.  ``character`` fills orbits and Freudenthal's
-denominators on tuples too, and makes one Weight per weight of the module.
+coordinate tuples.  ``lusztig_q_analogue`` looks up the memo first, since
+only a valid query is ever remembered; after a miss it checks dominance
+and both ranks and hands the difference lam - mu to ``qkostant.read``.
+There one loop takes lam - mu to its cell when lam's table holds it, and
+only a point outside the table is converted (``RootSystem.root_coords``)
+and handed to the kernel to build or grow the table.  The decoded cell
+becomes a QPoly without a second check.  ``character`` fills orbits and
+Freudenthal's denominators on tuples too, and makes one Weight per weight
+of the module.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from __future__ import annotations
 from operator import add, mul, sub
 
 from .poly import QPoly
-from .qkostant import PartitionEngine, recent_engine
+from .qkostant import PartitionEngine, read
 from .root_system import BudgetError, RootSystem, Weight, clear_caches, context
 from .weyl import (_check_points, descend, dominant_representative, orbit,
                    orbit_size, stabilizer_poincare)
@@ -93,31 +100,28 @@ def lusztig_q_analogue(rs: RootSystem, lam: Weight, mu: Weight) -> QPoly:
     """The q-analogue of the multiplicity of mu in the highest-weight module
     of lam: the alternating Weyl-group sum of partition values at
     w(lam+rho)-(mu+rho), read as cell lam - mu of lam's seeded table."""
-    if not lam.is_dominant():
-        raise ValueError(f"{lam} is not dominant")
     ctx = context(rs)
     lc, mc = lam.coords, mu.coords
     key = (lc, mc)
     got = ctx.defining.get(key)
     if got is not None:
+        # only a valid query is remembered
         return got
+    lam.check_dominant()
     rs.check_rank(lam)
     rs.check_rank(mu)
-    acc = {}
-    diff = rs.root_coords(tuple(map(sub, lc, mc)))
-    if diff is not None and min(diff) >= 0:
-        engines = ctx.engines
-
-        def make():
-            module = rs.root_coords(tuple(map(add, lc, dual_weight(rs, lam).coords)))
-            return PartitionEngine(rs.positive_roots,
-                                   lambda bound: _weyl_seeds(rs, lam, bound),
-                                   module, engines)
-
-        acc = recent_engine(engines, lc, make).compute(diff)
-    poly = QPoly._wrap(acc)
+    poly = read(rs, ctx.engines, lc, tuple(map(sub, lc, mc)), _seeded_engine)
     ctx.remember(key, poly)
     return poly
+
+
+def _seeded_engine(rs: RootSystem, lc, engines: dict) -> PartitionEngine:
+    """A new engine for the Weyl numerator of the highest weight ``lc``,
+    whose tables grow to its module box lam - w0(lam)."""
+    lam = Weight(lc)
+    module = rs.root_coords(tuple(map(add, lc, dual_weight(rs, lam).coords)))
+    return PartitionEngine(rs.positive_roots, lambda bound: _weyl_seeds(rs, lam, bound),
+                           module, engines)
 
 
 def _weyl_seeds(rs: RootSystem, lam: Weight, bound) -> list:
@@ -142,8 +146,7 @@ def q_analogue_by_induction(rs: RootSystem, lam: Weight, mu: Weight) -> QPoly:
     Every step reduces hot(lam-mu), so the recursion reaches dominant targets
     (handed to the defining sum) or leaves the support and vanishes.
     """
-    if not lam.is_dominant():
-        raise ValueError(f"{lam} is not dominant")
+    lam.check_dominant()
     rs.check_rank(lam)
     rs.check_rank(mu)
     lc = lam.coords
@@ -204,8 +207,7 @@ def cherednik_coefficient(rs: RootSystem, nu: Weight) -> QPoly:
 def q_analogue_via_kernel(rs: RootSystem, lam: Weight, mu: Weight) -> QPoly:
     """Convolution route: sum of m_lam^gamma * m_0^{mu-gamma}(q) over weights
     gamma of the module with gamma above mu."""
-    if not lam.is_dominant():
-        raise ValueError(f"{lam} is not dominant")
+    lam.check_dominant()
     zero = Weight.zero(rs.rank)
     acc = {}
     for gamma, m in character(rs, lam).items():
@@ -222,8 +224,7 @@ def q_analogue_via_kernel(rs: RootSystem, lam: Weight, mu: Weight) -> QPoly:
 
 def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
     """Dimension of the irreducible module, by the product formula."""
-    if not lam.is_dominant():
-        raise ValueError(f"{lam} is not dominant")
+    lam.check_dominant()
     num = 1
     den = 1
     lr = lam + rs.rho
@@ -253,11 +254,10 @@ def character(rs: RootSystem, lam: Weight) -> WeightMultiset:
     against the orbit-point budget before any orbit is walked, and the
     string steps of Freudenthal's sums against ``MAX_STRING_STEPS``.
     """
-    if not lam.is_dominant():
-        raise ValueError(f"{lam} is not dominant")
+    lam.check_dominant()
     rs.check_rank(lam)
-    characters = context(rs).characters
-    got = characters.get(lam.coords)
+    ctx = context(rs)
+    got = ctx.characters.get(lam.coords)
     if got is not None:
         return got
 
@@ -327,22 +327,20 @@ def character(rs: RootSystem, lam: Weight) -> WeightMultiset:
     ch = WeightMultiset({w: mult[w.coords] for w in weights}, weights)
     if ch.total_mass() != weyl_dimension(rs, lam):
         raise AssertionError(f"character mass mismatch for {lam} in {rs.name}")
-    characters[lc] = ch
+    ctx.remember_character(lc, ch)
     return ch
 
 
 def freudenthal_multiplicity(rs: RootSystem, lam: Weight, mu: Weight) -> int:
     """Ordinary weight multiplicity, independent of any q-machinery."""
-    if not lam.is_dominant():
-        raise ValueError(f"{lam} is not dominant")
+    lam.check_dominant()
     rs.check_rank(mu)
     return character(rs, lam).get(mu)
 
 
 def dual_weight(rs: RootSystem, lam: Weight) -> Weight:
     """Highest weight of the dual module: -w0(lam)."""
-    if not lam.is_dominant():
-        raise ValueError(f"{lam} is not dominant")
+    lam.check_dominant()
     rep, _ = dominant_representative(rs, -lam)
     return rep
 
@@ -421,8 +419,7 @@ def brylinski_form(rs: RootSystem, lam: Weight, gam: Weight) -> QPoly:
 def generalized_exponents(rs: RootSystem, lam: Weight) -> list:
     """Exponent multiset of m_lam^0(q), ascending; lam must lie in the root
     lattice (otherwise the zero weight does not occur)."""
-    if not lam.is_dominant():
-        raise ValueError(f"{lam} is not dominant")
+    lam.check_dominant()
     if not rs.in_root_lattice(lam):
         raise ValueError(f"{lam} is not in the root lattice")
     poly = lusztig_q_analogue(rs, lam, Weight.zero(rs.rank))

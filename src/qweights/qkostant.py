@@ -14,6 +14,14 @@ root system's ``root_system.context``; its first box is exact, and a later
 target outside it grows the table, to the whole module box lam - w0(lam)
 when the engine was given that box and the growth limit allows.
 
+Every query reads through ``read``, in fundamental-weight coordinates.
+When the table holds the cell, one loop over the rows of the root
+system's scaled inverse Cartan matrix tests the root lattice, checks the
+bound and sums the flat index, and the cell is decoded: no root-coordinate
+tuple and no call of ``PartitionEngine.compute``.  Only a point of Q_+
+outside the table goes to ``compute``, in root coordinates, which builds
+or grows the table.
+
 The factors of the product commute and the packed cells are exact
 integers, so the passes may run in any order; they run tallest root first.
 The table then stays sparse until the simple roots' passes at the end, and
@@ -93,7 +101,7 @@ class PartitionEngine:
 
     ``numerator``, when given, maps a bound to the (point, sign) seeds of N
     inside its box.  ``peers``, when given, is the dict of its context's
-    engines, least recently used first (see ``recent_engine``).  The table
+    engines, least recently used first (see ``read``).  The table
     is flat and row-major; cell nu holds its polynomial packed into one int,
     ``width`` bits per coefficient:
     sum_j c_j * 2^(width*j), each c_j in [-2^(width-1), 2^(width-1)).
@@ -139,23 +147,7 @@ class PartitionEngine:
             self._build(union)
         else:
             self.hits += 1
-        cell = self.table[sum(map(mul, mu, self.strides))]
-        width = self.width
-        mask = (1 << width) - 1
-        half = mask >> 1
-        out = {}
-        e = 0
-        while cell:
-            c = cell & mask
-            cell >>= width
-            if c > half:
-                # a negative digit borrowed one from the next field
-                c -= mask + 1
-                cell += 1
-            if c:
-                out[e] = c
-            e += 1
-        return out
+        return _decode(self.table[sum(map(mul, mu, self.strides))], self.width)
 
     def stats(self):
         """(table cells, lookups answered without a rebuild)."""
@@ -223,38 +215,75 @@ class PartitionEngine:
         self.bound, self.strides, self.width, self.table = bound, strides, width, f
 
 
-def recent_engine(engines: dict, key, make) -> PartitionEngine:
-    """The engine of ``key`` in one context's ``engines``, made by ``make()``
-    when missing, and moved to the end: the dict runs from the least to the
-    most recently used, which is the order in which builds drop them."""
-    eng = engines.pop(key, None)
-    if eng is None:
-        eng = make()
-    engines[key] = eng
-    return eng
+def _decode(cell: int, width: int) -> dict:
+    """The sparse {exponent: coefficient} dict of a packed cell."""
+    out = {}
+    if not cell:
+        return out
+    # the zero digits below the lowest nonzero one, skipped at once: a
+    # nonzero balanced digit leaves a set bit inside its own field
+    e = ((cell & -cell).bit_length() - 1) // width
+    cell >>= e * width
+    mask = (1 << width) - 1
+    half = mask >> 1
+    while cell:
+        c = cell & mask
+        cell >>= width
+        if c > half:
+            # a negative digit borrowed one from the next field
+            c -= mask + 1
+            cell += 1
+        if c:
+            out[e] = c
+        e += 1
+    return out
 
 
-def _engine(rs: RootSystem) -> PartitionEngine:
-    engines = context(rs).engines
-    return recent_engine(engines, None,
-                         lambda: PartitionEngine(rs.positive_roots, peers=engines))
+def read(rs: RootSystem, engines: dict, key, coords, make) -> QPoly:
+    """Cell ``coords`` of the table ``engines[key]``, as a polynomial; zero
+    when ``coords`` is not in Q_+.
+
+    ``coords`` are the fundamental-weight coordinates of the cell: lam - mu
+    in lam's seeded table, mu in P_q's.  When the table holds the cell, one
+    loop over the rows of the scaled inverse Cartan matrix tests the root
+    lattice, checks the bound and sums the flat index, and the cell is
+    decoded.  Any other point of Q_+ goes to ``compute`` in root
+    coordinates, which builds or grows the table; ``make(rs, key, engines)``
+    makes a missing engine.  A point off Q_+ touches no engine.  A cell read
+    moves its engine to the end of ``engines``, which runs from the least to
+    the most recently used: the order in which builds drop them.
+    """
+    eng = engines.get(key)
+    if eng is not None and eng.bound is not None:
+        index = 0
+        for row, b, s in zip(rs._scaled_inv_cartan, eng.bound, eng.strides):
+            x, r = divmod(sum(map(mul, row, coords)), rs._inv_scale)
+            if r or x < 0:
+                return QPoly._wrap({})
+            if x > b:
+                break
+            index += x * s
+        else:
+            engines[key] = engines.pop(key)
+            eng.hits += 1
+            return QPoly._wrap(_decode(eng.table[index], eng.width))
+    root = rs.root_coords(coords)
+    if root is None or min(root) < 0:
+        return QPoly._wrap({})
+    # the engine, made when missing, goes to the end before it builds
+    eng = engines[key] = engines.pop(key, None) or make(rs, key, engines)
+    return QPoly._wrap(eng.compute(root))
 
 
 def q_partition(rs: RootSystem, mu: Weight) -> QPoly:
     """P_q(mu) as a polynomial; the zero polynomial when mu is not in Q_+."""
-    coords = rs.root_coords(mu.coords)
-    if coords is None or min(coords) < 0:
-        return QPoly.zero()
-    return QPoly._wrap(_engine(rs).compute(coords))
+    rs.check_rank(mu.coords)
+    return read(rs, context(rs).engines, None, mu.coords,
+                lambda rs, key, engines: PartitionEngine(rs.positive_roots, peers=engines))
 
 
 def q_partition_cache_stats():
     """(table cells, lookups answered without a rebuild) over every table
     of every root system: P_q and one per highest weight."""
-    entries = hits = 0
-    for ctx in _contexts.values():
-        for eng in ctx.engines.values():
-            e, h = eng.stats()
-            entries += e
-            hits += h
-    return (entries, hits)
+    stats = [eng.stats() for ctx in _contexts.values() for eng in ctx.engines.values()]
+    return (sum(s[0] for s in stats), sum(s[1] for s in stats))

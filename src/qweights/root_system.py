@@ -12,7 +12,8 @@ Conventions, fixed once and documented in the README:
   ``root_coords``: a coordinate tuple times the inverse Cartan matrix scaled
   by its least common denominator, one ``divmod`` by that scale per row,
   and ``None`` off the root lattice.  The lattice test, the dominance order
-  and the height read it directly; ``weight_to_root_coords`` is its
+  and the height read it directly; ``qkostant.read`` runs the same rows
+  fused with its table's bound and strides; ``weight_to_root_coords`` is its
   exact-rational view, for callers that want the coordinates of any weight
   as ``Fraction``s, and the only code here that imports ``fractions``.
   The symmetrizer and the scaled inverse are computed in integers.
@@ -114,7 +115,12 @@ class Weight:
         return all(c == 0 for c in self.coords)
 
     def is_dominant(self) -> bool:
-        return all(c >= 0 for c in self.coords)
+        return not self.coords or min(self.coords) >= 0
+
+    def check_dominant(self):
+        """Raise ValueError unless the weight is dominant."""
+        if not self.is_dominant():
+            raise ValueError(f"{self} is not dominant")
 
     @classmethod
     def zero(cls, rank: int) -> "Weight":
@@ -455,17 +461,20 @@ class Context:
 
     The partition tables are filled by ``qkostant`` (P_q, under the key None)
     and ``lusztig`` (one per highest weight lam, under lam), the memo of the
-    defining sum (through ``remember``) and the characters by ``lusztig``.
-    The induction route keeps its memo for one call and ``weyl_elements``
-    rebuilds W on each call, so neither has a slot here.
+    defining sum (through ``remember``) and the characters (through
+    ``remember_character``) by ``lusztig``.  Both memos drop their oldest
+    entries first once full.  The induction route keeps its memo for one
+    call and ``weyl_elements`` rebuilds W on each call, so neither has a
+    slot here.
     """
 
-    __slots__ = ("engines", "defining", "characters")
+    __slots__ = ("engines", "defining", "characters", "character_weights")
 
     def __init__(self):
         self.engines = {}  # None or lam -> PartitionEngine
         self.defining = OrderedDict()  # (lam, mu) -> the defining sum
-        self.characters = {}  # lam -> character
+        self.characters = OrderedDict()  # lam -> character
+        self.character_weights = 0  # the weights of the characters held
 
     def remember(self, key, poly):
         """Memoize the defining sum at ``key`` after a miss, dropping the
@@ -474,6 +483,17 @@ class Context:
         if len(self.defining) >= MAX_MEMO_ENTRIES:
             self.defining.popitem(last=False)
         self.defining[key] = poly
+
+    def remember_character(self, key, ch):
+        """Memoize the character ``ch`` at ``key`` after a miss, dropping the
+        oldest characters first while the weights held would pass
+        ``weyl.MAX_ORBIT_POINTS``, the most that one character may hold."""
+        from .weyl import MAX_ORBIT_POINTS
+
+        self.character_weights += len(ch)
+        while self.character_weights > MAX_ORBIT_POINTS:
+            self.character_weights -= len(self.characters.popitem(last=False)[1])
+        self.characters[key] = ch
 
 
 _contexts = {}

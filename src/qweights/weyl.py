@@ -149,8 +149,7 @@ def orbit_size(rs: RootSystem, nu: Weight) -> int:
 
 def _stabilizer_exponents(rs: RootSystem, nu: Weight) -> tuple:
     rs.check_rank(nu)
-    if not nu.is_dominant():
-        raise ValueError(f"{nu} is not dominant")
+    nu.check_dominant()
     # a positive root lies in the subsystem on J = {i : nu_i = 0} exactly
     # when every product r_i * nu_i vanishes, as no factor is negative
     return _dual_partition(h for r, h in zip(rs.positive_roots, rs.heights)

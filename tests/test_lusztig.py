@@ -1,11 +1,13 @@
 """Graded multiplicities: frozen values, specializations, route agreement."""
 
 import itertools
+import pathlib
 import random
+import sys
 import time
 from fractions import Fraction
 from math import prod
-from operator import le, sub
+from operator import gt, le, sub
 
 import pytest
 
@@ -33,6 +35,7 @@ from qweights.poly import QPoly
 from qweights.qkostant import q_partition, q_partition_cache_stats
 from qweights.root_system import Weight, build_root_system
 from qweights.weyl import dominant_representative, orbit, stabilizer_poincare
+from test_qkostant import _engine
 
 
 def P(pairs):
@@ -43,6 +46,7 @@ A2 = build_root_system("A2")
 B2 = build_root_system("B2")
 G2 = build_root_system("G2")
 ZERO2 = Weight((0, 0))
+LAYERBENCH = pathlib.Path(__file__).resolve().parent.parent / "layerbench"
 
 
 def root_coords(rs, weight):
@@ -545,7 +549,7 @@ def pruned_walk_sum(rs, lam, mu):
     layer = {(lam + rs.rho).coords: tuple(int(x) for x in diff)}
     while layer:
         for arg in layer.values():
-            acc = acc + sign * QPoly(qkostant._engine(rs).compute(arg))
+            acc = acc + sign * QPoly(_engine(rs).compute(arg))
         nxt = {}
         for x, arg in layer.items():
             for i in range(rs.rank):
@@ -584,7 +588,7 @@ class TestSeededTable:
             expected = {}
             for sign, d in terms:
                 arg = tuple(map(sub, nu, d))
-                for e, c in qkostant._engine(rs).compute(arg).items():
+                for e, c in _engine(rs).compute(arg).items():
                     expected[e] = expected.get(e, 0) + sign * c
             # each coefficient fits a balanced digit of the table's width
             assert all(abs(c) < 1 << (eng.width - 1) for c in expected.values())
@@ -847,3 +851,152 @@ class TestBroerCriterion:
             if not A2.in_root_lattice(lam - mu):
                 continue
             assert lusztig_q_analogue(A2, lam, mu).coefficients_nonnegative()
+
+
+class CellOutside(Exception):
+    """Raised by the spy on ``compute`` for a cell past the built table."""
+
+
+class TestOnePassRead:
+    """A read of a built table goes from lam - mu to the cell in one loop;
+    every other point goes to ``root_coords`` and ``compute``, and gets the
+    answer they give."""
+
+    TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2", "F4"]
+
+    @staticmethod
+    def around(box):
+        # each root coordinate just below, inside and just past the box; a
+        # long extent keeps its ends and its middle
+        return itertools.product(*(
+            range(-1, b + 2) if b < 5 else (-1, 0, 1, b // 2, b - 1, b, b + 1)
+            for b in box))
+
+    @pytest.mark.parametrize("name", TYPES)
+    def test_matches_root_coords_then_compute(self, name, monkeypatch):
+        rs = build_root_system(name)
+        compute = qkostant.PartitionEngine.compute
+        asked = []
+
+        def spy(eng, mu):
+            asked.append(mu)
+            if eng.bound is not None and any(map(lambda m, b: m > b, mu, eng.bound)):
+                raise CellOutside(mu)
+            return compute(eng, mu)
+
+        # a weight off the root lattice, where the type has one
+        shifts = [Weight.zero(rs.rank)] + [
+            w for w in map(rs.fundamental_weight, range(rs.rank))
+            if not rs.in_root_lattice(w)][:1]
+        for lam in itertools.product(range(3), repeat=rs.rank):
+            if sum(lam) > 2:
+                continue
+            lam = Weight(lam)
+            box = root_coords(rs, lam + dual_weight(rs, lam))
+            clear_caches()
+            # the first table is exact: the lowest weight's box is the module's
+            lusztig_q_analogue(rs, lam, -dual_weight(rs, lam))
+            eng = root_system.context(rs).engines[lam.coords]
+            assert eng.bound == box
+            monkeypatch.setattr(qkostant.PartitionEngine, "compute", spy)
+            for nu in self.around(box):
+                for shift in shifts:
+                    diff = rs.root_to_weight_basis(nu) + shift
+                    mu = lam - diff
+                    rc = rs.root_coords(diff.coords)
+                    asked.clear()
+                    if rc is not None and min(rc) >= 0 and any(map(gt, rc, box)):
+                        with pytest.raises(CellOutside):
+                            lusztig_q_analogue(rs, lam, mu)
+                        assert asked == [rc], (name, lam, mu)
+                        continue
+                    got = lusztig_q_analogue(rs, lam, mu)
+                    assert asked == [], (name, lam, mu)
+                    want = {} if rc is None or min(rc) < 0 else compute(eng, rc)
+                    assert got.terms() == want, (name, lam, mu)
+            monkeypatch.undo()
+
+    def test_off_cone_read_keeps_the_order(self):
+        # a read of a cell moves its table to the most recent end; a point
+        # off Q_+ reads no cell and moves nothing
+        clear_caches()
+        engines = root_system.context(B2).engines
+        lusztig_q_analogue(B2, B2.theta, ZERO2)
+        lusztig_q_analogue(B2, B2.theta_s, ZERO2)
+        assert list(engines) == [B2.theta.coords, B2.theta_s.coords]
+        assert lusztig_q_analogue(B2, B2.theta, B2.theta + B2.simple_roots[0]).is_zero()
+        assert lusztig_q_analogue(B2, B2.theta, Weight((0, 1))).is_zero()
+        assert list(engines) == [B2.theta.coords, B2.theta_s.coords]
+        assert lusztig_q_analogue(B2, B2.theta, B2.theta) == 1
+        assert list(engines) == [B2.theta_s.coords, B2.theta.coords]
+
+    def test_refusals_after_a_memo_miss(self):
+        # with the table of A2 theta built and remembered queries around,
+        # a miss still checks dominance and both ranks before any read
+        clear_caches()
+        lusztig_q_analogue(A2, A2.theta, -A2.theta)
+        q_partition(A2, 2 * A2.theta)
+        cases = [
+            ((A2, Weight((2, -1)), ZERO2), "^\\(2,-1\\) is not dominant$"),
+            ((A2, Weight((-1, 0, 0)), ZERO2), "^\\(-1,0,0\\) is not dominant$"),
+            ((A2, Weight((1, 1, 0)), ZERO2), "^\\(1,1,0\\) is not a weight of A2$"),
+            ((A2, A2.theta, Weight((1, 1, 0))), "^\\(1,1,0\\) is not a weight of A2$"),
+            ((A2, A2.theta, Weight((1,))), "^\\(1\\) is not a weight of A2$"),
+        ]
+        for args, message in cases:
+            with pytest.raises(ValueError, match=message):
+                lusztig_q_analogue(*args)
+        with pytest.raises(ValueError, match="^\\(1, 1, 0\\) is not a weight of A2$"):
+            q_partition(A2, Weight((1, 1, 0)))
+        with pytest.raises(ValueError, match="^\\(-1,-1\\) is not in the positive root cone$"):
+            cherednik_coefficient(A2, -A2.theta)
+
+    def test_lib_session_stream_cache_stats(self):
+        # the seed-1 query stream of the benchmark's lib-session workload
+        # builds tables of 21,128 cells and reads 1,431 cells of a built
+        # table; the memo answers the rest
+        sys.path.insert(0, str(LAYERBENCH))
+        try:
+            import oracle
+        finally:
+            sys.path.remove(str(LAYERBENCH))
+        data = oracle.inputs("lib-session", 1)
+        systems = {name: build_root_system(name) for name in data["types"]}
+        clear_caches()
+        for query in data["queries"]:
+            rs = systems[query[1]]
+            if query[0] == "char":
+                character(rs, Weight(query[2]))
+            else:
+                lusztig_q_analogue(rs, Weight(query[2]), Weight(query[3]))
+        assert q_partition_cache_stats() == (21_128, 1_431)
+
+
+class TestCharacterMemo:
+    """The characters of one context hold at most MAX_ORBIT_POINTS weights
+    together; the oldest go first."""
+
+    def test_oldest_dropped_at_the_cap(self, monkeypatch):
+        # A1 (k) has k + 1 weights: 30 of them hold 465, over a cap of 60
+        a1 = build_root_system("A1")
+        clear_caches()
+        monkeypatch.setattr(weyl, "MAX_ORBIT_POINTS", 60)
+        ctx = root_system.context(a1)
+        for k in range(30):
+            assert len(character(a1, Weight((k,)))) == k + 1
+            held = sum(map(len, ctx.characters.values()))
+            assert held == ctx.character_weights <= 60
+            assert next(reversed(ctx.characters)) == (k,)
+        # the newest that fit: 30 + 29 weights; 28 more would pass 60
+        assert list(ctx.characters) == [(28,), (29,)]
+
+    def test_a_hit_does_not_refresh_a_character(self, monkeypatch):
+        a1 = build_root_system("A1")
+        clear_caches()
+        monkeypatch.setattr(weyl, "MAX_ORBIT_POINTS", 10)
+        ctx = root_system.context(a1)
+        first = character(a1, Weight((3,)))
+        character(a1, Weight((4,)))
+        assert character(a1, Weight((3,))) is first
+        character(a1, Weight((1,)))
+        assert list(ctx.characters) == [(4,), (1,)]

@@ -9,13 +9,21 @@ from qweights.lusztig import _weyl_seeds, dual_weight
 from qweights.poly import QPoly
 from qweights.qkostant import (
     PartitionEngine,
-    _engine,
     _width,
     kernel_backend,
     q_partition,
     q_partition_cache_stats,
 )
-from qweights.root_system import Weight, build_root_system, clear_caches
+from qweights.root_system import Weight, build_root_system, clear_caches, context
+
+
+def _engine(rs):
+    """The P_q engine of rs's context, made there when missing, as
+    ``q_partition`` makes it."""
+    engines = context(rs).engines
+    if None not in engines:
+        engines[None] = PartitionEngine(rs.positive_roots, peers=engines)
+    return engines[None]
 
 
 def brute_force(rs, target):
