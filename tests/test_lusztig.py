@@ -880,7 +880,7 @@ class TestOnePassRead:
 
         def spy(eng, mu):
             asked.append(mu)
-            if eng.bound is not None and any(map(lambda m, b: m > b, mu, eng.bound)):
+            if eng.bound is not None and any(map(gt, mu, eng.bound)):
                 raise CellOutside(mu)
             return compute(eng, mu)
 
