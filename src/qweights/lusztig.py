@@ -50,7 +50,8 @@ from operator import add, mul, sub
 
 from .poly import QPoly
 from .qkostant import PartitionEngine, read
-from .root_system import BudgetError, RootSystem, Weight, clear_caches, context
+from .root_system import (BudgetError, RootSystem, Weight, _contexts, _weight,
+                          clear_caches, context)
 from .weyl import (_check_points, descend, dominant_representative, orbit,
                    orbit_size, stabilizer_poincare)
 
@@ -63,13 +64,13 @@ MAX_STRING_STEPS = 2_000_000
 
 
 class WeightMultiset:
-    """Weights with positive integer multiplicities, in a fixed order."""
+    """Weights with positive integer multiplicities, in a fixed order:
+    ``entries`` maps each weight to its multiplicity, and ``order`` lists
+    the same weights, each once.  Both are kept as given."""
 
-    def __init__(self, entries, order=None):
-        self._entries = {w: int(m) for w, m in entries.items() if m}
-        if order is None:
-            order = sorted(self._entries, key=lambda w: w.coords)
-        self._order = [w for w in order if w in self._entries]
+    def __init__(self, entries: dict, order: list):
+        self._entries = entries
+        self._order = order
 
     def get(self, w: Weight, default=0) -> int:
         return self._entries.get(w, default)
@@ -100,18 +101,18 @@ def lusztig_q_analogue(rs: RootSystem, lam: Weight, mu: Weight) -> QPoly:
     """The q-analogue of the multiplicity of mu in the highest-weight module
     of lam: the alternating Weyl-group sum of partition values at
     w(lam+rho)-(mu+rho), read as cell lam - mu of lam's seeded table."""
-    ctx = context(rs)
     lc, mc = lam.coords, mu.coords
-    key = (lc, mc)
-    got = ctx.defining.get(key)
+    # only a valid query is remembered, and only a valid one makes a context
+    ctx = _contexts.get(rs._key)
+    got = ctx and ctx.defining.get((lc, mc))
     if got is not None:
-        # only a valid query is remembered
         return got
     lam.check_dominant()
     rs.check_rank(lam)
     rs.check_rank(mu)
+    ctx = context(rs)
     poly = read(rs, ctx.engines, lc, tuple(map(sub, lc, mc)), _seeded_engine)
-    ctx.remember(key, poly)
+    ctx.remember((lc, mc), poly)
     return poly
 
 
@@ -262,13 +263,14 @@ def character(rs: RootSystem, lam: Weight) -> WeightMultiset:
         return got
 
     # each positive root in weight coordinates, with the coefficients of
-    # (., gamma) on weight coordinates and (gamma, gamma)
+    # (., gamma) on weight coordinates and (gamma, gamma), made once a context
     d = rs.symmetrizer
-    roots = []
-    for gamma in rs.positive_roots:
-        gw = rs.root_to_weight_basis(gamma).coords
-        form = tuple(g * di for g, di in zip(gamma, d))
-        roots.append((gw, form, sum(map(mul, form, gw))))
+    roots = ctx.freudenthal
+    if not roots:
+        for gamma in rs.positive_roots:
+            gw = rs.root_to_weight_basis(gamma).coords
+            form = tuple(map(mul, gamma, d))
+            roots.append((gw, form, sum(map(mul, form, gw))))
     lc = lam.coords
     found = {lc}
     todo = [lc]
@@ -280,7 +282,7 @@ def character(rs: RootSystem, lam: Weight) -> WeightMultiset:
                 found.add(nu)
                 todo.append(nu)
         _check_points(len(found), f"the dominant weights of {lam}")
-    _check_points(sum(orbit_size(rs, Weight(nu)) for nu in found),
+    _check_points(sum(orbit_size(rs, _weight(nu)) for nu in found),
                   f"the weights of {lam}")
     # ht(lam - w), up to the scale of the inverse Cartan matrix and a shift
     # that is the same for every weight, as one dot product
@@ -319,11 +321,12 @@ def character(rs: RootSystem, lam: Weight) -> WeightMultiset:
                 f"Freudenthal step failed for {lam}, {mu} in {rs.name}: "
                 f"2*{rhs} / {denom}"
             )
-        for nu in orbit(rs, Weight(mu)):
+        for nu in orbit(rs, _weight(mu)):
             mult[nu.coords] = m
             weights.append(nu)
 
     weights.sort(key=lambda w: level(w.coords))
+    # every multiplicity is positive and the orbits are disjoint
     ch = WeightMultiset({w: mult[w.coords] for w in weights}, weights)
     if ch.total_mass() != weyl_dimension(rs, lam):
         raise AssertionError(f"character mass mismatch for {lam} in {rs.name}")

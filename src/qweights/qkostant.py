@@ -10,9 +10,13 @@ table seeded with a numerator N instead of the single 1 at cell 0, fills
 every cell nu with the nu-coefficient of N / prod(1 - q e^gamma).  Seeded
 with the Weyl numerator of lam (``lusztig``), cell nu is m_lam^{lam-nu}(q),
 so each q-analogue is one table cell.  A table is kept per numerator in the
-root system's ``root_system.context``; its first box is exact, and a later
-target outside it grows the table, to the whole module box lam - w0(lam)
-when the engine was given that box and the growth limit allows.
+root system's ``root_system.context``.  A target outside the table builds
+its own box, or the union with the old one while that is not much larger;
+an engine given the module box lam - w0(lam) builds that whole box instead
+for a target inside it once the box is at most ``_MAX_GROWTH`` times the
+cells it has already built plus those it would build now (a ski-rental
+rule), so a family's builds total under 1 + 1/``_MAX_GROWTH`` times its
+module box while reads stay in it, and a few small reads keep small boxes.
 
 Every query reads through ``read``, in fundamental-weight coordinates.
 When the table holds the cell, one loop over the rows of the root
@@ -49,12 +53,13 @@ from operator import gt, mul
 from .poly import QPoly
 from .root_system import BudgetError, RootSystem, Weight, _contexts, context
 
-# A target outside the box grows the table to the union of the two boxes
-# (to the module box, when the target lies in it and that box is not too
-# large either), unless the union has more than this many times the cells of
-# the old box and the target's own box together: then the table is rebuilt
-# for the target alone, so scattered targets such as (k,0,0,0) then
-# (0,k,0,0) do not fill (k+1)^rank cells.
+# A target outside the box grows the table to the union of the two boxes,
+# unless the union has more than this many times the cells of the old box
+# and the target's own box together: then the table is rebuilt for the
+# target alone, so scattered targets such as (k,0,0,0) then (0,k,0,0) do not
+# fill (k+1)^rank cells.  A target inside the module box builds that box
+# instead when it has at most this many times the cells the engine has
+# built so far and the cells it would build now.
 _MAX_GROWTH = 4
 
 # No table is built with more cells than this, counted from the bound before
@@ -72,6 +77,11 @@ def kernel_backend() -> str:
 
 def _cells(bound) -> int:
     return prod(b + 1 for b in bound)
+
+
+def _limit(cells) -> int:
+    """The most cells a box may have when it replaces boxes of ``cells``."""
+    return min(_MAX_GROWTH * cells, MAX_TABLE_CELLS)
 
 
 def _width(roots, bound) -> int:
@@ -108,7 +118,7 @@ class PartitionEngine:
     """
 
     __slots__ = ("roots", "numerator", "module", "peers", "bound", "strides",
-                 "width", "table", "hits")
+                 "width", "table", "hits", "spent")
 
     def __init__(self, roots, numerator=None, module=None, peers=None):
         self.roots = [tuple(int(x) for x in r) for r in roots]
@@ -121,30 +131,33 @@ class PartitionEngine:
         self.strides = ()
         self.width = 0
         self.table = []
-        self.hits = 0
+        # lookups answered without a build, and the cells of every build
+        self.hits = self.spent = 0
 
     def compute(self, mu) -> dict:
         """Sparse {exponent: coefficient} dict of cell mu; {} off the cone.
 
-        A target that leaves the table for a point of the module box grows
-        it to the whole box while the growth limit allows.  The first table
-        is always exact.
+        A target that leaves the table builds its own box, or the union
+        with the old box within the growth limit.  For a target in the
+        module box, the whole box is built instead when it has at most
+        ``_MAX_GROWTH`` times the cells built so far plus those of that box,
+        the first table too: while the reads stay in the module box, every
+        build before its own holds under a ``_MAX_GROWTH``-th of it in all.
         """
         if min(mu) < 0:
             return {}
         bound = self.bound
-        if bound is None:
-            self._build(tuple(mu))
-        elif any(map(gt, mu, bound)):
-            union = tuple(map(max, mu, bound))
-            limit = min(_MAX_GROWTH * (_cells(bound) + _cells(mu)), MAX_TABLE_CELLS)
+        if bound is None or any(map(gt, mu, bound)):
+            # with no table yet, the union is the target's own box
+            old = bound or mu
+            box = tuple(map(max, mu, old))
+            if _cells(box) > _limit(_cells(old) + _cells(mu)):
+                box = tuple(mu)
             if self.module is not None and not any(map(gt, mu, self.module)):
-                grown = tuple(map(max, union, self.module))
-                if _cells(grown) <= limit:
-                    union = grown
-            if _cells(union) > limit:
-                union = tuple(mu)
-            self._build(union)
+                grown = tuple(map(max, box, self.module))
+                if _cells(grown) <= _limit(self.spent + _cells(box)):
+                    box = grown
+            self._build(box)
         else:
             self.hits += 1
         return _decode(self.table[sum(map(mul, mu, self.strides))], self.width)
@@ -213,6 +226,7 @@ class PartitionEngine:
                     for i in range(c + lo, c + last + 1):
                         f[i] += f[i - off] << width
         self.bound, self.strides, self.width, self.table = bound, strides, width, f
+        self.spent += size
 
 
 def _decode(cell: int, width: int) -> dict:

@@ -21,7 +21,8 @@ Conventions, fixed once and documented in the README:
   then the coroot of a short root is the root itself.
 
 Every cache about one root system lives in its ``Context`` (``context(rs)``),
-keyed by the Cartan matrix in one registry; ``clear_caches`` empties it.
+keyed by the Cartan matrix, as a string made once per root system, in one
+registry; ``clear_caches`` empties it.
 
 Every type builds: nothing here grows with the order of the Weyl group.
 Work that could grow without bound is refused with a ``BudgetError`` where
@@ -56,7 +57,7 @@ class BudgetError(ValueError):
 class Weight:
     """Integral weight in fundamental-weight coordinates.  Immutable; equal
     only to a Weight with the same coordinates, and hashed as the tuple
-    ``(coords,)``."""
+    ``(coords,)``.  Weights add to and subtract from Weights of their rank."""
 
     __slots__ = ("coords",)
 
@@ -89,13 +90,13 @@ class Weight:
         return f"Weight(coords={self.coords!r})"
 
     def __add__(self, other):
-        return Weight(tuple(a + b for a, b in zip(self, other, strict=True)))
+        return _weight(tuple(a + b for a, b in zip(self.coords, other.coords, strict=True)))
 
     def __sub__(self, other):
-        return Weight(tuple(a - b for a, b in zip(self, other, strict=True)))
+        return _weight(tuple(a - b for a, b in zip(self.coords, other.coords, strict=True)))
 
     def __neg__(self):
-        return Weight(tuple(-a for a in self.coords))
+        return _weight(tuple(-a for a in self.coords))
 
     def __mul__(self, n: int):
         return Weight(tuple(n * a for a in self.coords))
@@ -128,6 +129,13 @@ class Weight:
 
     def __str__(self):
         return "(" + ",".join(str(c) for c in self.coords) + ")"
+
+
+def _weight(coords, _new=object.__new__, _set=Weight.coords.__set__) -> Weight:
+    """The Weight of a tuple of ints that the library made itself, without
+    the checks of ``Weight(...)``."""
+    w = _new(Weight)
+    return _set(w, coords) or w  # __set__ returns None
 
 
 def _standard_cartan(letter: str, rank: int):
@@ -250,6 +258,8 @@ class RootSystem:
         self.rank = rank
         self.name = f"{letter}{rank}"
         self.cartan = tuple(tuple(int(x) for x in row) for row in cartan)
+        # the key of its caches in ``_contexts``: a string hashes once
+        self._key = repr(self.cartan)
         # column i as its nonzero (k, a[k][i]): s_i lowers coordinate k of a
         # weight by a[k][i] times coordinate i, the one rule ``weyl`` walks by
         self.cartan_columns = tuple(
@@ -461,20 +471,25 @@ class Context:
 
     The partition tables are filled by ``qkostant`` (P_q, under the key None)
     and ``lusztig`` (one per highest weight lam, under lam), the memo of the
-    defining sum (through ``remember``) and the characters (through
-    ``remember_character``) by ``lusztig``.  Both memos drop their oldest
-    entries first once full.  The induction route keeps its memo for one
-    call and ``weyl_elements`` rebuilds W on each call, so neither has a
-    slot here.
+    defining sum (through ``remember``), the characters (through
+    ``remember_character``) and Freudenthal's data on each positive root by
+    ``lusztig``, and the stabilizer exponents by ``weyl``.  Both memos drop
+    their oldest entries first once full; the other two hold at most one
+    entry per positive root and per subset of the simple roots.  The
+    induction route keeps its memo for one call and ``weyl_elements``
+    rebuilds W on each call, so neither has a slot here.
     """
 
-    __slots__ = ("engines", "defining", "characters", "character_weights")
+    __slots__ = ("engines", "defining", "characters", "character_weights",
+                 "freudenthal", "stabilizers")
 
     def __init__(self):
         self.engines = {}  # None or lam -> PartitionEngine
         self.defining = OrderedDict()  # (lam, mu) -> the defining sum
         self.characters = OrderedDict()  # lam -> character
         self.character_weights = 0  # the weights of the characters held
+        self.freudenthal = []  # per positive root: (weight coords, form, norm)
+        self.stabilizers = {}  # which coordinates are nonzero -> exponents
 
     def remember(self, key, poly):
         """Memoize the defining sum at ``key`` after a miss, dropping the
@@ -501,9 +516,9 @@ _contexts = {}
 
 def context(rs: RootSystem) -> Context:
     """The caches of ``rs``, shared by every root system with its Cartan matrix."""
-    ctx = _contexts.get(rs.cartan)
+    ctx = _contexts.get(rs._key)
     if ctx is None:
-        ctx = _contexts[rs.cartan] = Context()
+        ctx = _contexts[rs._key] = Context()
     return ctx
 
 

@@ -30,7 +30,7 @@ from math import prod
 from operator import mul
 
 from .poly import QPoly
-from .root_system import BudgetError, RootSystem, Weight, _dual_partition
+from .root_system import BudgetError, RootSystem, Weight, _dual_partition, _weight, context
 
 # The points one walk may hold.  The largest fundamental orbit of E8 (of
 # omega_4, 483,840 points) fits: on one Xeon core under Python 3.11 its walk
@@ -119,7 +119,7 @@ def dominant_representative(rs: RootSystem, mu: Weight):
             if c < 0:
                 break
         else:
-            return Weight(tuple(cur)), steps
+            return _weight(tuple(cur)), steps
         for k, aki in cols[i]:
             cur[k] -= aki * c
         steps += 1
@@ -148,12 +148,18 @@ def orbit_size(rs: RootSystem, nu: Weight) -> int:
 
 
 def _stabilizer_exponents(rs: RootSystem, nu: Weight) -> tuple:
+    """The exponents of the stabilizer of a dominant weight, kept in the
+    context by the coordinates of nu that are nonzero."""
     rs.check_rank(nu)
     nu.check_dominant()
-    # a positive root lies in the subsystem on J = {i : nu_i = 0} exactly
-    # when every product r_i * nu_i vanishes, as no factor is negative
-    return _dual_partition(h for r, h in zip(rs.positive_roots, rs.heights)
-                           if not any(map(mul, r, nu.coords)))
+    held = context(rs).stabilizers
+    key = tuple(map(bool, nu.coords))
+    if key not in held:
+        # a positive root lies in the subsystem on J = {i : nu_i = 0} exactly
+        # when every product r_i * nu_i vanishes, as no factor is negative
+        held[key] = _dual_partition(h for r, h in zip(rs.positive_roots, rs.heights)
+                                    if not any(map(mul, r, key)))
+    return held[key]
 
 
 def descend(rs: RootSystem, top, bound=None):
@@ -194,4 +200,4 @@ def orbit(rs: RootSystem, mu: Weight) -> frozenset:
     the walk, and each point becomes one Weight."""
     top, _ = dominant_representative(rs, mu)
     _check_points(orbit_size(rs, top), f"the orbit of {mu}")
-    return frozenset(Weight(x) for layer in descend(rs, top.coords) for x in layer)
+    return frozenset(_weight(x) for layer in descend(rs, top.coords) for x in layer)

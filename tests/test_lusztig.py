@@ -12,7 +12,11 @@ from operator import gt, le, sub
 import pytest
 
 from qweights import cli, lusztig, qkostant, root_system, weyl
-from qweights.identities import verify_adjoint, verify_little_adjoint
+from qweights.identities import (
+    verify_adjoint,
+    verify_little_adjoint,
+    verify_subregular_identity,
+)
 from qweights.lusztig import (
     WeightMultiset,
     broer_nonnegativity_test,
@@ -33,7 +37,7 @@ from qweights.lusztig import (
 )
 from qweights.poly import QPoly
 from qweights.qkostant import q_partition, q_partition_cache_stats
-from qweights.root_system import Weight, build_root_system
+from qweights.root_system import RootSystem, Weight, build_dual_root_system, build_root_system
 from qweights.weyl import dominant_representative, orbit, stabilizer_poincare
 from test_qkostant import _engine
 
@@ -522,6 +526,33 @@ class TestTableGrowth:
         lusztig_q_analogue(rs, rs.theta, -rs.simple_roots[0])
         assert builds == [(1, 2, 2, 2, 1, 1), (2, 2, 2, 2, 1, 1)]
 
+    def test_module_box_once_the_reads_have_cost_a_quarter_of_it(self, builds):
+        # F4 theta + theta_s: the first read builds its exact box (1,350
+        # cells), a quarter of the module box (6,10,14,8) being 2,599 cells;
+        # the next read's union box (1,620) would bring the cells built to
+        # 2,970, over that quarter, so it builds the module box at once,
+        # where the union box would have been a third build
+        rs = build_root_system("F4")
+        lam = rs.theta + rs.theta_s
+        for rc in ((4, 5, 8, 4), (4, 5, 8, 5)):
+            lusztig_q_analogue(rs, lam, lam - rs.root_to_weight_basis(rc))
+        assert builds == [(4, 5, 8, 4), (6, 10, 14, 8)]
+        assert root_system.context(rs).engines[lam.coords].spent == 1_350 + 10_395
+
+    @pytest.mark.parametrize("reads,cells", [
+        # m^0, m^alpha, m^{alpha+} and m^{-alpha} of E7 theta, as `verify
+        # subregular E7` reads them: the boxes of theta and of theta + alpha_1
+        (lambda rs: verify_subregular_identity(rs, rs.theta, 0), [4_320, 5_760]),
+        # E7 theta -> 0 builds the box of theta alone
+        (lambda rs: lusztig_q_analogue(rs, rs.theta, Weight.zero(7)), [4_320]),
+    ])
+    def test_few_cell_readers_keep_their_boxes(self, builds, reads, cells):
+        # the module box of E7 theta, 2 theta, has 165,375 cells: far more
+        # than four times what these reads cost, so it is never built
+        rs = build_root_system("E7")
+        reads(rs)
+        assert [prod(b + 1 for b in bound) for bound in builds] == cells
+
     @pytest.mark.parametrize("name,weights", [
         ("E7", lambda rs: [Weight.zero(7)]),
         ("F4", lambda rs: list(character(rs, rs.theta))),
@@ -635,6 +666,30 @@ class TestClearCaches:
         assert not root_system._contexts
         assert q_partition_cache_stats() == (0, 0)
         assert [route() for route in routes] == first
+
+    def test_a_refused_query_makes_no_context(self):
+        clear_caches()
+        refused = [
+            lambda: lusztig_q_analogue(A2, Weight((-1, 0)), ZERO2),
+            lambda: lusztig_q_analogue(A2, A2.theta, Weight((0, 0, 0))),
+            lambda: lusztig_q_analogue(A2, Weight((1, 1, 0)), ZERO2),
+            lambda: character(A2, Weight((-1, 0))),
+            lambda: stabilizer_poincare(A2, Weight((0, -1))),
+            lambda: weyl.orbit_size(A2, Weight((0, 0, 1))),
+        ]
+        for query in refused:
+            with pytest.raises(ValueError):
+                query()
+        assert not root_system._contexts
+
+    def test_equal_cartan_matrices_share_one_context(self):
+        clear_caches()
+        c3 = build_root_system("C3")
+        twins = [build_dual_root_system(build_root_system("B3")),
+                 RootSystem(c3.cartan, "C", 3)]
+        assert all(root_system.context(rs) is root_system.context(c3) for rs in twins)
+        assert len(root_system._contexts) == 1
+        assert root_system.context(build_root_system("B3")) is not root_system.context(c3)
 
     def test_stats_count_every_table(self):
         # the tables of each highest weight count, next to the P_q table
@@ -951,10 +1006,11 @@ class TestOnePassRead:
         with pytest.raises(ValueError, match="^\\(-1,-1\\) is not in the positive root cone$"):
             cherednik_coefficient(A2, -A2.theta)
 
-    def test_lib_session_stream_cache_stats(self):
+    def test_lib_session_stream_cache_stats(self, builds):
         # the seed-1 query stream of the benchmark's lib-session workload
-        # builds tables of 21,128 cells and reads 1,431 cells of a built
-        # table; the memo answers the rest
+        # makes 43 builds of 23,019 cells in all, ends with tables of 21,128
+        # cells and reads 1,441 cells of a built table; the memo answers the
+        # rest
         sys.path.insert(0, str(LAYERBENCH))
         try:
             import oracle
@@ -962,14 +1018,15 @@ class TestOnePassRead:
             sys.path.remove(str(LAYERBENCH))
         data = oracle.inputs("lib-session", 1)
         systems = {name: build_root_system(name) for name in data["types"]}
-        clear_caches()
         for query in data["queries"]:
             rs = systems[query[1]]
             if query[0] == "char":
                 character(rs, Weight(query[2]))
             else:
                 lusztig_q_analogue(rs, Weight(query[2]), Weight(query[3]))
-        assert q_partition_cache_stats() == (21_128, 1_431)
+        assert q_partition_cache_stats() == (21_128, 1_441)
+        assert (len(builds), sum(prod(b + 1 for b in bound) for bound in builds)) \
+            == (43, 23_019)
 
 
 class TestCharacterMemo:

@@ -1,7 +1,8 @@
 """Property tests on random inputs: the integer weight -> root conversion
 against its exact-rational view, the q-analogue at q = 1 against
-Freudenthal's multiplicity, and the kernel's seeded tables against the
-dense pass of ``test_qkostant``."""
+Freudenthal's multiplicity, the kernel's seeded tables against the dense
+pass of ``test_qkostant``, and the cells a family table builds against its
+module box."""
 
 from math import prod
 
@@ -11,11 +12,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from qweights.lusztig import (  # noqa: E402
+    character,
+    dual_weight,
     freudenthal_multiplicity,
     lusztig_q_analogue,
     weyl_dimension,
 )
-from qweights.root_system import Weight, build_root_system  # noqa: E402
+from qweights.qkostant import _MAX_GROWTH, PartitionEngine  # noqa: E402
+from qweights.root_system import Weight, build_root_system, clear_caches  # noqa: E402
 from test_qkostant import assert_matches_dense_pass, module_engine  # noqa: E402
 
 RANKS = {"A": range(1, 9), "B": range(2, 9), "C": range(2, 9), "D": range(4, 9),
@@ -77,3 +81,32 @@ def test_table_matches_dense_pass(data):
         cells *= b + 1
         bound.append(b)
     assert_matches_dense_pass(eng, tuple(bound))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_family_builds_stay_under_the_growth_bound(data):
+    # whatever the order of the reads at a module's weights, a family table
+    # builds fewer than (1 + 1/_MAX_GROWTH) times the cells of its module box
+    rs = build_root_system(data.draw(st.sampled_from(UP_TO_RANK_4)))
+    lam = Weight.zero(rs.rank)
+    for i in data.draw(st.lists(st.integers(0, rs.rank - 1), max_size=2)):
+        lam = lam + rs.fundamental_weight(i)
+    module = prod(b + 1 for b in rs.root_coords((lam + dual_weight(rs, lam)).coords))
+    assume(module <= 60_000)
+    weights = data.draw(st.permutations(list(character(rs, lam))))
+    cells = []
+    build = PartitionEngine._build
+
+    def counting(eng, bound):
+        cells.append(prod(b + 1 for b in bound))
+        build(eng, bound)
+
+    clear_caches()
+    PartitionEngine._build = counting
+    try:
+        for mu in weights:
+            lusztig_q_analogue(rs, lam, mu)
+    finally:
+        PartitionEngine._build = build
+    assert sum(cells) * _MAX_GROWTH < (_MAX_GROWTH + 1) * module, cells

@@ -254,10 +254,14 @@ def module_engine(rs, lam):
 
 
 def assert_matches_dense_pass(eng, bound):
+    """Read cell ``bound`` of a new engine and check the table it built,
+    the exact box or (by the growth rule) the module box, against the
+    dense pass on that box."""
     eng.compute(bound)
-    seeds = eng.numerator(bound) if eng.numerator else [((0,) * len(bound), 1)]
-    width, table = dense_pass(eng.roots, bound, seeds)
-    assert eng.bound == bound
+    built = eng.bound
+    assert built in (bound, eng.module)
+    seeds = eng.numerator(built) if eng.numerator else [((0,) * len(built), 1)]
+    width, table = dense_pass(eng.roots, built, seeds)
     assert eng.width == width
     assert eng.table == table
     return seeds
@@ -281,3 +285,4 @@ def test_dense_pass_edge_cases(name, lam, bound, seeds):
     else:
         eng, _ = module_engine(rs, Weight(lam))
     assert len(assert_matches_dense_pass(eng, bound)) == seeds
+    assert eng.bound == bound

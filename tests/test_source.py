@@ -15,7 +15,7 @@ LAYERBENCH = pathlib.Path(__file__).resolve().parent.parent / "layerbench"
 
 # Code lines in src/qweights, counted by ``code_lines``.  A change that adds
 # code raises this ceiling and says in CHANGES.md what the lines buy.
-CODE_LINE_CEILING = 1656
+CODE_LINE_CEILING = 1668
 
 
 def code_lines(path) -> int:
