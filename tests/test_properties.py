@@ -72,7 +72,9 @@ def test_table_matches_dense_pass(data):
     rs = build_root_system(data.draw(st.sampled_from(UP_TO_RANK_4)))
     eng, module = module_engine(rs, Weight(coords(data, rs.rank, 0, 2)))
     # each coordinate is drawn as a cut below the module box's, so that the
-    # box stays within 20,000 cells and the draws lean to large boxes
+    # box stays within 20,000 cells and the draws lean to large boxes; the
+    # engine builds the module box instead when that is at most four times
+    # as large, and the dense pass then checks it
     bound = []
     cells = 1
     for m in module:
