@@ -233,25 +233,18 @@ def verify_coxeter_identity(rs: RootSystem) -> Report:
     """Stabilizer ratios for the two dominant roots expressed through
     zero-weight q-analogues; the long-root version runs in the dual system."""
     failures = []
-    h = rs.coxeter_number
-    zero = Weight.zero(rs.rank)
-    t0 = stabilizer_poincare(rs, zero)
-
-    lhs_s = t0.exact_div(stabilizer_poincare(rs, rs.theta_s))
-    m0s = lusztig_q_analogue(rs, rs.theta_s, zero)
-    hot_s = sum(rs.theta_s_root_coords)
-    rhs_s = m0s.shift(hot_s - h) * _qh(rs)
-    _expect(failures, "short dominant root ratio", rs.theta_s, rhs_s, lhs_s)
-
+    t0 = stabilizer_poincare(rs, Weight.zero(rs.rank))
     dual = build_dual_root_system(rs)
-    lhs_l = t0.exact_div(stabilizer_poincare(rs, rs.theta))
-    m0d = lusztig_q_analogue(dual, dual.theta_s, Weight.zero(dual.rank))
-    hot_d = sum(dual.theta_s_root_coords)
-    rhs_l = m0d.shift(hot_d - dual.coxeter_number) * QPoly.q_int(dual.coxeter_number)
-    _expect(failures, "highest root ratio via dual system", rs.theta, rhs_l, lhs_l)
-
-    return _report("coxeter", rs, {}, failures,
-                   {"dual_system": dual.name})
+    # both halves are m^0 at the short dominant root theta_s of a system,
+    # shifted by ht(theta_s) - h and times [h]_q: for theta_s the system is
+    # rs, for theta the dual system, whose theta_s is the coroot of theta
+    for check, root, system in (("short dominant root ratio", rs.theta_s, rs),
+                                ("highest root ratio via dual system", rs.theta, dual)):
+        lhs = t0.exact_div(stabilizer_poincare(rs, root))
+        m0 = lusztig_q_analogue(system, system.theta_s, Weight.zero(system.rank))
+        rhs = m0.shift(sum(system.theta_s_root_coords) - system.coxeter_number) * _qh(system)
+        _expect(failures, check, root, rhs, lhs)
+    return _report("coxeter", rs, {}, failures, {"dual_system": dual.name})
 
 
 # -- height duality -------------------------------------------------------
@@ -365,6 +358,7 @@ def verify_induction_lemma(rs: RootSystem, lam: Weight, gam: Weight,
                            alpha_index: int) -> Report:
     """The four-term reflection relation, all terms from the defining sum."""
     lam.check_dominant()
+    rs.check_rank(gam)
     _check_alpha_index(rs, alpha_index)
     n = -gam.coords[alpha_index]
     if n <= 0:

@@ -27,10 +27,13 @@ Supporting operations: characters, tensor decomposition, stabilizer Poincare
 ratios, generalized exponents, and the coefficientwise-positivity test.
 
 The memo of the defining sum, the characters and the seeded tables are
-slots of the root system's ``root_system.context``, next to the P_q table;
+slots of the root system's ``root_system.Context``, next to the P_q table;
 ``clear_caches`` (re-exported here) drops them all at once.  Both memos
 are bounded: the defining sum by its entries, the characters by the
-weights they hold.
+weights they hold.  A q-analogue that is refused, for its input or for
+the budget of its table, leaves no context where there was none.
+Freudenthal's data on each positive root is static, and ``character``
+reads it from the ``RootSystem``.
 
 Between the API call and the table cell everything runs on integer
 coordinate tuples.  ``lusztig_q_analogue`` looks up the memo first, since
@@ -50,8 +53,8 @@ from operator import add, mul, sub
 
 from .poly import QPoly
 from .qkostant import PartitionEngine, read
-from .root_system import (BudgetError, RootSystem, Weight, _contexts, _weight,
-                          clear_caches, context)
+from .root_system import (BudgetError, Context, RootSystem, Weight, _contexts,
+                          _weight, clear_caches, context)
 from .weyl import (_check_points, descend, dominant_representative, orbit,
                    orbit_size, stabilizer_poincare)
 
@@ -110,19 +113,21 @@ def lusztig_q_analogue(rs: RootSystem, lam: Weight, mu: Weight) -> QPoly:
     lam.check_dominant()
     rs.check_rank(lam)
     rs.check_rank(mu)
-    ctx = context(rs)
+    # a new context is registered only once the read is not refused
+    ctx = ctx or Context()
     poly = read(rs, ctx.engines, lc, tuple(map(sub, lc, mc)), _seeded_engine)
     ctx.remember((lc, mc), poly)
+    _contexts[rs._key] = ctx
     return poly
 
 
-def _seeded_engine(rs: RootSystem, lc, engines: dict) -> PartitionEngine:
+def _seeded_engine(rs: RootSystem, lc) -> PartitionEngine:
     """A new engine for the Weyl numerator of the highest weight ``lc``,
     whose tables grow to its module box lam - w0(lam)."""
     lam = Weight(lc)
     module = rs.root_coords(tuple(map(add, lc, dual_weight(rs, lam).coords)))
     return PartitionEngine(rs.positive_roots, lambda bound: _weyl_seeds(rs, lam, bound),
-                           module, engines)
+                           module)
 
 
 def _weyl_seeds(rs: RootSystem, lam: Weight, bound) -> list:
@@ -226,6 +231,7 @@ def q_analogue_via_kernel(rs: RootSystem, lam: Weight, mu: Weight) -> QPoly:
 def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
     """Dimension of the irreducible module, by the product formula."""
     lam.check_dominant()
+    rs.check_rank(lam)
     num = 1
     den = 1
     lr = lam + rs.rho
@@ -262,15 +268,8 @@ def character(rs: RootSystem, lam: Weight) -> WeightMultiset:
     if got is not None:
         return got
 
-    # each positive root in weight coordinates, with the coefficients of
-    # (., gamma) on weight coordinates and (gamma, gamma), made once a context
-    d = rs.symmetrizer
-    roots = ctx.freudenthal
-    if not roots:
-        for gamma in rs.positive_roots:
-            gw = rs.root_to_weight_basis(gamma).coords
-            form = tuple(map(mul, gamma, d))
-            roots.append((gw, form, sum(map(mul, form, gw))))
+    # Freudenthal's data on each positive root, static data of rs
+    roots, d = rs._root_data, rs.symmetrizer
     lc = lam.coords
     found = {lc}
     todo = [lc]
@@ -360,6 +359,7 @@ def klimyk_decompose(rs: RootSystem, lam: Weight, gam: Weight) -> WeightMultiset
     """
     if not lam.is_dominant() or not gam.is_dominant():
         raise ValueError("both highest weights must be dominant")
+    rs.check_rank(gam)
     rho = rs.rho
     acc = {}
     for mu, m in character(rs, lam).items():

@@ -10,7 +10,9 @@ table seeded with a numerator N instead of the single 1 at cell 0, fills
 every cell nu with the nu-coefficient of N / prod(1 - q e^gamma).  Seeded
 with the Weyl numerator of lam (``lusztig``), cell nu is m_lam^{lam-nu}(q),
 so each q-analogue is one table cell.  A table is kept per numerator in the
-root system's ``root_system.context``.  A target outside the table builds
+``engines`` slot of the root system's ``root_system.Context``, its only
+holder: an engine refers to nothing that holds it, so dropping the context
+frees its tables at once.  A target outside the table builds
 its own box, or the union with the old one while that is not much larger;
 an engine given the module box lam - w0(lam) builds that whole box instead
 for a target inside it once the box is at most ``_MAX_GROWTH`` times the
@@ -39,10 +41,12 @@ decodes exactly.  A cell is a signed sum of at most n partition values,
 one per seed in the box, and each of their coefficients is at most
 P_1(bound), so the width is the bits of that count (``_width``), plus those
 of n, plus a sign bit.  No table has more than ``MAX_TABLE_CELLS`` cells
-(a larger box raises ``root_system.BudgetError``), and neither have the
-tables of one context together: a build first drops the context's least
-recently used tables until the new one fits.  The packed cell format is
-read only in this module.
+(a larger box raises ``root_system.BudgetError`` and changes nothing), and
+neither have the tables of one context together: a build first drops the
+context's least recently used tables until the new one fits.  ``read``
+puts a new engine in its context only once its first table is built, so
+a refused build registers nothing.  The packed cell format is read only
+in this module.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from math import prod
 from operator import gt, mul
 
 from .poly import QPoly
-from .root_system import BudgetError, RootSystem, Weight, _contexts, context
+from .root_system import BudgetError, Context, RootSystem, Weight, _contexts
 
 # A target outside the box grows the table to the union of the two boxes,
 # unless the union has more than this many times the cells of the old box
@@ -110,23 +114,23 @@ class PartitionEngine:
     root coordinates, for one root system; N = 1 gives P_q.
 
     ``numerator``, when given, maps a bound to the (point, sign) seeds of N
-    inside its box.  ``peers``, when given, is the dict of its context's
-    engines, least recently used first (see ``read``).  The table
+    inside its box.  An engine refers to nothing that holds it: the other
+    tables of its context, which a build may drop, are handed to
+    ``compute`` by ``read``.  The table
     is flat and row-major; cell nu holds its polynomial packed into one int,
     ``width`` bits per coefficient:
     sum_j c_j * 2^(width*j), each c_j in [-2^(width-1), 2^(width-1)).
     """
 
-    __slots__ = ("roots", "numerator", "module", "peers", "bound", "strides",
+    __slots__ = ("roots", "numerator", "module", "bound", "strides",
                  "width", "table", "hits", "spent")
 
-    def __init__(self, roots, numerator=None, module=None, peers=None):
+    def __init__(self, roots, numerator=None, module=None):
         self.roots = [tuple(int(x) for x in r) for r in roots]
         self.numerator = numerator
         # the box every later target will lie in (lam - w0(lam) for the
         # weights of one module), or None
         self.module = module
-        self.peers = peers
         self.bound = None
         self.strides = ()
         self.width = 0
@@ -134,7 +138,7 @@ class PartitionEngine:
         # lookups answered without a build, and the cells of every build
         self.hits = self.spent = 0
 
-    def compute(self, mu) -> dict:
+    def compute(self, mu, engines=None) -> dict:
         """Sparse {exponent: coefficient} dict of cell mu; {} off the cone.
 
         A target that leaves the table builds its own box, or the union
@@ -143,6 +147,11 @@ class PartitionEngine:
         ``_MAX_GROWTH`` times the cells built so far plus those of that box,
         the first table too: while the reads stay in the module box, every
         build before its own holds under a ``_MAX_GROWTH``-th of it in all.
+        A box over ``MAX_TABLE_CELLS`` raises ``BudgetError`` and changes
+        nothing.  Otherwise ``engines``, when given, are the tables of the
+        context, least recently used first: before the build, the oldest
+        of them other than this one are dropped until the new table fits
+        next to the rest.
         """
         if min(mu) < 0:
             return {}
@@ -157,34 +166,32 @@ class PartitionEngine:
                 grown = tuple(map(max, box, self.module))
                 if _cells(grown) <= _limit(self.spent + _cells(box)):
                     box = grown
+            size = _cells(box)
+            if size > MAX_TABLE_CELLS:
+                raise BudgetError(
+                    f"input too large: the partition table for the box {box} "
+                    f"needs {size:,} cells, over the budget of {MAX_TABLE_CELLS:,}")
+            if engines:
+                # this engine's old table is dropped by the build, so the
+                # two are never held together
+                held = size + sum(len(eng.table) for eng in engines.values()
+                                  if eng is not self)
+                for key in list(engines):
+                    if held <= MAX_TABLE_CELLS:
+                        break
+                    eng = engines[key]
+                    if eng is not self:
+                        held -= len(eng.table)
+                        del engines[key]
             self._build(box)
         else:
             self.hits += 1
         return _decode(self.table[sum(map(mul, mu, self.strides))], self.width)
 
-    def stats(self):
-        """(table cells, lookups answered without a rebuild)."""
-        return (len(self.table), self.hits)
-
     def _build(self, bound):
         size = _cells(bound)
-        if size > MAX_TABLE_CELLS:
-            raise BudgetError(
-                f"input too large: the partition table for the box {bound} "
-                f"needs {size:,} cells, over the budget of {MAX_TABLE_CELLS:,}")
-        # drop the old table first, so the two are never held together, then
-        # the least recently used other tables of the context until the new
-        # one fits next to the rest
+        # drop the old table first, so the two are never held together
         self.bound, self.table = None, []
-        if self.peers is not None:
-            held = size + sum(len(eng.table) for eng in self.peers.values())
-            for key in list(self.peers):
-                if held <= MAX_TABLE_CELLS:
-                    break
-                eng = self.peers[key]
-                if eng is not self:
-                    held -= len(eng.table)
-                    del self.peers[key]
         strides = []
         step = 1
         for b in reversed(bound):
@@ -262,10 +269,12 @@ def read(rs: RootSystem, engines: dict, key, coords, make) -> QPoly:
     loop over the rows of the scaled inverse Cartan matrix tests the root
     lattice, checks the bound and sums the flat index, and the cell is
     decoded.  Any other point of Q_+ goes to ``compute`` in root
-    coordinates, which builds or grows the table; ``make(rs, key, engines)``
-    makes a missing engine.  A point off Q_+ touches no engine.  A cell read
-    moves its engine to the end of ``engines``, which runs from the least to
-    the most recently used: the order in which builds drop them.
+    coordinates, which builds or grows the table; ``make(rs, key)`` makes a
+    missing engine, which is put in ``engines`` only once its first table
+    is built, so a refused build leaves nothing behind.  A point off Q_+
+    touches no engine.  A cell read moves its engine to the end of
+    ``engines``, which runs from the least to the most recently used: the
+    order in which builds drop them.
     """
     eng = engines.get(key)
     if eng is not None and eng.bound is not None:
@@ -284,20 +293,26 @@ def read(rs: RootSystem, engines: dict, key, coords, make) -> QPoly:
     root = rs.root_coords(coords)
     if root is None or min(root) < 0:
         return QPoly._wrap({})
-    # the engine, made when missing, goes to the end before it builds
-    eng = engines[key] = engines.pop(key, None) or make(rs, key, engines)
-    return QPoly._wrap(eng.compute(root))
+    eng = eng or make(rs, key)
+    cell = eng.compute(root, engines)
+    # in place or not, the engine goes to the end once its table is built
+    engines[key] = engines.pop(key, eng)
+    return QPoly._wrap(cell)
 
 
 def q_partition(rs: RootSystem, mu: Weight) -> QPoly:
     """P_q(mu) as a polynomial; the zero polynomial when mu is not in Q_+."""
     rs.check_rank(mu.coords)
-    return read(rs, context(rs).engines, None, mu.coords,
-                lambda rs, key, engines: PartitionEngine(rs.positive_roots, peers=engines))
+    # a new context is registered only once the read is not refused
+    ctx = _contexts.get(rs._key) or Context()
+    poly = read(rs, ctx.engines, None, mu.coords,
+                lambda rs, key: PartitionEngine(rs.positive_roots))
+    _contexts[rs._key] = ctx
+    return poly
 
 
 def q_partition_cache_stats():
     """(table cells, lookups answered without a rebuild) over every table
     of every root system: P_q and one per highest weight."""
-    stats = [eng.stats() for ctx in _contexts.values() for eng in ctx.engines.values()]
-    return (sum(s[0] for s in stats), sum(s[1] for s in stats))
+    engines = [eng for ctx in _contexts.values() for eng in ctx.engines.values()]
+    return (sum(len(eng.table) for eng in engines), sum(eng.hits for eng in engines))

@@ -20,9 +20,11 @@ Conventions, fixed once and documented in the README:
 * The symmetrizer d_i is normalized so short simple roots have (a,a) = 2;
   then the coroot of a short root is the root itself.
 
-Every cache about one root system lives in its ``Context`` (``context(rs)``),
-keyed by the Cartan matrix, as a string made once per root system, in one
-registry; ``clear_caches`` empties it.
+Static data is computed once, when a ``RootSystem`` is built.  Everything
+that queries fill about one root system lives in its ``Context``
+(``context(rs)``), keyed by the Cartan matrix, as a string made once per
+root system, in one registry; ``clear_caches`` empties it, and since
+nothing in a context refers back to it, that frees every cache at once.
 
 Every type builds: nothing here grows with the order of the Weyl group.
 Work that could grow without bound is refused with a ``BudgetError`` where
@@ -279,15 +281,22 @@ class RootSystem:
         self.coxeter_number = self.heights[-1] + 1
         self.weyl_order = prod(m + 1 for m in self.exponents)
 
-        # squared-length/2 of each positive root: 1 for short, 2 or 3 for long
+        # one pass over the positive roots gamma: each as (its weight
+        # coordinates, the coefficients of (., gamma) on weight coordinates,
+        # (gamma, gamma)), Freudenthal's data that ``lusztig.character``
+        # reads, and (gamma, gamma)/2: 1 for short, 2 or 3 for long
         d = self.symmetrizer
+        data = []
         self.root_length = {}
-        for r in self.positive_roots:
-            nn = sum(r[j] * r[k] * d[k] * self.cartan[k][j]
-                     for j in range(rank) for k in range(rank) if r[j] and r[k])
-            if nn % 2:
-                raise AssertionError(f"root {r} of {self.name} has odd squared length")
-            self.root_length[r] = nn // 2
+        for gamma in self.positive_roots:
+            gw = self.root_to_weight_basis(gamma).coords
+            form = tuple(map(mul, gamma, d))
+            norm = sum(map(mul, form, gw))
+            if norm % 2:
+                raise AssertionError(f"root {gamma} of {self.name} has odd squared length")
+            data.append((gw, form, norm))
+            self.root_length[gamma] = norm // 2
+        self._root_data = tuple(data)
         self.short_positive_roots = tuple(
             r for r in self.positive_roots if self.root_length[r] == 1
         )
@@ -310,9 +319,7 @@ class RootSystem:
             self.root_to_weight_basis(tuple(1 if j == i else 0 for j in range(rank)))
             for i in range(rank)
         )
-        self._positive_root_weights = frozenset(
-            self.root_to_weight_basis(r).coords for r in self.positive_roots
-        )
+        self._positive_root_weights = frozenset(gw for gw, _, _ in self._root_data)
 
     # -- basis conversion ----------------------------------------------
 
@@ -467,28 +474,30 @@ MAX_MEMO_ENTRIES = 10_000
 
 
 class Context:
-    """Everything kept for reuse about one root system, in one slot per cache.
+    """Everything that queries fill for reuse about one root system, in one
+    slot per cache; the static data lives on ``RootSystem``.
 
     The partition tables are filled by ``qkostant`` (P_q, under the key None)
     and ``lusztig`` (one per highest weight lam, under lam), the memo of the
-    defining sum (through ``remember``), the characters (through
-    ``remember_character``) and Freudenthal's data on each positive root by
-    ``lusztig``, and the stabilizer exponents by ``weyl``.  Both memos drop
-    their oldest entries first once full; the other two hold at most one
-    entry per positive root and per subset of the simple roots.  The
+    defining sum (through ``remember``) and the characters (through
+    ``remember_character``) by ``lusztig``, and the stabilizer exponents by
+    ``weyl``.  The context is the only holder of its tables, and no table
+    refers back to it, so dropping the context frees them at once.  Both
+    memos drop their oldest entries first once full, the tables their least
+    recently used once their cells pass ``qkostant.MAX_TABLE_CELLS``; the
+    stabilizers hold at most one entry per subset of the simple roots.  The
     induction route keeps its memo for one call and ``weyl_elements``
     rebuilds W on each call, so neither has a slot here.
     """
 
     __slots__ = ("engines", "defining", "characters", "character_weights",
-                 "freudenthal", "stabilizers")
+                 "stabilizers")
 
     def __init__(self):
         self.engines = {}  # None or lam -> PartitionEngine
         self.defining = OrderedDict()  # (lam, mu) -> the defining sum
         self.characters = OrderedDict()  # lam -> character
         self.character_weights = 0  # the weights of the characters held
-        self.freudenthal = []  # per positive root: (weight coords, form, norm)
         self.stabilizers = {}  # which coordinates are nonzero -> exponents
 
     def remember(self, key, poly):

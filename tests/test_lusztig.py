@@ -1,10 +1,12 @@
 """Graded multiplicities: frozen values, specializations, route agreement."""
 
+import gc
 import itertools
 import pathlib
 import random
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from math import prod
 from operator import gt, le, sub
@@ -48,6 +50,8 @@ def P(pairs):
 
 A2 = build_root_system("A2")
 B2 = build_root_system("B2")
+B3 = build_root_system("B3")
+F4 = build_root_system("F4")
 G2 = build_root_system("G2")
 ZERO2 = Weight((0, 0))
 LAYERBENCH = pathlib.Path(__file__).resolve().parent.parent / "layerbench"
@@ -630,7 +634,7 @@ class TestSeededTable:
         assert negative > 0
         # one table answered every cell
         cells = prod(b + 1 for b in box)
-        assert eng.stats() == (cells, cells)
+        assert (len(eng.table), eng.hits) == (cells, cells)
 
 
 class TestClearCaches:
@@ -681,6 +685,59 @@ class TestClearCaches:
             with pytest.raises(ValueError):
                 query()
         assert not root_system._contexts
+
+    @pytest.mark.parametrize("query", [
+        # B3 (2,2,2) at its lowest weight builds the 1,575-cell module box
+        lambda: lusztig_q_analogue(B3, Weight((2, 2, 2)), Weight((-2, -2, -2))),
+        lambda: q_partition(F4, 2 * F4.theta),
+    ])
+    def test_frees_every_table_at_once(self, query):
+        # no table refers back to the dict that holds it, so the tables are
+        # freed by clear_caches itself, with the cyclic collector off
+        clear_caches()
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            query()
+            built = tracemalloc.get_traced_memory()[0]
+            clear_caches()
+            left = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert built > 100_000
+        assert left < built / 10
+
+    @pytest.mark.parametrize("query", [
+        lambda e8: lusztig_q_analogue(e8, 2 * e8.theta, Weight.zero(8)),
+        lambda e8: q_partition(e8, 2 * e8.theta),
+    ])
+    def test_a_refused_build_registers_nothing(self, query):
+        # the box of E8 2*theta has 14,189,175 cells: refused on a fresh
+        # registry, it leaves no context and no engine behind
+        e8 = build_root_system("E8")
+        clear_caches()
+        with pytest.raises(root_system.BudgetError, match="14,189,175 cells"):
+            query(e8)
+        assert not root_system._contexts
+
+    def test_a_refused_read_keeps_the_tables(self, monkeypatch):
+        # a read refused for its box leaves every table, its own too, as it
+        # was, in the same order, and makes no engine for a new weight
+        clear_caches()
+        lusztig_q_analogue(B2, B2.theta, ZERO2)
+        q_partition(B2, B2.theta)
+        engines = root_system.context(B2).engines
+        before = [(key, eng, eng.bound, eng.table) for key, eng in engines.items()]
+        # under the boxes of both reads below: 4*theta and 3*theta_s
+        monkeypatch.setattr(qkostant, "MAX_TABLE_CELLS", 5)
+        with pytest.raises(root_system.BudgetError):
+            lusztig_q_analogue(B2, B2.theta, -3 * B2.theta)
+        with pytest.raises(root_system.BudgetError):
+            lusztig_q_analogue(B2, 3 * B2.theta_s, ZERO2)
+        assert [(key, eng, eng.bound, eng.table)
+                for key, eng in engines.items()] == before
 
     def test_equal_cartan_matrices_share_one_context(self):
         # the context goes with the Cartan matrix alone, whatever the name
@@ -752,7 +809,7 @@ class TestCellBudget:
 
     @staticmethod
     def cells(rs):
-        return sum(eng.stats()[0] for eng in root_system.context(rs).engines.values())
+        return sum(len(eng.table) for eng in root_system.context(rs).engines.values())
 
     def test_stream_stays_within_the_budget(self, monkeypatch):
         rs = self.B3
@@ -782,7 +839,7 @@ class TestCellBudget:
         sizes = {}
         for lam in (first, second, third):
             lusztig_q_analogue(rs, lam, zero)
-            sizes[lam] = root_system.context(rs).engines[lam.coords].stats()[0]
+            sizes[lam] = len(root_system.context(rs).engines[lam.coords].table)
         clear_caches()
         monkeypatch.setattr(qkostant, "MAX_TABLE_CELLS", sizes[first] + sizes[third])
         engines = root_system.context(rs).engines
@@ -934,11 +991,11 @@ class TestOnePassRead:
         compute = qkostant.PartitionEngine.compute
         asked = []
 
-        def spy(eng, mu):
+        def spy(eng, mu, engines=None):
             asked.append(mu)
             if eng.bound is not None and any(map(gt, mu, eng.bound)):
                 raise CellOutside(mu)
-            return compute(eng, mu)
+            return compute(eng, mu, engines)
 
         # a weight off the root lattice, where the type has one
         shifts = [Weight.zero(rs.rank)] + [

@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 
+import qweights
 from qweights.root_system import (
     Weight,
     build_dual_root_system,
@@ -231,6 +232,64 @@ def test_wrong_rank_is_rejected():
         a2.in_root_lattice(Weight((1, 1, 0)))
 
 
+A2 = build_root_system("A2")
+A2_WEIGHT = Weight((1, 1))
+
+# every public function that takes a weight, once per weight argument, with
+# the weight there replaced by w and valid arguments elsewhere
+WEIGHT_TAKERS = {
+    "lusztig_q_analogue(lam)": lambda w: qweights.lusztig_q_analogue(A2, w, A2_WEIGHT),
+    "lusztig_q_analogue(mu)": lambda w: qweights.lusztig_q_analogue(A2, A2_WEIGHT, w),
+    "q_analogue_by_induction(lam)":
+        lambda w: qweights.q_analogue_by_induction(A2, w, A2_WEIGHT),
+    "q_analogue_by_induction(mu)":
+        lambda w: qweights.q_analogue_by_induction(A2, A2_WEIGHT, w),
+    "q_analogue_via_kernel(lam)": lambda w: qweights.q_analogue_via_kernel(A2, w, A2_WEIGHT),
+    "q_analogue_via_kernel(mu)": lambda w: qweights.q_analogue_via_kernel(A2, A2_WEIGHT, w),
+    "cherednik_coefficient": lambda w: qweights.cherednik_coefficient(A2, w),
+    "character": lambda w: qweights.character(A2, w),
+    "weyl_dimension": lambda w: qweights.weyl_dimension(A2, w),
+    "freudenthal_multiplicity(lam)":
+        lambda w: qweights.freudenthal_multiplicity(A2, w, A2_WEIGHT),
+    "freudenthal_multiplicity(mu)":
+        lambda w: qweights.freudenthal_multiplicity(A2, A2_WEIGHT, w),
+    "dual_weight": lambda w: qweights.dual_weight(A2, w),
+    "klimyk_decompose(lam)": lambda w: qweights.klimyk_decompose(A2, w, A2_WEIGHT),
+    "klimyk_decompose(gam)": lambda w: qweights.klimyk_decompose(A2, A2_WEIGHT, w),
+    "tensor_zero_q(lam)": lambda w: qweights.tensor_zero_q(A2, w, Weight((1, 0))),
+    "tensor_zero_q(gam)": lambda w: qweights.tensor_zero_q(A2, Weight((1, 0)), w),
+    "weighted_sum(lam)": lambda w: qweights.weighted_sum(A2, w, A2_WEIGHT),
+    "weighted_sum(gam)": lambda w: qweights.weighted_sum(A2, A2_WEIGHT, w),
+    "brylinski_form(lam)": lambda w: qweights.brylinski_form(A2, w, A2_WEIGHT),
+    "brylinski_form(gam)": lambda w: qweights.brylinski_form(A2, A2_WEIGHT, w),
+    "generalized_exponents": lambda w: qweights.generalized_exponents(A2, w),
+    "broer_nonnegativity_test": lambda w: qweights.broer_nonnegativity_test(A2, w),
+    "q_partition": lambda w: qweights.q_partition(A2, w),
+    "dominant_representative": lambda w: qweights.dominant_representative(A2, w),
+    "orbit": lambda w: qweights.orbit(A2, w),
+    "stabilizer_poincare": lambda w: qweights.stabilizer_poincare(A2, w),
+    "is_minuscule": lambda w: qweights.is_minuscule(A2, w),
+    "verify_main_identity(lam)": lambda w: qweights.verify_main_identity(A2, w, A2_WEIGHT),
+    "verify_main_identity(gam)": lambda w: qweights.verify_main_identity(A2, A2_WEIGHT, w),
+    "verify_minuscule": lambda w: qweights.verify_minuscule(A2, w),
+    "verify_height_duality": lambda w: qweights.verify_height_duality(A2, w),
+    "verify_induction_lemma(lam)":
+        lambda w: qweights.verify_induction_lemma(A2, w, Weight((0, -1)), 1),
+    "verify_induction_lemma(gam)":
+        lambda w: qweights.verify_induction_lemma(A2, A2_WEIGHT, w, 1),
+    "verify_subregular_identity": lambda w: qweights.verify_subregular_identity(A2, w, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHT_TAKERS))
+@pytest.mark.parametrize("coords", [(1, 0, 0), (1,)])
+def test_wrong_rank_weight_gets_the_library_refusal(name, coords):
+    # a weight of another rank is refused with the library's own message,
+    # never a bare zip() or index error from deep inside
+    with pytest.raises(ValueError, match=r"^\(.*\) is not a weight of A2$"):
+        WEIGHT_TAKERS[name](Weight(coords))
+
+
 def test_weight_arithmetic():
     a = Weight((1, -2))
     b = Weight((0, 5))
@@ -283,6 +342,27 @@ def test_parse_type():
             parse_type(bad)
     assert build_root_system("C", 3).name == "C3"
     assert build_root_system(("C", 3)).name == "C3"
+
+
+UP_TO_RANK_8 = ([f"{letter}{rank}" for letter, low in (("A", 1), ("B", 2), ("C", 2), ("D", 4))
+                 for rank in range(low, 9)] + ["E6", "E7", "E8", "F4", "G2"])
+
+
+@pytest.mark.parametrize("name", UP_TO_RANK_8)
+def test_per_root_data_match_their_formulas(name):
+    # root_length, the positive roots as weights and Freudenthal's data come
+    # from one pass over the roots; each equals its own formula
+    rs = build_root_system(name)
+    a, d, n = rs.cartan, rs.symmetrizer, rs.rank
+    assert len(rs._root_data) == len(rs.positive_roots)
+    for r, (gw, form, norm) in zip(rs.positive_roots, rs._root_data):
+        assert gw == tuple(sum(a[k][j] * r[j] for j in range(n)) for k in range(n))
+        # (omega_i, gamma) = d_i gamma_i
+        assert form == tuple(rs.inner(rs.fundamental_weight(i), r) for i in range(n))
+        assert norm == sum(r[j] * r[k] * d[k] * a[k][j] for j in range(n) for k in range(n))
+        assert rs.root_length[r] * 2 == norm
+    assert rs._positive_root_weights == {rs.root_to_weight_basis(r).coords
+                                         for r in rs.positive_roots}
 
 
 def test_e8_builds_without_a_flag():
