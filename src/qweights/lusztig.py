@@ -31,7 +31,8 @@ slots of the root system's ``root_system.Context``, next to the P_q table;
 ``clear_caches`` (re-exported here) drops them all at once.  Both memos
 are bounded: the defining sum by its entries, the characters by the
 weights they hold.  A q-analogue that is refused, for its input or for
-the budget of its table, leaves no context where there was none.
+the budget of its table, leaves no context where there was none, and
+so does a character refused for its input or for either of its budgets.
 Freudenthal's data on each positive root is static, and ``character``
 reads it from the ``RootSystem``.
 
@@ -49,6 +50,7 @@ of the module.
 
 from __future__ import annotations
 
+from collections import Counter
 from operator import add, mul, sub
 
 from .poly import QPoly
@@ -66,38 +68,21 @@ from .weyl import (_check_points, descend, dominant_representative, orbit,
 MAX_STRING_STEPS = 2_000_000
 
 
-class WeightMultiset:
-    """Weights with positive integer multiplicities, in a fixed order:
-    ``entries`` maps each weight to its multiplicity, and ``order`` lists
-    the same weights, each once.  Both are kept as given."""
-
-    def __init__(self, entries: dict, order: list):
-        self._entries = entries
-        self._order = order
+class WeightMultiset(dict):
+    """Weights with positive integer multiplicities: an ordered dict from
+    each weight to its multiplicity, in the order it was built."""
 
     def get(self, w: Weight, default=0) -> int:
-        return self._entries.get(w, default)
+        return super().get(w, default)
 
     def items(self):
-        return [(w, self._entries[w]) for w in self._order]
+        return list(super().items())
 
     def dominant_items(self):
-        return [(w, m) for w, m in self.items() if w.is_dominant()]
+        return [(w, m) for w, m in super().items() if w.is_dominant()]
 
     def total_mass(self) -> int:
-        return sum(self._entries.values())
-
-    def __iter__(self):
-        return iter(self._order)
-
-    def __len__(self):
-        return len(self._entries)
-
-    def __contains__(self, w):
-        return w in self._entries
-
-    def __eq__(self, other):
-        return isinstance(other, WeightMultiset) and self._entries == other._entries
+        return sum(self.values())
 
 
 def lusztig_q_analogue(rs: RootSystem, lam: Weight, mu: Weight) -> QPoly:
@@ -234,10 +219,11 @@ def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
     rs.check_rank(lam)
     num = 1
     den = 1
-    lr = lam + rs.rho
-    for r in rs.positive_roots:
-        num *= rs.inner(lr, r)
-        den *= rs.inner(rs.rho, r)
+    lr = (lam + rs.rho).coords
+    # (lam + rho, gamma) and (rho, gamma) from Freudenthal's data on gamma
+    for _, form, _ in rs._root_data:
+        num *= sum(map(mul, form, lr))
+        den *= sum(form)
     q, rem = divmod(num, den)
     if rem:
         raise AssertionError(f"Weyl dimension of {lam} in {rs.name} is not integral")
@@ -253,18 +239,22 @@ def character(rs: RootSystem, lam: Weight) -> WeightMultiset:
     root (Stembridge, "The partial order of dominant weights", 1998), so the
     descent reaches every dominant weight of the module.  They are taken by
     level ht(lam - mu) from the top, and each multiplicity, once known, is
-    written onto the whole Weyl orbit of its weight, so the weights are the
-    union of those orbits.  Every mu + k*gamma in Freudenthal's sum for mu
-    lies above mu, and so does its dominant representative, so it is
+    written onto the whole Weyl orbit of its weight, walked once, down from
+    mu one length layer at a time (``weyl.descend``), so the weights are
+    the union of those orbits.  Every mu + k*gamma in Freudenthal's sum for
+    mu lies above mu, and so does its dominant representative, so it is
     already filled in.  The dominant weights found, and then the weights of
     the module (the sum of their orbit sizes, a closed form), are counted
     against the orbit-point budget before any orbit is walked, and the
-    string steps of Freudenthal's sums against ``MAX_STRING_STEPS``.
+    string steps of Freudenthal's sums against ``MAX_STRING_STEPS``.  The
+    result is one ordered dict, by level and then coordinates, made once
+    the weights are known; only a character that is not refused is
+    remembered, so a refused one leaves no context.
     """
     lam.check_dominant()
     rs.check_rank(lam)
-    ctx = context(rs)
-    got = ctx.characters.get(lam.coords)
+    ctx = _contexts.get(rs._key)
+    got = ctx and ctx.characters.get(lam.coords)
     if got is not None:
         return got
 
@@ -281,7 +271,10 @@ def character(rs: RootSystem, lam: Weight) -> WeightMultiset:
                 found.add(nu)
                 todo.append(nu)
         _check_points(len(found), f"the dominant weights of {lam}")
-    _check_points(sum(orbit_size(rs, _weight(nu)) for nu in found),
+    # the orbit size of a dominant weight depends only on its zero
+    # coordinates, so it is counted once per pattern of them
+    zeros = Counter(tuple(map(bool, nu)) for nu in found)
+    _check_points(sum(n * orbit_size(rs, _weight(z)) for z, n in zeros.items()),
                   f"the weights of {lam}")
     # ht(lam - w), up to the scale of the inverse Cartan matrix and a shift
     # that is the same for every weight, as one dot product
@@ -291,8 +284,7 @@ def character(rs: RootSystem, lam: Weight) -> WeightMultiset:
         return (-sum(map(mul, height, c)), c)
 
     dominants = sorted(found, key=level)
-    weights = list(orbit(rs, lam))
-    mult = dict.fromkeys((nu.coords for nu in weights), 1)
+    mult = dict.fromkeys((nu.coords for nu in orbit(rs, lam)), 1)
     steps = 0
     for mu in dominants[1:]:
         rhs = 0
@@ -320,16 +312,14 @@ def character(rs: RootSystem, lam: Weight) -> WeightMultiset:
                 f"Freudenthal step failed for {lam}, {mu} in {rs.name}: "
                 f"2*{rhs} / {denom}"
             )
-        for nu in orbit(rs, _weight(mu)):
-            mult[nu.coords] = m
-            weights.append(nu)
+        for layer in descend(rs, mu):
+            mult.update(dict.fromkeys(layer, m))
 
-    weights.sort(key=lambda w: level(w.coords))
     # every multiplicity is positive and the orbits are disjoint
-    ch = WeightMultiset({w: mult[w.coords] for w in weights}, weights)
+    ch = WeightMultiset({_weight(c): mult[c] for c in sorted(mult, key=level)})
     if ch.total_mass() != weyl_dimension(rs, lam):
         raise AssertionError(f"character mass mismatch for {lam} in {rs.name}")
-    ctx.remember_character(lc, ch)
+    context(rs).remember_character(lc, ch)
     return ch
 
 
@@ -343,6 +333,7 @@ def freudenthal_multiplicity(rs: RootSystem, lam: Weight, mu: Weight) -> int:
 def dual_weight(rs: RootSystem, lam: Weight) -> Weight:
     """Highest weight of the dual module: -w0(lam)."""
     lam.check_dominant()
+    rs.check_rank(lam)
     rep, _ = dominant_representative(rs, -lam)
     return rep
 
@@ -369,12 +360,12 @@ def klimyk_decompose(rs: RootSystem, lam: Weight, gam: Weight) -> WeightMultiset
             continue
         kappa = (xiplus - rho).coords
         acc[kappa] = acc.get(kappa, 0) + (-m if length & 1 else m)
-    entries = {Weight(c): v for c, v in acc.items() if v}
-    if any(v < 0 for v in entries.values()):
+    if any(v < 0 for v in acc.values()):
         raise AssertionError("negative constituent multiplicity")
     top = lam + gam
-    order = sorted(entries, key=lambda w: (rs.height(top - w), w.coords))
-    return WeightMultiset(entries, order)
+    order = sorted((Weight(c) for c, v in acc.items() if v),
+                   key=lambda w: (rs.height(top - w), w.coords))
+    return WeightMultiset({w: acc[w.coords] for w in order})
 
 
 def tensor_zero_q(rs: RootSystem, lam: Weight, gam: Weight) -> QPoly:

@@ -333,9 +333,9 @@ class RootSystem:
 
     def check_rank(self, w):
         """Raise ValueError unless w, a Weight or a coordinate tuple, has one
-        coordinate per simple root."""
+        coordinate per simple root; either is named as a Weight prints."""
         if len(w) != self.rank:
-            raise ValueError(f"{w} is not a weight of {self.name}")
+            raise ValueError(f"{_weight(tuple(w))} is not a weight of {self.name}")
 
     def root_coords(self, coords):
         """Integer root coordinates of the weight with fundamental-weight
@@ -480,25 +480,23 @@ class Context:
     The partition tables are filled by ``qkostant`` (P_q, under the key None)
     and ``lusztig`` (one per highest weight lam, under lam), the memo of the
     defining sum (through ``remember``) and the characters (through
-    ``remember_character``) by ``lusztig``, and the stabilizer exponents by
-    ``weyl``.  The context is the only holder of its tables, and no table
-    refers back to it, so dropping the context frees them at once.  Both
-    memos drop their oldest entries first once full, the tables their least
-    recently used once their cells pass ``qkostant.MAX_TABLE_CELLS``; the
-    stabilizers hold at most one entry per subset of the simple roots.  The
-    induction route keeps its memo for one call and ``weyl_elements``
-    rebuilds W on each call, so neither has a slot here.
+    ``remember_character``) by ``lusztig``.  The context is the only holder
+    of its tables, and no table refers back to it, so dropping the context
+    frees them at once.  Both memos drop their oldest entries first once
+    full, the tables their least recently used once their cells pass
+    ``qkostant.MAX_TABLE_CELLS``.  The induction route keeps its memo for
+    one call, ``weyl_elements`` rebuilds W on each call and the stabilizer
+    exponents are read off the positive roots on each call, so none of
+    them has a slot here.
     """
 
-    __slots__ = ("engines", "defining", "characters", "character_weights",
-                 "stabilizers")
+    __slots__ = ("engines", "defining", "characters", "character_weights")
 
     def __init__(self):
         self.engines = {}  # None or lam -> PartitionEngine
         self.defining = OrderedDict()  # (lam, mu) -> the defining sum
         self.characters = OrderedDict()  # lam -> character
         self.character_weights = 0  # the weights of the characters held
-        self.stabilizers = {}  # which coordinates are nonzero -> exponents
 
     def remember(self, key, poly):
         """Memoize the defining sum at ``key`` after a miss, dropping the

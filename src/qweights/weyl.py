@@ -2,19 +2,23 @@
 
 One rule moves a weight: s_i lowers coordinate k of a weight by
 a[k][i] times coordinate i (``RootSystem.cartan_columns``), and only this
-module applies it to weights.  ``descend`` walks the orbit of a dominant point down,
-one length layer at a time; ``orbit`` is the union of its layers, and
-``lusztig`` reads the seeds of its Weyl numerators off the same walk, in
-root coordinates and pruned to a box.  ``dominant_representative`` walks
-the other way, up to the chamber, and returns the length of the word it
-took, which is all ``klimyk_decompose`` needs of it.  ``enumerate_weyl``
+module applies it to weights.  ``descend`` walks the orbit of a dominant
+point down, one length layer at a time; ``orbit`` is the union of its
+layers, ``lusztig`` reads the seeds of its Weyl numerators off the same
+walk, in root coordinates and pruned to a box, and ``character`` writes
+each multiplicity over the layers of its dominant weight's orbit.
+``dominant_representative`` walks the other way, up to the chamber, and
+returns the length of the word it took, which is all
+``klimyk_decompose`` needs of it.  ``enumerate_weyl``
 materialises W as integer matrices on fundamental-weight coordinates, with
 s_i as a row update and lengths as breadth-first depth from the identity,
 which for a Coxeter group equals the reduced word length; it is a
 reference for tests, so nothing keeps W.  The stabilizer polynomials and
 the orbit sizes are closed forms in the exponents of a parabolic
-subsystem, so no walk grows with |W| unless it is asked to hold W or a
-whole orbit.
+subsystem, read off the positive roots on each call, so no walk grows
+with |W| unless it is asked to hold W or a whole orbit.  Every function
+here is a pure function of the root system and its arguments: this
+module keeps nothing and never touches the context registry.
 
 The points held are bounded by one budget, ``MAX_ORBIT_POINTS``, checked
 before they are made: by ``orbit`` on the closed-form size of the orbit,
@@ -30,7 +34,7 @@ from math import prod
 from operator import mul
 
 from .poly import QPoly
-from .root_system import BudgetError, RootSystem, Weight, _dual_partition, _weight, context
+from .root_system import BudgetError, RootSystem, Weight, _dual_partition, _weight
 
 # The points one walk may hold.  The largest fundamental orbit of E8 (of
 # omega_4, 483,840 points) fits: on one Xeon core under Python 3.11 its walk
@@ -148,18 +152,14 @@ def orbit_size(rs: RootSystem, nu: Weight) -> int:
 
 
 def _stabilizer_exponents(rs: RootSystem, nu: Weight) -> tuple:
-    """The exponents of the stabilizer of a dominant weight, kept in the
-    context by the coordinates of nu that are nonzero."""
+    """The exponents of the stabilizer of a dominant weight, computed from
+    its coordinates on each call: nothing is kept."""
     rs.check_rank(nu)
     nu.check_dominant()
-    held = context(rs).stabilizers
-    key = tuple(map(bool, nu.coords))
-    if key not in held:
-        # a positive root lies in the subsystem on J = {i : nu_i = 0} exactly
-        # when every product r_i * nu_i vanishes, as no factor is negative
-        held[key] = _dual_partition(h for r, h in zip(rs.positive_roots, rs.heights)
-                                    if not any(map(mul, r, key)))
-    return held[key]
+    # a positive root lies in the subsystem on J = {i : nu_i = 0} exactly
+    # when every product r_i * nu_i vanishes, as no factor is negative
+    return _dual_partition(h for r, h in zip(rs.positive_roots, rs.heights)
+                           if not any(map(mul, r, nu.coords)))
 
 
 def descend(rs: RootSystem, top, bound=None):

@@ -241,6 +241,16 @@ class TestCharacterAndDimensions:
         assert chb.get(Weight((0, 0))) == 2
         assert chb.total_mass() == 10
 
+    @pytest.mark.parametrize("name,lam", [("A2", (1, 1)), ("B3", (1, 0, 1)),
+                                          ("G2", (2, 1))])
+    def test_character_is_one_ordered_dict(self, name, lam):
+        # iteration, items() and dict() read the same weights in one order
+        ch = character(build_root_system(name), Weight(lam))
+        assert isinstance(ch, dict)
+        assert list(ch) == [w for w, _ in ch.items()] == list(dict(ch))
+        assert dict(ch) == dict(ch.items()) == ch
+        assert len(ch) == len(ch.items())
+
     def test_weight_multiset_interface(self):
         ch = character(A2, Weight((1, 1)))
         assert Weight((1, 1)) in ch
@@ -686,6 +696,21 @@ class TestClearCaches:
                 query()
         assert not root_system._contexts
 
+    @pytest.mark.parametrize("budget", ["orbit points", "string steps"])
+    def test_a_refused_character_makes_no_context(self, monkeypatch, budget):
+        # E8 omega_4 is refused for the weights its orbits hold, before any
+        # walk; G2 (6,6), whose sums walk 2,699 string steps, under a budget
+        # of 2,698 after its orbits are walked.  Neither leaves a context
+        if budget == "orbit points":
+            rs, lam = build_root_system("E8"), Weight((0, 0, 0, 1, 0, 0, 0, 0))
+        else:
+            rs, lam = G2, Weight((6, 6))
+            monkeypatch.setattr(lusztig, "MAX_STRING_STEPS", 2698)
+        clear_caches()
+        with pytest.raises(root_system.BudgetError, match=budget):
+            character(rs, lam)
+        assert not root_system._contexts
+
     @pytest.mark.parametrize("query", [
         # B3 (2,2,2) at its lowest weight builds the 1,575-cell module box
         lambda: lusztig_q_analogue(B3, Weight((2, 2, 2)), Weight((-2, -2, -2))),
@@ -871,14 +896,16 @@ class TestCharacterBudget:
 
     def test_refused_before_any_orbit_is_walked(self, monkeypatch):
         # the weights of E8 omega_4 number 3,207,121, the sum of the orbit
-        # sizes of its dominant weights, found without a walk
+        # sizes of its dominant weights, found without a walk: neither
+        # lam's orbit nor the layers of any other orbit are walked
         e8 = build_root_system("E8")
         lam = e8.fundamental_weight(3)
 
-        def no_walk(rs, mu):
+        def no_walk(rs, mu, *bound):
             raise AssertionError(f"walked the orbit of {mu}")
 
         monkeypatch.setattr(lusztig, "orbit", no_walk)
+        monkeypatch.setattr(lusztig, "descend", no_walk)
         with pytest.raises(root_system.BudgetError,
                            match=r"^input too large: the weights of .* 3,207,121 points"):
             character(e8, lam)
@@ -1059,7 +1086,7 @@ class TestOnePassRead:
         for args, message in cases:
             with pytest.raises(ValueError, match=message):
                 lusztig_q_analogue(*args)
-        with pytest.raises(ValueError, match="^\\(1, 1, 0\\) is not a weight of A2$"):
+        with pytest.raises(ValueError, match="^\\(1,1,0\\) is not a weight of A2$"):
             q_partition(A2, Weight((1, 1, 0)))
         with pytest.raises(ValueError, match="^\\(-1,-1\\) is not in the positive root cone$"):
             cherednik_coefficient(A2, -A2.theta)

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import re
 from math import gcd
 
 import pytest
@@ -285,8 +286,10 @@ WEIGHT_TAKERS = {
 @pytest.mark.parametrize("coords", [(1, 0, 0), (1,)])
 def test_wrong_rank_weight_gets_the_library_refusal(name, coords):
     # a weight of another rank is refused with the library's own message,
-    # never a bare zip() or index error from deep inside
-    with pytest.raises(ValueError, match=r"^\(.*\) is not a weight of A2$"):
+    # never a bare zip() or index error from deep inside, and the message
+    # names the weight as it was given, the way a Weight prints
+    text = re.escape(str(Weight(coords)))
+    with pytest.raises(ValueError, match=rf"^{text} is not a weight of A2$"):
         WEIGHT_TAKERS[name](Weight(coords))
 
 
