@@ -30,6 +30,7 @@ from .lusztig import (
     lusztig_q_analogue,
 )
 from .poly import QPoly
+from .qkostant import MAX_TABLE_CELLS
 from .root_system import RootSystem, Weight, build_root_system
 from .weyl import _check_points
 
@@ -173,6 +174,9 @@ def _cmd_cherednik(rs: RootSystem, args) -> int:
         raise UsageError("--max-height must be nonnegative")
     # the cone holds C(bound + rank, rank) points, one row each
     _check_points(comb(bound + rs.rank, rs.rank), f"the cone up to height {bound}")
+    if (bound + 1) ** rs.rank <= MAX_TABLE_CELLS:
+        # the corner's box holds the cone, so the table is built once
+        cherednik_coefficient(rs, rs.root_to_weight_basis((bound,) * rs.rank))
     items = []
     for rc in sorted(_iter_cone(rs.rank, bound), key=lambda t: (sum(t), t)):
         nu = rs.root_to_weight_basis(rc)

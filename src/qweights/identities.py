@@ -8,6 +8,7 @@ always carries the offending input and both polynomials, stringified.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product as iproduct
 from math import gcd
 
@@ -215,6 +216,8 @@ def verify_minuscule(rs: RootSystem, lam: Weight) -> Report:
     failures = []
     total = QPoly.zero()
     power_sum = QPoly.zero()
+    # the lowest weight -lam* first: its box sizes the table for every query here
+    lusztig_q_analogue(rs, lam, -dual_weight(rs, lam))
     for mu in sorted(orbit(rs, lam), key=lambda w: w.coords):
         hot = rs.height(lam - mu)
         got = lusztig_q_analogue(rs, lam, mu)
@@ -250,11 +253,30 @@ def verify_coxeter_identity(rs: RootSystem) -> Report:
 # -- height duality -------------------------------------------------------
 
 
-def _height_zero_mass(rs: RootSystem, ch) -> int:
-    """The multiplicities of the weights of height zero in the character
-    ``ch``, summed; every weight of ``ch`` lies in the root lattice, so this
-    is the dimension of the fixed space of a principal nilpotent."""
-    return sum(m for nu, m in ch.items() if sum(rs.root_coords(nu.coords)) == 0)
+def _height_counts(rs: RootSystem, ch) -> Counter:
+    """The multiplicities of the character ``ch`` summed by height; every
+    weight of ``ch`` lies in the root lattice, so the count at height 0 is
+    the dimension of the fixed space of a principal nilpotent."""
+    counts = Counter()
+    for nu, m in ch.items():
+        counts[sum(rs.root_coords(nu.coords))] += m
+    return counts
+
+
+def _height_product_holds(counts, exps) -> bool:
+    """Whether prod (1 - q^{ht nu + 1}) / (1 - q^{ht nu}) over the positive
+    weights nu, ``counts[k]`` of them at height k, equals
+    prod (1 - q^{e + 1}) / (1 - q) over the exponents ``exps``.
+
+    Both sides are products of powers of 1 - q^j, j >= 1, and these are
+    multiplicatively independent: the cyclotomic factor Phi_j divides
+    1 - q^i only for j | i, so the largest j with a nonzero power would
+    leave Phi_j on one side alone.  Comparing the powers of 1 - q^j from
+    j = 1 up, the identity holds exactly when every height k >= 1 has as
+    many positive weights as there are exponents e >= k.
+    """
+    top = max([*counts, *exps, 0])
+    return all(counts[k] == sum(e >= k for e in exps) for k in range(1, top + 1))
 
 
 def _is_root_multiple(rs: RootSystem, w: Weight) -> bool:
@@ -282,8 +304,9 @@ def verify_height_duality(rs: RootSystem, lam: Weight) -> Report:
     if not rs.in_root_lattice(lam):
         raise ValueError(f"{lam} is not in the root lattice")
     ch = character(rs, lam)
+    counts = _height_counts(rs, ch)
     dim_torus_fixed = ch.get(Weight.zero(rs.rank))
-    dim_principal_fixed = _height_zero_mass(rs, ch)
+    dim_principal_fixed = counts[0]
     hypothesis = dim_torus_fixed == dim_principal_fixed
     details = {
         "hypothesis_holds": hypothesis,
@@ -299,27 +322,15 @@ def verify_height_duality(rs: RootSystem, lam: Weight) -> Report:
             if not nu.is_zero() and not _is_root_multiple(rs, nu):
                 _mismatch(failures, "weight is a multiple of a root", nu,
                           "k * root", str(nu))
-        # (ii) telescoping product over the positive weights, cross-multiplied
-        # to stay polynomial
+        # (ii) the telescoping product over the positive weights, decided on
+        # their count at each height
         exps = generalized_exponents(rs, lam)
-        lhs_num = QPoly.one()
-        lhs_den = QPoly.one()
-        heights = []
-        for nu, m in ch.items():
-            hot = sum(rs.root_coords(nu.coords))
-            if hot > 0:
-                heights.extend([hot] * m)
-                lhs_num = lhs_num * (QPoly.one() - QPoly.q(hot + 1)) ** m
-                lhs_den = lhs_den * (QPoly.one() - QPoly.q(hot)) ** m
-        rhs_num = QPoly.one()
-        for e in exps:
-            rhs_num = rhs_num * (QPoly.one() - QPoly.q(e + 1))
-        rhs_den = (QPoly.one() - QPoly.q(1)) ** len(exps)
-        if lhs_num * rhs_den != rhs_num * lhs_den:
+        if not _height_product_holds(counts, exps):
             _mismatch(failures, "height product identity", lam,
                       "equal cross-products", "mismatch")
-        dual_part = list(_dual_partition(heights))
-        if dual_part != exps:
+        dual_part = list(_dual_partition(k for k in counts.elements() if k > 0))
+        # only the trivial module has the exponent 0 (m_lam^0(0) = delta)
+        if dual_part != [e for e in exps if e]:
             _mismatch(failures, "exponents dual to height counts", lam,
                       dual_part, exps)
         details["generalized_exponents"] = exps
@@ -340,7 +351,7 @@ def classify_principal_pairs(systems, height_bound: int):
                 continue
             lam = Weight(coords)
             ch = character(rs, lam)
-            if ch.get(Weight.zero(rs.rank)) == _height_zero_mass(rs, ch):
+            if ch.get(Weight.zero(rs.rank)) == _height_counts(rs, ch)[0]:
                 found.append((rs, lam))
     return sorted(found, key=lambda p: (p[0].name, p[1].coords))
 

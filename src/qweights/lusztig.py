@@ -62,9 +62,9 @@ from .weyl import (_check_points, descend, dominant_representative, orbit,
 
 # Freudenthal's sum for a dominant weight mu walks the string mu + k*gamma up
 # each positive root gamma while it stays in the module.  No character walks
-# more steps than this in all; the count is checked after each dominant
-# weight.  A2 (900,0), whose orbits fit the orbit-point budget, would walk
-# tens of millions of steps and is refused after a few seconds.
+# more steps than this in all, as bounded from its dominant weights before
+# any orbit is walked.  A2 (900,0), whose orbits fit the orbit-point budget,
+# would walk tens of millions of steps and is refused in well under a second.
 MAX_STRING_STEPS = 2_000_000
 
 
@@ -245,8 +245,10 @@ def character(rs: RootSystem, lam: Weight) -> WeightMultiset:
     mu lies above mu, and so does its dominant representative, so it is
     already filled in.  The dominant weights found, and then the weights of
     the module (the sum of their orbit sizes, a closed form), are counted
-    against the orbit-point budget before any orbit is walked, and the
-    string steps of Freudenthal's sums against ``MAX_STRING_STEPS``.  The
+    against the orbit-point budget before any orbit is walked, and so is a
+    bound on the string steps of Freudenthal's sums against
+    ``MAX_STRING_STEPS``: every mu + k*gamma lies below lam, so k*gamma is
+    at most lam - mu in each root coordinate.  The
     result is one ordered dict, by level and then coordinates, made once
     the weights are known; only a character that is not refused is
     remembered, so a refused one leaves no context.
@@ -276,6 +278,14 @@ def character(rs: RootSystem, lam: Weight) -> WeightMultiset:
     zeros = Counter(tuple(map(bool, nu)) for nu in found)
     _check_points(sum(n * orbit_size(rs, _weight(z)) for z, n in zeros.items()),
                   f"the weights of {lam}")
+    # lam - mu in root coordinates, for the bound and Freudenthal's denominators
+    depth = {mu: rs.root_coords(tuple(map(sub, lc, mu))) for mu in found}
+    steps = sum(min(x // g for x, g in zip(depth[mu], gamma) if g)
+                for mu in found for gamma in rs.positive_roots)
+    if steps > MAX_STRING_STEPS:
+        raise BudgetError(
+            f"input too large: the character of {lam} walks up to {steps:,} "
+            f"string steps, over the budget of {MAX_STRING_STEPS:,}")
     # ht(lam - w), up to the scale of the inverse Cartan matrix and a shift
     # that is the same for every weight, as one dot product
     height = rs._fund_heights
@@ -285,7 +295,6 @@ def character(rs: RootSystem, lam: Weight) -> WeightMultiset:
 
     dominants = sorted(found, key=level)
     mult = dict.fromkeys((nu.coords for nu in orbit(rs, lam)), 1)
-    steps = 0
     for mu in dominants[1:]:
         rhs = 0
         for gw, form, norm in roots:
@@ -294,18 +303,12 @@ def character(rs: RootSystem, lam: Weight) -> WeightMultiset:
             nu = tuple(map(add, mu, gw))
             m = mult.get(nu)
             while m is not None:
-                steps += 1
                 pair += norm
                 rhs += pair * m
                 nu = tuple(map(add, nu, gw))
                 m = mult.get(nu)
-        if steps > MAX_STRING_STEPS:
-            raise BudgetError(
-                f"input too large: the character of {lam} walks {steps:,} "
-                f"string steps, over the budget of {MAX_STRING_STEPS:,}")
-        diff_rc = rs.root_coords(tuple(map(sub, lc, mu)))
         # (lam + mu + 2 rho, lam - mu)
-        denom = sum(r * di * (a + b + 2) for r, di, a, b in zip(diff_rc, d, lc, mu))
+        denom = sum(r * di * (a + b + 2) for r, di, a, b in zip(depth[mu], d, lc, mu))
         m, rem = divmod(2 * rhs, denom)
         if rem or m <= 0:
             raise AssertionError(

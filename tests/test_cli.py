@@ -173,6 +173,21 @@ class TestCherednik:
         assert code == 2 and out == ""
         assert err.startswith("error: input too large: the cone up to height")
 
+    @pytest.mark.parametrize("name,rank,bound", [("A2", 2, 80), ("D5", 5, 10)])
+    def test_builds_one_table(self, capsys, monkeypatch, name, rank, bound):
+        # the corner (bound, ..., bound) is read first, and its box holds
+        # every point of the cone
+        builds = []
+        build = qkostant.PartitionEngine._build
+        monkeypatch.setattr(qkostant.PartitionEngine, "_build",
+                            lambda eng, box: builds.append(box) or build(eng, box))
+        clear_caches()
+        code, out, _ = run(capsys, "cherednik", name, "--max-height", str(bound),
+                           "--format", "csv")
+        assert code == 0
+        assert len(out.splitlines()) == 1 + comb(bound + rank, rank)
+        assert builds == [(bound,) * rank]
+
     def test_e8_height_5_is_not_refused(self, monkeypatch):
         # its 1,287 rows fit the budget; the cone is reached, not computed
         class Reached(Exception):

@@ -7,10 +7,11 @@ import json
 import pytest
 
 from qweights import identities as idn
+from qweights import qkostant
 from qweights.identities import Report
 from qweights.lusztig import weyl_dimension
 from qweights.poly import QPoly
-from qweights.root_system import Weight, build_root_system
+from qweights.root_system import Weight, build_root_system, clear_caches
 from qweights.weyl import orbit
 
 
@@ -53,6 +54,19 @@ class TestVerifiers:
             idn.verify_minuscule(a2, Weight((0, 0)))
         with pytest.raises(ValueError):
             idn.verify_minuscule(c3, Weight((0, 0, 1)))      # orbit smaller than dim
+
+    def test_minuscule_builds_one_table_each(self, monkeypatch):
+        # the lowest weight is read first, so each of D5's three minuscule
+        # fundamental weights builds its module box once
+        builds = []
+        build = qkostant.PartitionEngine._build
+        monkeypatch.setattr(qkostant.PartitionEngine, "_build",
+                            lambda eng, box: builds.append(box) or build(eng, box))
+        clear_caches()
+        d5 = build_root_system("D5")
+        for i in (0, 3, 4):
+            assert idn.verify_minuscule(d5, d5.fundamental_weight(i)).passed
+        assert len(builds) == 3
 
     def test_is_minuscule_catalogue(self):
         d4 = build_root_system("D4")
@@ -97,6 +111,17 @@ class TestVerifiers:
             idn.verify_height_duality(b2, Weight((0, 1)))     # not in root lattice
         with pytest.raises(ValueError):
             idn.verify_height_duality(b2, Weight((-1, 0)))    # not dominant
+
+    @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "G2"])
+    def test_height_duality_trivial_module(self, name):
+        # the zero weight alone, of height 0, and the exponent 0: nothing
+        # is positive, and the identity holds
+        rs = build_root_system(name)
+        report = idn.verify_height_duality(rs, Weight.zero(rs.rank))
+        assert report.passed, report.failures
+        assert report.details == {"hypothesis_holds": True, "dim_zero_weight_space": 1,
+                                  "dim_principal_fixed_space": 1,
+                                  "generalized_exponents": [0]}
 
     def test_induction(self):
         rs = build_root_system("B2")

@@ -698,9 +698,9 @@ class TestClearCaches:
 
     @pytest.mark.parametrize("budget", ["orbit points", "string steps"])
     def test_a_refused_character_makes_no_context(self, monkeypatch, budget):
-        # E8 omega_4 is refused for the weights its orbits hold, before any
-        # walk; G2 (6,6), whose sums walk 2,699 string steps, under a budget
-        # of 2,698 after its orbits are walked.  Neither leaves a context
+        # E8 omega_4 is refused for the weights its orbits hold, and G2 (6,6),
+        # whose sums walk up to 3,152 string steps by the bound, under a
+        # budget of 2,698, both before any walk.  Neither leaves a context
         if budget == "orbit points":
             rs, lam = build_root_system("E8"), Weight((0, 0, 0, 1, 0, 0, 0, 0))
         else:
@@ -913,25 +913,49 @@ class TestCharacterBudget:
 
 
 class TestStringBudget:
-    """The string steps of Freudenthal's sums are counted against
-    MAX_STRING_STEPS after each dominant weight; over it, nothing is
-    memoised."""
+    """A bound on the string steps of Freudenthal's sums, from the dominant
+    weights alone, is counted against MAX_STRING_STEPS before any orbit is
+    walked; over it, nothing is memoised."""
 
-    @pytest.mark.parametrize("budget,refused", [(2699, False), (2698, True)])
+    @pytest.mark.parametrize("budget,refused", [(3152, False), (3151, True)])
     def test_largest_benchmark_character(self, monkeypatch, budget, refused):
         # G2 (6,6), a cli-table module of the benchmark and the character
-        # there that walks the most steps, walks 2,699 of them
+        # there that walks the most steps, walks 2,699 of them, bounded by
+        # 3,152
         lam = Weight((6, 6))
         clear_caches()
         monkeypatch.setattr(lusztig, "MAX_STRING_STEPS", budget)
         if refused:
             with pytest.raises(root_system.BudgetError,
-                               match="^input too large: the character of .* 2,699 "
-                                     "string steps, over the budget of 2,698$"):
+                               match="^input too large: the character of .* up to 3,152 "
+                                     "string steps, over the budget of 3,151$"):
                 character(G2, lam)
             assert lam.coords not in root_system.context(G2).characters
         else:
             assert len(character(G2, lam)) == 901
+
+    @pytest.mark.parametrize("name,coords,bound", [
+        ("A2", (200, 0), 417_418), ("A2", (300, 0), 1_397_650), ("G2", (20, 20), 100_406)])
+    def test_bound(self, monkeypatch, name, coords, bound):
+        # every mu + k*gamma on a string lies below lam, so k is at most
+        # min (lam - mu)_i / gamma_i; these walk 341,683, 1,143,875 and
+        # 87,670 steps
+        clear_caches()
+        monkeypatch.setattr(lusztig, "MAX_STRING_STEPS", 0)
+        with pytest.raises(root_system.BudgetError, match=f" up to {bound:,} string steps"):
+            character(build_root_system(name), Weight(coords))
+
+    def test_refused_before_any_orbit_is_walked(self, monkeypatch):
+        def no_walk(rs, mu, *bound):
+            raise AssertionError(f"walked the orbit of {mu}")
+
+        monkeypatch.setattr(lusztig, "orbit", no_walk)
+        monkeypatch.setattr(lusztig, "descend", no_walk)
+        clear_caches()
+        with pytest.raises(root_system.BudgetError,
+                           match=r"^input too large: the character of \(900,0\) walks "
+                                 r"up to 37,327,950 string steps"):
+            character(A2, Weight((900, 0)))
 
     def test_refused_in_seconds(self, capsys):
         # A2 (900,0): 406,351 weights fit the orbit-point budget, but
