@@ -62,7 +62,7 @@ from .weyl import (
     weyl_elements,
 )
 
-__version__ = "3.2.0"
+__version__ = "3.3.0"
 
 __all__ = [
     "BudgetError",

@@ -8,12 +8,16 @@ Subcommands
     gen-exponents  exponent multiset of the zero-weight polynomial
     verify         run identity verifiers (one, or `all`)
 
-``roots``, ``table`` and ``cherednik`` print through one renderer,
-``_render``: the JSON payload, or the rows as CSV, LaTeX or captioned text.
+Each subcommand makes only the output its ``--format`` prints.  Every
+``--format json`` result is printed by ``_json`` where it is made, before
+any text row is built; ``roots``, ``table`` and ``cherednik`` print every
+other format through one renderer, ``_render``: the rows as CSV, LaTeX or
+captioned text.  Each subparser names its handler (``common``).
 ``VERIFY`` maps each identity name to its verifier with its default inputs;
 ``verify NAME`` runs one entry and ``verify all`` every entry that applies.
 
-Exit status: 0 success, 1 a verifier reported failures, 2 usage error.
+Exit status: 0 success, 1 a verifier reported failures, 2 usage error
+(every one a ``ValueError``, a refused budget included).
 """
 
 from __future__ import annotations
@@ -24,28 +28,25 @@ from math import comb
 
 from . import identities as idn
 from .lusztig import (
+    _module_box,
     character,
     cherednik_coefficient,
     generalized_exponents,
     lusztig_q_analogue,
 )
 from .poly import QPoly
-from .qkostant import MAX_TABLE_CELLS
+from .qkostant import MAX_TABLE_CELLS, _check_cells
 from .root_system import RootSystem, Weight, build_root_system
 from .weyl import _check_points
-
-
-class UsageError(Exception):
-    pass
 
 
 def _parse_weight(text: str, rank: int, flag: str) -> Weight:
     try:
         coords = tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise UsageError(f"{flag} expects comma-separated integers, got {text!r}")
+        raise ValueError(f"{flag} expects comma-separated integers, got {text!r}")
     if len(coords) != rank:
-        raise UsageError(
+        raise ValueError(
             f"{flag} has {len(coords)} coordinates; the root system has rank {rank}"
         )
     return Weight(coords)
@@ -68,18 +69,18 @@ def _poly_cell(p: QPoly, fmt: str) -> str:
     return f"${' '.join(parts) or '0'}$"
 
 
-def _dumps(obj) -> str:
+def _json(obj) -> int:
+    """Print the result of a ``--format json`` call."""
     import json
 
-    return json.dumps(obj, sort_keys=True, indent=2)
+    print(json.dumps(obj, sort_keys=True, indent=2))
+    return 0
 
 
-def _render(fmt: str, payload, header, rows, caption: str) -> int:
-    """Print one table-shaped result: ``payload`` as JSON, or ``rows`` under
-    ``header`` as CSV, a LaTeX tabular, or aligned text below ``caption``."""
-    if fmt == "json":
-        print(_dumps(payload))
-    elif fmt == "csv":
+def _render(fmt: str, header, rows, caption: str) -> int:
+    """Print one table-shaped result: ``rows`` under ``header`` as CSV, a
+    LaTeX tabular, or aligned text below ``caption``."""
+    if fmt == "csv":
         import csv
 
         # each row ends in "\r\n", the last one too
@@ -105,59 +106,66 @@ def _cmd_roots(rs: RootSystem, args) -> int:
     roots = [(list(root), list(rs.root_to_weight_basis(root).coords), sum(root),
               "short" if rs.root_length[root] == 1 else "long")
              for root in rs.positive_roots]
-    payload = {
-        "name": rs.name,
-        "rank": rs.rank,
-        "cartan": [list(r) for r in rs.cartan],
-        "symmetrizer": list(rs.symmetrizer),
-        "exponents": list(rs.exponents),
-        "coxeter_number": rs.coxeter_number,
-        "weyl_order": rs.weyl_order,
-        "highest_root": list(rs.theta.coords),
-        "short_dominant_root": list(rs.theta_s.coords),
-        "positive_roots": [dict(zip(header, root)) for root in roots],
-    }
+    if args.format == "json":
+        return _json({
+            "name": rs.name,
+            "rank": rs.rank,
+            "cartan": [list(r) for r in rs.cartan],
+            "symmetrizer": list(rs.symmetrizer),
+            "exponents": list(rs.exponents),
+            "coxeter_number": rs.coxeter_number,
+            "weyl_order": rs.weyl_order,
+            "highest_root": list(rs.theta.coords),
+            "short_dominant_root": list(rs.theta_s.coords),
+            "positive_roots": [dict(zip(header, root)) for root in roots],
+        })
     caption = (
         f"{rs.name}: exponents {list(rs.exponents)}, "
         f"coxeter number {rs.coxeter_number}, weyl order {rs.weyl_order}\n"
         f"highest root {rs.theta}, short dominant root {rs.theta_s}"
     )
     rows = [(_spaced(rc), _spaced(wc), hot, length) for rc, wc, hot, length in roots]
-    return _render(args.format, payload, header, rows, caption)
+    return _render(args.format, header, rows, caption)
 
 
 def _cmd_qanalogue(rs: RootSystem, args) -> int:
     lam = _parse_weight(args.lam, rs.rank, "--lambda")
     mu = _parse_weight(args.mu, rs.rank, "--mu")
     poly = lusztig_q_analogue(rs, lam, mu)
-    print(_dumps({
-        "root_system": rs.name,
-        "lambda": list(lam.coords),
-        "mu": list(mu.coords),
-        "poly": poly.json_pairs(),
-        "text": str(poly),
-    }) if args.format == "json" else _poly_cell(poly, args.format))
+    if args.format == "json":
+        return _json({
+            "root_system": rs.name,
+            "lambda": list(lam.coords),
+            "mu": list(mu.coords),
+            "poly": poly.json_pairs(),
+            "text": str(poly),
+        })
+    print(_poly_cell(poly, args.format))
     return 0
 
 
 def _cmd_table(rs: RootSystem, args) -> int:
     lam = _parse_weight(args.lam, rs.rank, "--lambda")
     if not lam.is_dominant():
-        raise UsageError(f"--lambda {lam} must be dominant")
+        raise ValueError(f"--lambda {lam} must be dominant")
+    # the rows fill lam's module box: a box over the cell budget is refused
+    # before the character is walked
+    _check_cells(_module_box(rs, lam))
     items = character(rs, lam).items()
     # lowest weights first: the kernel table is sized once, by the largest box
     polys = {mu: lusztig_q_analogue(rs, lam, mu) for mu, _ in reversed(items)}
-    payload = {
-        "root_system": rs.name,
-        "lambda": list(lam.coords),
-        "rows": [{"weight": list(mu.coords), "multiplicity": mult,
-                  "poly": polys[mu].json_pairs(), "text": str(polys[mu])}
-                 for mu, mult in items],
-    }
+    if args.format == "json":
+        return _json({
+            "root_system": rs.name,
+            "lambda": list(lam.coords),
+            "rows": [{"weight": list(mu.coords), "multiplicity": mult,
+                      "poly": polys[mu].json_pairs(), "text": str(polys[mu])}
+                     for mu, mult in items],
+        })
     rows = [(_spaced(mu.coords), mult, _poly_cell(polys[mu], args.format))
             for mu, mult in items]
-    return _render(args.format, payload, ["weight", "multiplicity", "q-analogue"],
-                   rows, f"{rs.name}, highest weight {lam}")
+    return _render(args.format, ["weight", "multiplicity", "q-analogue"], rows,
+                   f"{rs.name}, highest weight {lam}")
 
 
 def _iter_cone(rank: int, bound: int, prefix=()):
@@ -171,7 +179,7 @@ def _iter_cone(rank: int, bound: int, prefix=()):
 def _cmd_cherednik(rs: RootSystem, args) -> int:
     bound = args.max_height
     if bound < 0:
-        raise UsageError("--max-height must be nonnegative")
+        raise ValueError("--max-height must be nonnegative")
     # the cone holds C(bound + rank, rank) points, one row each
     _check_points(comb(bound + rs.rank, rs.rank), f"the cone up to height {bound}")
     if (bound + 1) ** rs.rank <= MAX_TABLE_CELLS:
@@ -181,27 +189,27 @@ def _cmd_cherednik(rs: RootSystem, args) -> int:
     for rc in sorted(_iter_cone(rs.rank, bound), key=lambda t: (sum(t), t)):
         nu = rs.root_to_weight_basis(rc)
         items.append((rc, rs.is_positive_root_weight(nu), cherednik_coefficient(rs, nu)))
-    payload = {
-        "root_system": rs.name,
-        "max_height": bound,
-        "rows": [{"root_coords": list(rc), "is_root": is_root,
-                  "poly": poly.json_pairs(), "text": str(poly)}
-                 for rc, is_root, poly in items],
-    }
+    if args.format == "json":
+        return _json({
+            "root_system": rs.name,
+            "max_height": bound,
+            "rows": [{"root_coords": list(rc), "is_root": is_root,
+                      "poly": poly.json_pairs(), "text": str(poly)}
+                     for rc, is_root, poly in items],
+        })
     rows = [(_spaced(rc), sum(rc), "yes" if is_root else "no", _poly_cell(poly, args.format))
             for rc, is_root, poly in items]
-    return _render(args.format, payload, ["root_coords", "height", "is_root", "coefficient"],
-                   rows, f"{rs.name} zero-weight coefficients")
+    return _render(args.format, ["root_coords", "height", "is_root", "coefficient"], rows,
+                   f"{rs.name} zero-weight coefficients")
 
 
 def _cmd_gen_exponents(rs: RootSystem, args) -> int:
     lam = _parse_weight(args.lam, rs.rank, "--lambda")
     exps = generalized_exponents(rs, lam)
     if args.format == "json":
-        print(_dumps({"root_system": rs.name, "lambda": list(lam.coords),
-                      "exponents": exps}))
-    else:
-        print(_spaced(exps) if exps else "(empty)")
+        return _json({"root_system": rs.name, "lambda": list(lam.coords),
+                      "exponents": exps})
+    print(_spaced(exps) if exps else "(empty)")
     return 0
 
 
@@ -238,7 +246,7 @@ def _verify_induction(rs: RootSystem, lam, args):
         # the first simple root that gamma pairs negatively with
         ai = next((i for i, c in enumerate(gam.coords) if c < 0), None)
         if ai is None:
-            raise UsageError(f"--gamma {gam} has no negative pairing with a simple root")
+            raise ValueError(f"--gamma {gam} has no negative pairing with a simple root")
     return [idn.verify_induction_lemma(rs, lam or rs.theta, gam, ai)]
 
 
@@ -268,14 +276,14 @@ def _cmd_verify(rs: RootSystem, args) -> int:
         for flag, value in (("--lambda", args.lam), ("--gamma", args.gamma),
                             ("--alpha-index", args.alpha_index)):
             if value is not None:
-                raise UsageError(f"{flag} applies to one identity, not to all")
+                raise ValueError(f"{flag} applies to one identity, not to all")
         # little-adjoint needs two root lengths, minuscule a minuscule weight
         names = [name for name in IDENTITIES
                  if not (name == "little-adjoint" and max(rs.symmetrizer) == 1)
                  and not (name == "minuscule" and not _minuscule_fundamentals(rs))]
     reports = [r for name in names for r in VERIFY[name](rs, lam, args)]
     if args.format == "json":
-        print(_dumps([r.to_dict() for r in reports]))
+        _json([r.to_dict() for r in reports])
     else:
         for r in reports:
             flag = "PASS" if r.passed else "FAIL"
@@ -297,37 +305,38 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, handler):
         p.add_argument("type", help="root system, e.g. A2, B3, F4")
         p.add_argument("--format", choices=("text", "json", "csv", "latex"),
                        default="text")
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("roots", help="print static root-system data")
-    common(p)
+    common(p, _cmd_roots)
 
     p = sub.add_parser("qanalogue", help="one graded multiplicity polynomial")
-    common(p)
+    common(p, _cmd_qanalogue)
     p.add_argument("--lambda", dest="lam", required=True,
                    help="highest weight, comma-separated fundamental coordinates")
     p.add_argument("--mu", required=True,
                    help="target weight, comma-separated fundamental coordinates")
 
     p = sub.add_parser("table", help="all weights of one irreducible")
-    common(p)
+    common(p, _cmd_table)
     p.add_argument("--lambda", dest="lam", required=True)
 
     p = sub.add_parser("cherednik", help="zero-weight coefficients on the cone")
-    common(p)
+    common(p, _cmd_cherednik)
     p.add_argument("--max-height", type=int, default=4)
 
     p = sub.add_parser("gen-exponents",
                        help="exponent multiset of the zero-weight polynomial")
-    common(p)
+    common(p, _cmd_gen_exponents)
     p.add_argument("--lambda", dest="lam", required=True)
 
     p = sub.add_parser("verify", help="run identity verifiers")
     p.add_argument("identity", choices=IDENTITIES + ("all",))
-    common(p)
+    common(p, _cmd_verify)
     p.add_argument("--lambda", dest="lam", default=None)
     p.add_argument("--gamma", default=None)
     p.add_argument("--alpha-index", type=int, default=None)
@@ -338,17 +347,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        rs = build_root_system(args.type)
-        handler = {
-            "roots": _cmd_roots,
-            "qanalogue": _cmd_qanalogue,
-            "table": _cmd_table,
-            "cherednik": _cmd_cherednik,
-            "gen-exponents": _cmd_gen_exponents,
-            "verify": _cmd_verify,
-        }[args.command]
-        return handler(rs, args)
-    except (UsageError, ValueError) as exc:
+        return args.handler(build_root_system(args.type), args)
+    except ValueError as exc:
         # a BudgetError is a ValueError whose message starts "input too large"
         print(f"error: {exc}", file=sys.stderr)
         return 2

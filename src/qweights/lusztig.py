@@ -106,13 +106,18 @@ def lusztig_q_analogue(rs: RootSystem, lam: Weight, mu: Weight) -> QPoly:
     return poly
 
 
+def _module_box(rs: RootSystem, lam: Weight) -> tuple:
+    """lam - w0(lam) in root coordinates: the box [0, lam - w0(lam)] holds
+    lam - mu for every weight mu of lam's module."""
+    return rs.root_coords(tuple(map(add, lam.coords, dual_weight(rs, lam).coords)))
+
+
 def _seeded_engine(rs: RootSystem, lc) -> PartitionEngine:
     """A new engine for the Weyl numerator of the highest weight ``lc``,
     whose tables grow to its module box lam - w0(lam)."""
     lam = Weight(lc)
-    module = rs.root_coords(tuple(map(add, lc, dual_weight(rs, lam).coords)))
     return PartitionEngine(rs.positive_roots, lambda bound: _weyl_seeds(rs, lam, bound),
-                           module)
+                           _module_box(rs, lam))
 
 
 def _weyl_seeds(rs: RootSystem, lam: Weight, bound) -> list:
@@ -415,11 +420,14 @@ def brylinski_form(rs: RootSystem, lam: Weight, gam: Weight) -> QPoly:
 
 def generalized_exponents(rs: RootSystem, lam: Weight) -> list:
     """Exponent multiset of m_lam^0(q), ascending; lam must lie in the root
-    lattice (otherwise the zero weight does not occur)."""
+    lattice (otherwise the zero weight does not occur).  A multiset of more
+    than ``weyl.MAX_ORBIT_POINTS`` exponents is refused before it is made."""
     lam.check_dominant()
     if not rs.in_root_lattice(lam):
         raise ValueError(f"{lam} is not in the root lattice")
     poly = lusztig_q_analogue(rs, lam, Weight.zero(rs.rank))
+    # the list holds m_lam^0(1) exponents, counted before it is made
+    _check_points(sum(poly.terms().values()), f"the exponent multiset of {lam}")
     return poly.exponent_multiset()
 
 

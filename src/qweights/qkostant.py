@@ -83,6 +83,17 @@ def _cells(bound) -> int:
     return prod(b + 1 for b in bound)
 
 
+def _check_cells(box) -> int:
+    """The cells of the box [0, ``box``]; raise BudgetError when they are
+    over ``MAX_TABLE_CELLS``."""
+    size = _cells(box)
+    if size > MAX_TABLE_CELLS:
+        raise BudgetError(
+            f"input too large: the partition table for the box {box} "
+            f"needs {size:,} cells, over the budget of {MAX_TABLE_CELLS:,}")
+    return size
+
+
 def _limit(cells) -> int:
     """The most cells a box may have when it replaces boxes of ``cells``."""
     return min(_MAX_GROWTH * cells, MAX_TABLE_CELLS)
@@ -166,11 +177,7 @@ class PartitionEngine:
                 grown = tuple(map(max, box, self.module))
                 if _cells(grown) <= _limit(self.spent + _cells(box)):
                     box = grown
-            size = _cells(box)
-            if size > MAX_TABLE_CELLS:
-                raise BudgetError(
-                    f"input too large: the partition table for the box {box} "
-                    f"needs {size:,} cells, over the budget of {MAX_TABLE_CELLS:,}")
+            size = _check_cells(box)
             if engines:
                 # this engine's old table is dropped by the build, so the
                 # two are never held together

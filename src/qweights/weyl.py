@@ -22,9 +22,11 @@ module keeps nothing and never touches the context registry.
 
 The points held are bounded by one budget, ``MAX_ORBIT_POINTS``, checked
 before they are made: by ``orbit`` on the closed-form size of the orbit,
-by ``enumerate_weyl`` on the order of W, and by ``lusztig.character`` on
-the dominant weights it finds and on the sum of their orbit sizes.  Over
-it, each raises ``root_system.BudgetError``.
+by ``enumerate_weyl`` on the order of W, by ``lusztig.character`` on
+the dominant weights it finds and on the sum of their orbit sizes, by
+``lusztig.generalized_exponents`` on the exponents it lists and by
+``root_system.build_root_system`` on the rank times the positive roots.
+Over it, each raises ``root_system.BudgetError``.
 """
 
 from __future__ import annotations

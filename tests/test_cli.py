@@ -8,10 +8,11 @@ from math import comb
 
 import pytest
 
-from qweights import cli, qkostant, weyl
+from qweights import cli, lusztig, qkostant, root_system, weyl
 from qweights import identities as idn
 from qweights.cli import main
 from qweights.lusztig import clear_caches
+from qweights.poly import QPoly
 
 
 def run(capsys, *argv):
@@ -114,6 +115,87 @@ class TestTable:
         assert code == 0
         assert len(out.splitlines()) > 100
         assert builds == [(8, 12, 16, 8)]
+
+
+class TestOneFormat:
+    """Each format makes only its own output: no JSON payload for text, CSV
+    or LaTeX, and no table row for JSON."""
+
+    COMMANDS = [["roots", "B3"], ["table", "B2", "--lambda", "1,1"],
+                ["cherednik", "G2", "--max-height", "3"]]
+
+    @staticmethod
+    def refuse(*args):
+        raise AssertionError("made the output of another format")
+
+    @pytest.mark.parametrize("argv", COMMANDS)
+    @pytest.mark.parametrize("fmt", ["text", "csv", "latex"])
+    def test_rows_make_no_payload(self, capsys, monkeypatch, argv, fmt):
+        monkeypatch.setattr(QPoly, "json_pairs", self.refuse)
+        monkeypatch.setattr(cli, "_json", self.refuse)
+        code, out, _ = run(capsys, *argv, "--format", fmt)
+        assert code == 0 and out
+
+    @pytest.mark.parametrize("argv", COMMANDS)
+    def test_payload_makes_no_rows(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli, "_poly_cell", self.refuse)
+        monkeypatch.setattr(cli, "_render", self.refuse)
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0 and json.loads(out)
+
+
+class TestRefusedBeforeTheWork:
+    """Work sized from the input alone is refused before it is done."""
+
+    @pytest.mark.parametrize("name,lam,box,cells", [
+        # the character has 219,529 weights
+        ("F4", "2,2,2,2", (32, 60, 84, 44), 7_699_725),
+        # the character has 3,207,121 weights, over the orbit-point budget too
+        ("E8", "0,0,0,1,0,0,0,0", (20, 30, 40, 60, 48, 36, 24, 12), 959_347_272_975),
+    ])
+    def test_table_over_the_cell_budget(self, capsys, monkeypatch, name, lam, box, cells):
+        # lam's module box lam - w0(lam) holds every row, and its cells are
+        # counted from lam alone
+        def no_character(rs, lam):
+            raise AssertionError("walked the character")
+
+        for module in (cli, lusztig):
+            monkeypatch.setattr(module, "character", no_character)
+        clear_caches()
+        start = time.perf_counter()
+        code, out, err = run(capsys, "table", name, "--lambda", lam)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert err == (f"error: input too large: the partition table for the box {box} "
+                       f"needs {cells:,} cells, over the budget of 1,000,000\n")
+
+    def test_gen_exponents_over_the_budget(self, capsys, monkeypatch):
+        # B3 (2,0,0) has three exponents, 2 4 6, counted before the list is made
+        cli.build_root_system("B3")  # built before the budget is cut
+
+        def no_list(poly):
+            raise AssertionError("made the exponent list")
+
+        monkeypatch.setattr(QPoly, "exponent_multiset", no_list)
+        monkeypatch.setattr(weyl, "MAX_ORBIT_POINTS", 2)
+        code, out, err = run(capsys, "gen-exponents", "B3", "--lambda", "2,0,0")
+        assert code == 2 and out == ""
+        assert err == ("error: input too large: the exponent multiset of (2,0,0) "
+                       "reaches 3 points, over the budget of 2 orbit points\n")
+
+    def test_huge_type(self, capsys, monkeypatch):
+        # rank times the positive roots, 1000 * 500,500, from the closed form
+        def no_roots(cartan):
+            raise AssertionError("built the positive roots")
+
+        monkeypatch.setattr(root_system, "_positive_roots", no_roots)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "roots", "A1000")
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err == ("error: input too large: A1000, 500,500 positive roots of rank "
+                       "1000, reaches 500,500,000 points, over the budget of 500,000 "
+                       "orbit points\n")
 
 
 class TestRootsAndExponents:

@@ -9,7 +9,7 @@ import pytest
 from qweights import identities as idn
 from qweights import qkostant
 from qweights.identities import Report
-from qweights.lusztig import weyl_dimension
+from qweights.lusztig import WeightMultiset, weyl_dimension
 from qweights.poly import QPoly
 from qweights.root_system import Weight, build_root_system, clear_caches
 from qweights.weyl import orbit
@@ -254,3 +254,77 @@ class TestFaultInjection:
         # the plain sum over the weights sees the same error; nothing else does
         assert sorted(f["check"] for f in report.failures) == sorted(
             [check, "plain sum over all weights"])
+
+    A2 = build_root_system("A2")
+
+    @staticmethod
+    def wrap(monkeypatch, name, change):
+        """Replace ``idn.<name>`` by its value passed through
+        ``change(value, *args)``."""
+        real = getattr(idn, name)
+        monkeypatch.setattr(idn, name, lambda *args: change(real(*args), *args))
+
+    @pytest.mark.parametrize("verify,label", [
+        (idn.verify_adjoint, ""),
+        (idn.verify_little_adjoint, "short "),
+    ])
+    def test_constant_term_at_zero(self, monkeypatch, verify, label):
+        # m^0 gains the exponent 0: its exponents are no longer dual to the
+        # height counts, and m^0 shifted by ht(top) - h has a negative one
+        self.wrap(monkeypatch, "lusztig_q_analogue",
+                  lambda got, rs, lam, mu: got + QPoly.one() if mu.is_zero() else got)
+        report = verify(self.B3)
+        assert sorted(f["check"] for f in report.failures) == sorted([
+            f"zero-weight {label}exponents", f"exponents are dual to {label}height counts",
+            "shifted zero-weight polynomial", "plain sum over all weights"])
+
+    def test_main_mismatch(self, monkeypatch):
+        self.wrap(monkeypatch, "tensor_zero_q", lambda got, *args: got + QPoly.one())
+        report = idn.verify_main_identity(self.A2, self.A2.theta, self.A2.theta)
+        assert [(f["check"], f["mu"]) for f in report.failures] == [
+            ("tensor zero-weight analogue", "lambda=(1,1), gamma=(1,1)")]
+
+    @pytest.mark.parametrize("name,change,checks", [
+        # one more weight, 2 alpha_1 + alpha_2 = (3,0) at height 3, which is
+        # not a multiple of a root
+        ("character", lambda ch, rs, lam: WeightMultiset({**ch, Weight((3, 0)): 1}),
+         ["weight is a multiple of a root", "height product identity",
+          "exponents dual to height counts"]),
+        # the exponents 1 3 in place of 1 2
+        ("generalized_exponents", lambda exps, rs, lam: exps[:-1] + [exps[-1] + 1],
+         ["height product identity", "exponents dual to height counts"]),
+    ])
+    def test_height_duality(self, monkeypatch, name, change, checks):
+        self.wrap(monkeypatch, name, change)
+        report = idn.verify_height_duality(self.A2, self.A2.theta)
+        assert report.details["hypothesis_holds"]
+        assert [f["check"] for f in report.failures] == checks
+
+    def test_subregular_series_negative(self, monkeypatch):
+        # m^alpha two too large at the simple root alpha_1, so q m^alpha
+        # exceeds m^0 = q + q^2
+        alpha = self.A2.simple_roots[0]
+        self.wrap(monkeypatch, "lusztig_q_analogue",
+                  lambda got, rs, lam, mu: got + 2 * QPoly.one() if mu == alpha else got)
+        report = idn.verify_subregular_identity(self.A2, self.A2.theta, 0)
+        assert [f["check"] for f in report.failures] == [
+            "orbit transport", "crossing zero", "subregular series nonnegative"]
+        assert report.failures[-1]["actual"] == "-1*q^1"
+
+
+@pytest.mark.parametrize("name,coords,expected", [
+    ("A2", (1, 0), False),  # omega_1, off the root lattice
+    ("A2", (0, 0), True),
+    ("A2", (3, -3), False),  # alpha_1 - alpha_2, of mixed signs
+    ("A2", (2, 2), True),  # 2 theta
+    ("B2", (0, 1), False),  # omega_2, off the root lattice
+    ("B2", (0, 0), True),
+    ("B2", (3, -4), False),  # alpha_1 - alpha_2
+    ("B2", (-2, 4), True),  # 2 alpha_2
+    ("G2", (0, 0), True),
+    ("G2", (5, -3), False),  # alpha_1 - alpha_2
+    ("G2", (1, 1), False),  # 5 alpha_1 + 3 alpha_2, not a multiple of a root
+    ("G2", (-2, 1), True),  # -alpha_1
+])
+def test_is_root_multiple(name, coords, expected):
+    assert idn._is_root_multiple(build_root_system(name), Weight(coords)) is expected

@@ -8,7 +8,9 @@ from math import gcd
 import pytest
 
 import qweights
+from qweights import root_system
 from qweights.root_system import (
+    BudgetError,
     Weight,
     build_dual_root_system,
     build_root_system,
@@ -399,6 +401,40 @@ def test_dual_root_system():
     f4 = build_root_system("F4")
     dual = build_dual_root_system(f4)
     assert sum(dual.theta_s_root_coords) == sum(f4.theta_s_root_coords)
+
+
+def test_root_systems_are_equal_by_cartan_matrix():
+    b3, c3 = build_root_system("B3"), build_root_system("C3")
+    dual = build_dual_root_system(b3)
+    assert dual is not c3
+    assert dual == c3 and hash(dual) == hash(c3)
+    assert repr(dual) == "RootSystem(C3)"
+    # F4's dual has the same name, with long and short roots exchanged
+    f4 = build_root_system("F4")
+    assert build_dual_root_system(f4).name == "F4"
+    assert build_dual_root_system(f4) != f4
+    assert f4 != "F4"
+
+
+UP_TO_RANK_12 = [f"{letter}{rank}" for letter in "ABCDEFG" for rank in range(1, 13)
+                 if root_system._POSITIVE_ROOTS[letter](rank)]
+
+
+@pytest.mark.parametrize("name", UP_TO_RANK_12)
+def test_positive_root_count_in_closed_form(name):
+    rs = build_root_system(name)
+    assert len(rs.positive_roots) == root_system._POSITIVE_ROOTS[rs.letter](rs.rank)
+
+
+@pytest.mark.parametrize("letter,largest", [("A", 99), ("B", 79), ("C", 79), ("D", 79)])
+def test_largest_type_that_builds(monkeypatch, letter, largest):
+    # rank times the positive roots is counted against MAX_ORBIT_POINTS
+    # before anything is built
+    monkeypatch.setattr(root_system, "RootSystem", lambda cartan, letter, rank: rank)
+    build = root_system._build_cached.__wrapped__
+    assert build(letter, largest) == largest
+    with pytest.raises(BudgetError, match=f"^input too large: {letter}{largest + 1}, "):
+        build(letter, largest + 1)
 
 
 def test_lru_cache_identity():
