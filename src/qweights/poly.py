@@ -27,17 +27,9 @@ class QPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        data = {}
-        if terms:
-            items = terms.items() if hasattr(terms, "items") else terms
-            for e, c in items:
-                if c:
-                    c0 = data.get(e, 0) + c
-                    if c0:
-                        data[e] = c0
-                    elif e in data:
-                        del data[e]
-        self._terms = data
+        """The polynomial of the mapping ``terms`` {exponent: coefficient},
+        zero coefficients dropped, or the zero polynomial."""
+        self._terms = {} if terms is None else {e: c for e, c in terms.items() if c}
 
     @classmethod
     def _wrap(cls, terms: dict) -> "QPoly":
@@ -64,7 +56,10 @@ class QPoly:
 
     @classmethod
     def q_int(cls, h: int) -> "QPoly":
-        """The q-integer [h] = 1 + q + ... + q^(h-1)."""
+        """The q-integer [h] = 1 + q + ... + q^(h-1), for h >= 0; [h] of a
+        negative h is a Laurent polynomial, so it is refused."""
+        if h < 0:
+            raise ValueError(f"q-integer [{h}] of a negative h")
         return cls({e: 1 for e in range(h)})
 
     # -- inspection ---------------------------------------------------
@@ -212,21 +207,13 @@ class QPoly:
         return int(total) if total.denominator == 1 else total
 
     def substitute_q_plus_1(self) -> "QPoly":
-        """The polynomial p(q+1), expanded.  Requires no negative exponents."""
+        """The polynomial p(q+1), expanded by Horner's rule from the top
+        degree down.  Requires no negative exponents."""
         if any(e < 0 for e in self._terms):
             raise ValueError("q+1 substitution undefined for Laurent terms")
-        out = QPoly.zero()
-        if not self._terms:
-            return out
-        # (q+1)^e computed incrementally up to the top degree.
-        step = QPoly({0: 1, 1: 1})
-        power = QPoly.one()
-        pows = {0: power}
-        for e in range(1, max(self._terms) + 1):
-            power = power * step
-            pows[e] = power
-        for e, c in self._terms.items():
-            out = out + pows[e] * c
+        out, step = QPoly.zero(), QPoly({0: 1, 1: 1})
+        for e in range(max(self._terms, default=-1), -1, -1):
+            out = out * step + self._terms.get(e, 0)
         return out
 
     # -- comparison / hashing -----------------------------------------

@@ -427,9 +427,10 @@ class RootSystem:
 
 
 def parse_type(text: str):
-    """'b3' / 'B3' / 'B_3' -> ('B', 3)."""
-    t = text.strip().upper().replace("_", "")
-    if len(t) < 2 or t[0] not in _POSITIVE_ROOTS or not t[1:].isdigit():
+    """'b3' / 'B3' / 'B_3' -> ('B', 3); anything else, a non-string
+    included, raises ValueError."""
+    t = text.strip().upper().replace("_", "") if isinstance(text, str) else ""
+    if len(t) < 2 or t[0] not in _POSITIVE_ROOTS or not t[1:].isdecimal():
         raise ValueError(f"cannot parse root-system type {text!r}")
     letter, rank = t[0], int(t[1:])
     if not _POSITIVE_ROOTS[letter](rank):
@@ -449,21 +450,11 @@ def _build_cached(letter, rank):
     return RootSystem(_standard_cartan(letter, rank), letter, rank)
 
 
-def build_root_system(type_letter, rank=None) -> RootSystem:
-    """Build the simple root system of the given type.
-
-    Accepts either ("B", 3) or a single string "B3".
-    """
-    if rank is None and isinstance(type_letter, tuple):
-        type_letter, rank = type_letter
-    if rank is None:
-        letter, rank = parse_type(type_letter)
-    else:
-        letter = type_letter.strip().upper()
-        rank = int(rank)
-    if letter not in _POSITIVE_ROOTS or not _POSITIVE_ROOTS[letter](rank):
-        raise ValueError(f"invalid simple type {letter}{rank}")
-    return _build_cached(letter, rank)
+def build_root_system(name: str) -> RootSystem:
+    """Build the simple root system of the type ``name``, such as "B3",
+    "b_3" or "E8", as ``parse_type`` reads it.  Each type is built once and
+    shared."""
+    return _build_cached(*parse_type(name))
 
 
 def build_dual_root_system(rs: RootSystem) -> RootSystem:

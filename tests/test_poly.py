@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -18,6 +19,13 @@ class TestConstruction:
         assert QPoly({0: 1, 3: 0}) == QPoly({0: 1})
         assert QPoly({2: 0}).is_zero()
 
+    def test_mapping_only(self):
+        # one input form: a mapping (or nothing); pairs go through dict()
+        assert QPoly() == QPoly({}) == QPoly.zero()
+        assert QPoly(dict([(1, 2), (0, -1)])) == P(q0=-1, q1=2)
+        with pytest.raises(AttributeError):
+            QPoly([(1, 2), (0, -1)])
+
     def test_factories(self):
         assert QPoly.zero().is_zero()
         assert QPoly.one() == 1
@@ -33,6 +41,11 @@ class TestConstruction:
         num = QPoly.one() - QPoly.q(h)
         den = QPoly.one() - QPoly.q()
         assert num.exact_div(den) == QPoly.q_int(h)
+        assert QPoly.q_int(0) == 0
+        # [h] = (1 - q^h)/(1 - q) is -q^-2 - q^-1 at h = -2, not a polynomial
+        for h in (-1, -2):
+            with pytest.raises(ValueError, match="negative"):
+                QPoly.q_int(h)
 
     def test_int_equality(self):
         assert QPoly({0: 7}) == 7
@@ -174,6 +187,18 @@ class TestEvaluation:
         assert got.evaluate(1) == p.evaluate(2)
         with pytest.raises(ValueError):
             QPoly({-1: 1}).substitute_q_plus_1()
+
+
+    def test_substitute_q_plus_1_by_binomials(self):
+        # c q^e at q+1 is the sum of c * C(e, k) q^k
+        rng = random.Random(7)
+        for _ in range(200):
+            terms = {e: rng.randint(-9, 9) for e in rng.sample(range(12), rng.randint(0, 6))}
+            expected = {}
+            for e, c in terms.items():
+                for k in range(e + 1):
+                    expected[k] = expected.get(k, 0) + c * comb(e, k)
+            assert QPoly(terms).substitute_q_plus_1() == QPoly(expected)
 
 
 class TestCanonicalForms:

@@ -345,8 +345,17 @@ def test_parse_type():
     for bad in ("H3", "A0", "B1", "D3", "E5", "F3", "G3", "", "B", "3B"):
         with pytest.raises(ValueError):
             parse_type(bad)
-    assert build_root_system("C", 3).name == "C3"
-    assert build_root_system(("C", 3)).name == "C3"
+    # one input form, a type name: a letter and a rank, or a tuple of them,
+    # is refused
+    assert build_root_system("c_3").name == "C3"
+    for args in (("C", 3), ("B", 3.7)):
+        with pytest.raises(TypeError):
+            build_root_system(*args)
+    for bad in (("C", 3), 3, None, b"B3", "B³"):
+        with pytest.raises(ValueError, match="cannot parse root-system type"):
+            parse_type(bad)
+    with pytest.raises(ValueError, match=r"cannot parse root-system type \('C', 3\)"):
+        build_root_system(("C", 3))
 
 
 UP_TO_RANK_8 = ([f"{letter}{rank}" for letter, low in (("A", 1), ("B", 2), ("C", 2), ("D", 4))
