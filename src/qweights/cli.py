@@ -15,9 +15,12 @@ other format through one renderer, ``_render``: the rows as CSV, LaTeX or
 captioned text.  Each subparser names its handler (``common``).
 ``VERIFY`` maps each identity name to its verifier with its default inputs;
 ``verify NAME`` runs one entry and ``verify all`` every entry that applies.
+Under ``all`` an identity refused for its budget is reported ``REFUSED``
+with its error, and the others still run.
 
 Exit status: 0 success, 1 a verifier reported failures, 2 usage error
-(every one a ``ValueError``, a refused budget included).
+(every one a ``ValueError``, a refused budget included), or ``verify all``
+with an identity refused and none failed.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .lusztig import (
 )
 from .poly import QPoly
 from .qkostant import MAX_TABLE_CELLS, _check_cells
-from .root_system import RootSystem, Weight, build_root_system
+from .root_system import BudgetError, RootSystem, Weight, build_root_system
 from .weyl import _check_points
 
 
@@ -281,18 +284,28 @@ def _cmd_verify(rs: RootSystem, args) -> int:
         names = [name for name in IDENTITIES
                  if not (name == "little-adjoint" and max(rs.symmetrizer) == 1)
                  and not (name == "minuscule" and not _minuscule_fundamentals(rs))]
-    reports = [r for name in names for r in VERIFY[name](rs, lam, args)]
+    reports = []
+    for name in names:
+        try:
+            reports += VERIFY[name](rs, lam, args)
+        except BudgetError as exc:
+            # one identity alone keeps its error and exit status
+            if args.identity != "all":
+                raise
+            reports.append(idn.Report(name, rs.name, {}, "refused", details={"error": str(exc)}))
     if args.format == "json":
         _json([r.to_dict() for r in reports])
     else:
         for r in reports:
-            flag = "PASS" if r.passed else "FAIL"
             inputs = " ".join(f"{k}={v}" for k, v in sorted(r.inputs.items()))
-            print(f"{flag} {r.identity} {r.root_system} {inputs}".rstrip())
+            print(f"{r.status.upper()} {r.identity} {r.root_system} {inputs}".rstrip())
             for failure in r.failures:
                 print(f"     check={failure['check']!r} mu={failure['mu']} "
                       f"expected={failure['expected']} actual={failure['actual']}")
-    return 0 if all(r.passed for r in reports) else 1
+            if r.status == "refused":
+                print(f"     {r.details['error']}")
+    statuses = {r.status for r in reports}
+    return 1 if "fail" in statuses else 2 if "refused" in statuses else 0
 
 
 # -- parser ----------------------------------------------------------------

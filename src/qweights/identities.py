@@ -27,8 +27,9 @@ from .weyl import dominant_representative, orbit, stabilizer_poincare
 
 
 class Report:
-    """The outcome of one verifier: its inputs, "pass" or "fail", the failed
-    checks and details.  Equal to a Report with equal fields."""
+    """The outcome of one verifier: its inputs, "pass" or "fail" (or
+    "refused", with the budget's error in details, from ``verify all``), the
+    failed checks and details.  Equal to a Report with equal fields."""
 
     def __init__(self, identity: str, root_system: str, inputs: dict, status: str,
                  failures: list = None, details: dict = None):

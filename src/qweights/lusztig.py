@@ -13,10 +13,11 @@
   lam - w0(lam), which holds every weight of the module.  A
   cell has negative coefficients where mu is not dominant; the kernel
   decodes them exactly (see ``qkostant``);
-* ``q_analogue_by_induction`` — recursion on a negative coordinate of the
-  target weight, reducing to dominant targets which fall back to the sum.
-  It is a cross-check, so its memo of non-dominant targets lives for one
-  call only;
+* ``q_analogue_by_induction`` — the reflection relation at a negative
+  coordinate of the target weight, in one walk over the weights between
+  mu and lam, reducing to dominant targets which fall back to the sum.
+  It is a cross-check, so its memo lives for one call only, and it refuses
+  exactly the queries the sum refuses;
 * ``q_analogue_via_kernel`` — convolution of ordinary weight multiplicities
   (Freudenthal) with the q-analogues at highest weight zero.
 
@@ -54,7 +55,7 @@ from collections import Counter
 from operator import add, mul, sub
 
 from .poly import QPoly
-from .qkostant import PartitionEngine, read
+from .qkostant import PartitionEngine, _check_cells, read
 from .root_system import (BudgetError, Context, RootSystem, Weight, _contexts,
                           _weight, clear_caches, context)
 from .weyl import (_check_points, descend, dominant_representative, orbit,
@@ -134,60 +135,57 @@ def _weyl_seeds(rs: RootSystem, lam: Weight, bound) -> list:
 
 
 def q_analogue_by_induction(rs: RootSystem, lam: Weight, mu: Weight) -> QPoly:
-    """Same value as lusztig_q_analogue, by recursion at a negative coordinate.
+    """Same value as lusztig_q_analogue, by the reflection relation.
 
-    With n = -<mu, alpha_check> > 0 for a simple alpha:
-    n = 1 gives m^mu = q*m^{mu+alpha};
-    n >= 2 gives m^mu = q*(m^{mu+alpha} + m^{mu+n*alpha}) - m^{mu+(n-1)*alpha}.
-    Every step reduces hot(lam-mu), so the recursion reaches dominant targets
-    (handed to the defining sum) or leaves the support and vanishes.
+    With n = -<nu, alpha_check> > 0 for a simple alpha:
+    n = 1 gives m^nu = q*m^{nu+alpha};
+    n >= 2 gives m^nu = q*(m^{nu+alpha} + m^{nu+n*alpha}) - m^{nu+(n-1)*alpha}.
+    One walk on an explicit stack keeps every weight it reads in one memo,
+    for this call only.  A weight nu not below lam (lam - nu off Q_+) is
+    zero, a dominant one comes from the defining sum, and any other from
+    the relation, whose weights lie above nu, so lam - nu shrinks in every
+    root coordinate.  Every weight that is not zero therefore lies in the
+    box of lam - mu, which is counted against ``qkostant.MAX_TABLE_CELLS``
+    before the walk: the check ``lusztig_q_analogue(lam, mu)`` reaches
+    itself, so the two routes refuse the same queries.
     """
     lam.check_dominant()
     rs.check_rank(lam)
     rs.check_rank(mu)
     lc = lam.coords
-    memo = {}  # non-dominant nu -> m^nu, for this call only
 
-    def value(nu):
-        if min(nu) >= 0:
-            return lusztig_q_analogue(rs, lam, Weight(nu))
-        return memo[nu]
+    def below(nu):
+        diff = rs.root_coords(tuple(map(sub, lc, nu)))
+        return diff if diff is not None and min(diff) >= 0 else None
 
-    if mu.is_dominant():
-        return lusztig_q_analogue(rs, lam, mu)
-    # Depth-first on an explicit stack: a weight is popped once every
-    # non-dominant weight its recursion step needs is in the memo.  The
-    # chain mu, mu+alpha, ... grows with -<mu, alpha_check>, which is
-    # unbounded, so Python recursion would overflow.
+    box = below(mu.coords)
+    if box is not None:
+        _check_cells(box)
+    memo = {}
+    # the chain mu, mu+alpha, ... grows with -<mu, alpha_check>, which is
+    # unbounded, so Python recursion would overflow
     stack = [mu.coords]
     while stack:
         nu = stack[-1]
         if nu in memo:
             stack.pop()
             continue
-        diff = rs.root_coords(tuple(map(sub, lc, nu)))
-        if diff is None or sum(diff) < 0:
+        if below(nu) is None:
             memo[nu] = QPoly.zero()
-            stack.pop()
-            continue
-        i = next(k for k, c in enumerate(nu) if c < 0)
-        n = -nu[i]
-        alpha = rs.simple_roots[i].coords
-        up = tuple(map(add, nu, alpha))
-        if n == 1:
-            deps = (up,)
+        elif min(nu) >= 0:
+            memo[nu] = lusztig_q_analogue(rs, lam, Weight(nu))
         else:
-            deps = (up, tuple(x + n * a for x, a in zip(nu, alpha)),
-                    tuple(x + (n - 1) * a for x, a in zip(nu, alpha)))
-        missing = [d for d in deps if min(d) < 0 and d not in memo]
-        if missing:
-            stack.extend(reversed(missing))
-            continue
-        if n == 1:
-            memo[nu] = QPoly.q() * value(deps[0])
-        else:
-            up, top, mid = (value(d) for d in deps)
-            memo[nu] = QPoly.q() * (up + top) - mid
+            i = next(k for k, c in enumerate(nu) if c < 0)
+            n = -nu[i]
+            alpha = rs.simple_roots[i].coords
+            deps = [tuple(x + k * a for x, a in zip(nu, alpha))
+                    for k in ((1,) if n == 1 else (1, n, n - 1))]
+            missing = [d for d in deps if d not in memo]
+            if missing:
+                stack += missing
+                continue
+            up, *far = (memo[d] for d in deps)
+            memo[nu] = QPoly.q() * (up + far[0]) - far[1] if far else QPoly.q() * up
         stack.pop()
     return memo[mu.coords]
 

@@ -16,7 +16,7 @@ class InexactDivisionError(ArithmeticError):
 def _coerce(value):
     if isinstance(value, QPoly):
         return value
-    if isinstance(value, int):
+    if type(value) is int:
         return QPoly({0: value})
     return NotImplemented
 
@@ -28,8 +28,13 @@ class QPoly:
 
     def __init__(self, terms=None):
         """The polynomial of the mapping ``terms`` {exponent: coefficient},
-        zero coefficients dropped, or the zero polynomial."""
+        zero coefficients dropped, or the zero polynomial.  An exponent or
+        coefficient that is not an int (a bool, a float, a Fraction) raises
+        TypeError."""
         self._terms = {} if terms is None else {e: c for e, c in terms.items() if c}
+        for e, c in (terms or {}).items():
+            if type(e) is not int or type(c) is not int:
+                raise TypeError(f"QPoly takes int exponents and coefficients, not {e!r}: {c!r}")
 
     @classmethod
     def _wrap(cls, terms: dict) -> "QPoly":
@@ -131,7 +136,7 @@ class QPoly:
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             return QPoly({e: c * other for e, c in self._terms.items()})
         if not isinstance(other, QPoly):
             return NotImplemented
@@ -140,7 +145,7 @@ class QPoly:
             for e2, c2 in other._terms.items():
                 e = e1 + e2
                 terms[e] = terms.get(e, 0) + c1 * c2
-        return QPoly(terms)
+        return QPoly._wrap({e: c for e, c in terms.items() if c})
 
     __rmul__ = __mul__
 
@@ -157,7 +162,10 @@ class QPoly:
         return out
 
     def shift(self, k: int) -> "QPoly":
-        """Multiply by q^k (k may be negative: Laurent shift)."""
+        """Multiply by q^k (k may be negative: Laurent shift); a k that is
+        not an int raises TypeError."""
+        if type(k) is not int:
+            raise TypeError(f"QPoly shifts by an int, not {k!r}")
         return QPoly._wrap({e + k: c for e, c in self._terms.items()})
 
     def exact_div(self, divisor: "QPoly") -> "QPoly":
@@ -219,9 +227,8 @@ class QPoly:
     # -- comparison / hashing -----------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = QPoly({0: other})
-        if not isinstance(other, QPoly):
+        other = _coerce(other)
+        if other is NotImplemented:
             return NotImplemented
         return self._terms == other._terms
 

@@ -359,6 +359,61 @@ class TestVerify:
         assert "Traceback" not in err
 
 
+class TestVerifyAllReportsWhatItCan:
+    """Under ``verify all`` an identity refused for its budget is reported
+    REFUSED with its error, and the others still run.  B2 under a budget of
+    10 cells refuses adjoint, main and induction, whose tables need more."""
+
+    REFUSED = ("adjoint", "main", "induction")
+
+    @pytest.fixture(autouse=True)
+    def small_budget(self, monkeypatch):
+        monkeypatch.setattr(qkostant, "MAX_TABLE_CELLS", 10)
+        clear_caches()
+        yield
+        clear_caches()
+
+    def test_text(self, capsys):
+        code, out, err = run(capsys, "verify", "all", "B2")
+        assert code == 2 and err == ""
+        lines = out.splitlines()
+        heads = [line.split()[:2] for line in lines if not line.startswith(" ")]
+        assert heads == [["REFUSED" if name in self.REFUSED else "PASS", name]
+                         for name in cli.IDENTITIES]
+        for name in self.REFUSED:
+            at = lines.index(f"REFUSED {name} B2")
+            assert lines[at + 1].startswith("     input too large: the partition table")
+            assert lines[at + 1].endswith("over the budget of 10")
+
+    def test_json(self, capsys):
+        code, out, _ = run(capsys, "verify", "all", "B2", "--format", "json")
+        assert code == 2
+        payload = json.loads(out)
+        refused = [r for r in payload if r["status"] == "refused"]
+        assert [r["identity"] for r in refused] == list(self.REFUSED)
+        for r in refused:
+            assert r["root_system"] == "B2" and r["inputs"] == {} and r["failures"] == []
+            assert r["details"]["error"].startswith("input too large: the partition table")
+        assert all(r["status"] == "pass" for r in payload if r not in refused)
+
+    def test_a_failure_outranks_a_refusal(self, capsys, monkeypatch):
+        # the little-adjoint verifier reads a q-analogue one too large at
+        # -alpha_2, a short negative root of B2
+        real = idn.lusztig_q_analogue
+        target = -root_system.build_root_system("B2").simple_roots[1]
+        monkeypatch.setattr(idn, "lusztig_q_analogue", lambda rs, lam, mu: (
+            real(rs, lam, mu) + QPoly.one() if mu == target else real(rs, lam, mu)))
+        code, out, _ = run(capsys, "verify", "all", "B2")
+        assert code == 1
+        assert "FAIL little-adjoint B2" in out.splitlines()
+        assert out.count("REFUSED ") == 3
+
+    def test_one_identity_keeps_its_error(self, capsys):
+        code, out, err = run(capsys, "verify", "adjoint", "B2")
+        assert code == 2 and out == ""
+        assert err.startswith("error: input too large: the partition table")
+
+
 class TestGuardsAndBackend:
     def test_e8_roots_without_a_flag(self, capsys):
         code, out, _ = run(capsys, "roots", "E8", "--format", "json")

@@ -137,6 +137,98 @@ class TestFrozenValues:
             q_analogue_by_induction(A2, Weight((-1, 0)), ZERO2)
 
 
+class TestInductionWalk:
+    """The induction route walks the weights between mu and lam once: a
+    weight nu with lam - nu off Q_+ is zero, a dominant one comes from the
+    defining sum, and the box of lam - mu is counted before the walk."""
+
+    @pytest.fixture
+    def sums(self, monkeypatch):
+        """The targets of the defining-sum calls made from here on."""
+        targets = []
+        real = lusztig.lusztig_q_analogue
+
+        def counting(rs, lam, mu):
+            targets.append(mu.coords)
+            return real(rs, lam, mu)
+
+        monkeypatch.setattr(lusztig, "lusztig_q_analogue", counting)
+        clear_caches()
+        return targets
+
+    def test_walk_stays_below_lam(self, sums):
+        # A2, lam = 0, mu = (-300,0): 0 is the only dominant weight below lam,
+        # so the walk makes one defining-sum call, and it reads 5,552
+        # weights.  A walk that stops on ht(lam - nu) < 0 alone reads 15,899,
+        # and one that reads the sum at each dominant step makes 452 calls
+        rs = RootSystem(A2.cartan, "A2", 2)
+        want = lusztig_q_analogue(rs, ZERO2, Weight((-300, 0)))
+        assert not want.is_zero()
+        lusztig_q_analogue(rs, ZERO2, ZERO2)
+        read = set()
+        real = rs.root_coords
+        rs.root_coords = lambda coords: read.add(coords) or real(coords)
+        assert q_analogue_by_induction(rs, ZERO2, Weight((-300, 0))) == want
+        assert sums == [(0, 0)]
+        assert len(read) == 5552
+
+    @pytest.mark.parametrize("rs,lam", [
+        (A2, (0, 0)), (A2, (1, 1)), (B2, (0, 2)), (B2, (1, 0)), (G2, (1, 0)), (G2, (0, 1))])
+    @pytest.mark.parametrize("depth", [(23, 9), (9, 23), (31, 30)])
+    def test_far_targets_equal_the_defining_sum(self, rs, lam, depth):
+        # mu = lam - 23*alpha_1 - 9*alpha_2 and the like, non-dominant, then
+        # mu + omega_1 (off A2's root lattice) and a point above mu that is
+        # not below lam
+        lam = Weight(lam)
+        mu = lam - depth[0] * rs.simple_roots[0] - depth[1] * rs.simple_roots[1]
+        assert not mu.is_dominant()
+        values = []
+        for nu in (mu, mu + rs.fundamental_weight(0), mu + (depth[0] + 1) * rs.simple_roots[0]):
+            clear_caches()
+            values.append(q_analogue_by_induction(rs, lam, nu))
+            clear_caches()
+            assert values[-1] == lusztig_q_analogue(rs, lam, nu)
+        # lam - nu for the last target has alpha_1-coordinate -1
+        assert not values[0].is_zero() and values[2].is_zero()
+
+    def test_both_routes_refuse_the_same_targets(self, monkeypatch):
+        # under a budget of 60 cells, B2 targets lam - a*alpha_1 - b*alpha_2
+        # around the boundary, and the same points moved off Q_+ below lam
+        monkeypatch.setattr(qkostant, "MAX_TABLE_CELLS", 60)
+        lam = B2.theta
+        refused = {}
+        for a, b in itertools.product(range(0, 16, 3), range(0, 16, 3)):
+            mu = lam - a * B2.simple_roots[0] - b * B2.simple_roots[1]
+            for nu in (mu, mu + B2.fundamental_weight(1), mu + (a + 1) * B2.simple_roots[0]):
+                outcomes = []
+                for route in (lusztig_q_analogue, q_analogue_by_induction):
+                    clear_caches()
+                    try:
+                        outcomes.append(route(B2, lam, nu))
+                    except root_system.BudgetError as exc:
+                        outcomes.append(str(exc))
+                assert outcomes[0] == outcomes[1]
+                refused[nu.coords] = isinstance(outcomes[0], str)
+        assert 0 < sum(refused.values()) < len(refused)
+
+    def test_refused_at_once(self, sums):
+        # A2 (-3000,0) lies in the box (2000,1000) below lam = 0, whose
+        # 2,003,001 cells are over the budget; nothing is walked or built
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(root_system.BudgetError, match="2,003,001 cells"):
+                q_analogue_by_induction(A2, ZERO2, Weight((-3000, 0)))
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1 and peak < 5_000_000
+        assert sums == [] and not root_system._contexts
+        with pytest.raises(root_system.BudgetError, match="2,003,001 cells"):
+            lusztig_q_analogue(A2, ZERO2, Weight((-3000, 0)))
+
+
 class TestOrbitWalkAgainstFullWeylSum:
     """The pruned orbit walk must agree with the plain alternating sum over
     every element of W, including where the answer is zero."""

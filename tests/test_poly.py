@@ -26,6 +26,29 @@ class TestConstruction:
         with pytest.raises(AttributeError):
             QPoly([(1, 2), (0, -1)])
 
+    @pytest.mark.parametrize("terms", [
+        {0: 0.5}, {1.5: 2}, {0: 2.0}, {2.0: 1}, {0: Fraction(1, 2)}, {Fraction(2): 1},
+        {0: True}, {True: 2}, {0: True, True: 2}, {0.5: 0}])
+    def test_only_int_terms(self, terms):
+        # a float, a Fraction or a bool never enters the exact arithmetic,
+        # even with a zero coefficient that would be dropped
+        with pytest.raises(TypeError, match="int exponents and coefficients"):
+            QPoly(terms)
+
+    @pytest.mark.parametrize("k", [0.5, 1.0, Fraction(1, 2), True, False])
+    def test_only_int_shifts(self, k):
+        with pytest.raises(TypeError, match="shifts by an int"):
+            QPoly.one().shift(k)
+
+    def test_a_bool_is_not_an_int_operand(self):
+        # the constructor's rule holds for the operators: a bool is refused
+        # where an int is taken, and equal to no polynomial
+        one = QPoly.one()
+        for op in (lambda: one + True, lambda: True - one, lambda: one * True):
+            with pytest.raises(TypeError):
+                op()
+        assert one != True and one == 1  # noqa: E712
+
     def test_factories(self):
         assert QPoly.zero().is_zero()
         assert QPoly.one() == 1
