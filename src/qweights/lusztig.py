@@ -34,6 +34,10 @@ are bounded: the defining sum by its entries, the characters by the
 weights they hold.  A q-analogue that is refused, for its input or for
 the budget of its table, leaves no context where there was none, and
 so does a character refused for its input or for either of its budgets.
+This module builds no context: it looks up the one of ``rs`` in the
+registry, hands it (or None) to ``qkostant.read``, the only code that
+fills the tables, and writes its memos into it, or through
+``context(rs)``, which registers a new one, when there was none.
 Freudenthal's data on each positive root is static, and ``character``
 reads it from the ``RootSystem``.
 
@@ -56,8 +60,8 @@ from operator import add, mul, sub
 
 from .poly import QPoly
 from .qkostant import PartitionEngine, _check_cells, read
-from .root_system import (BudgetError, Context, RootSystem, Weight, _contexts,
-                          _weight, clear_caches, context)
+from .root_system import (BudgetError, RootSystem, Weight, _contexts, _weight,
+                          clear_caches, context)
 from .weyl import (_check_points, descend, dominant_representative, orbit,
                    orbit_size, stabilizer_poincare)
 
@@ -69,10 +73,23 @@ from .weyl import (_check_points, descend, dominant_representative, orbit,
 MAX_STRING_STEPS = 2_000_000
 
 
+def _read_only(self, *args, **kwargs):
+    raise TypeError("a WeightMultiset is read-only; copy it with dict(...)")
+
+
 class WeightMultiset(dict):
     """Weights with positive integer multiplicities: an ordered dict from
-    each weight to its multiplicity, in the order it was built."""
+    each weight to its multiplicity, in the order it was built.  Read-only,
+    since ``character`` hands out its memo: every mutator raises
+    ``TypeError``, and ``dict(...)`` makes a copy to change.  ``copy``,
+    ``deepcopy`` and ``pickle`` rebuild it from such a copy."""
 
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return self.__class__, (dict(self),)
+
+    # layerbench's oracle.check_poly reads a weight off the module as this 0
     def get(self, w: Weight, default=0) -> int:
         return super().get(w, default)
 
@@ -82,6 +99,7 @@ class WeightMultiset(dict):
     def dominant_items(self):
         return [(w, m) for w, m in super().items() if w.is_dominant()]
 
+    # layerbench/session.py checks the mass of each character through it
     def total_mass(self) -> int:
         return sum(self.values())
 
@@ -99,11 +117,8 @@ def lusztig_q_analogue(rs: RootSystem, lam: Weight, mu: Weight) -> QPoly:
     lam.check_dominant()
     rs.check_rank(lam)
     rs.check_rank(mu)
-    # a new context is registered only once the read is not refused
-    ctx = ctx or Context()
-    poly = read(rs, ctx.engines, lc, tuple(map(sub, lc, mc)), _seeded_engine)
-    ctx.remember((lc, mc), poly)
-    _contexts[rs._key] = ctx
+    poly = read(rs, ctx, lc, tuple(map(sub, lc, mc)), _seeded_engine)
+    (ctx or context(rs)).remember((lc, mc), poly)
     return poly
 
 
@@ -297,6 +312,8 @@ def character(rs: RootSystem, lam: Weight) -> WeightMultiset:
         return (-sum(map(mul, height, c)), c)
 
     dominants = sorted(found, key=level)
+    # the only weyl.orbit call on the table path: the traced cli-table run
+    # of layerbench requires its span, so ``descend`` must not replace it
     mult = dict.fromkeys((nu.coords for nu in orbit(rs, lam)), 1)
     for mu in dominants[1:]:
         rhs = 0
@@ -325,7 +342,7 @@ def character(rs: RootSystem, lam: Weight) -> WeightMultiset:
     ch = WeightMultiset({_weight(c): mult[c] for c in sorted(mult, key=level)})
     if ch.total_mass() != weyl_dimension(rs, lam):
         raise AssertionError(f"character mass mismatch for {lam} in {rs.name}")
-    context(rs).remember_character(lc, ch)
+    (ctx or context(rs)).remember_character(lc, ch)
     return ch
 
 

@@ -233,7 +233,9 @@ class QPoly:
         return self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        # a constant hashes as the int it equals, as ``==`` requires
+        t = self._terms
+        return hash(t.get(0, 0)) if t.keys() <= {0} else hash(frozenset(t.items()))
 
     def __bool__(self):
         return bool(self._terms)

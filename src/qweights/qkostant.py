@@ -44,9 +44,11 @@ of n, plus a sign bit.  No table has more than ``MAX_TABLE_CELLS`` cells
 (a larger box raises ``root_system.BudgetError`` and changes nothing), and
 neither have the tables of one context together: a build first drops the
 context's least recently used tables until the new one fits.  ``read``
-puts a new engine in its context only once its first table is built, so
-a refused build registers nothing.  The packed cell format is read only
-in this module.
+is the only code that fills ``engines``: it takes the caller's context,
+or None when the root system has none yet, and puts a new engine in it,
+through ``root_system.context`` when there was none, only once its first
+table is built, so a refused build or a point off Q_+ registers nothing.
+The packed cell format is read only in this module.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from math import prod
 from operator import gt, mul
 
 from .poly import QPoly
-from .root_system import BudgetError, Context, RootSystem, Weight, _contexts
+from .root_system import BudgetError, RootSystem, Weight, _contexts, context
 
 # A target outside the box grows the table to the union of the two boxes,
 # unless the union has more than this many times the cells of the old box
@@ -74,6 +76,7 @@ _MAX_GROWTH = 4
 MAX_TABLE_CELLS = 1_000_000
 
 
+# layerbench's session.py, oracle.py and traced_cli.py call it
 def kernel_backend() -> str:
     """Which partition kernel is live: always 'pure' (the box table)."""
     return "pure"
@@ -267,22 +270,25 @@ def _decode(cell: int, width: int) -> dict:
     return out
 
 
-def read(rs: RootSystem, engines: dict, key, coords, make) -> QPoly:
-    """Cell ``coords`` of the table ``engines[key]``, as a polynomial; zero
-    when ``coords`` is not in Q_+.
+def read(rs: RootSystem, ctx, key, coords, make) -> QPoly:
+    """Cell ``coords`` of the table ``ctx.engines[key]``, as a polynomial;
+    zero when ``coords`` is not in Q_+.
 
-    ``coords`` are the fundamental-weight coordinates of the cell: lam - mu
-    in lam's seeded table, mu in P_q's.  When the table holds the cell, one
-    loop over the rows of the scaled inverse Cartan matrix tests the root
-    lattice, checks the bound and sums the flat index, and the cell is
-    decoded.  Any other point of Q_+ goes to ``compute`` in root
-    coordinates, which builds or grows the table; ``make(rs, key)`` makes a
-    missing engine, which is put in ``engines`` only once its first table
-    is built, so a refused build leaves nothing behind.  A point off Q_+
-    touches no engine.  A cell read moves its engine to the end of
-    ``engines``, which runs from the least to the most recently used: the
-    order in which builds drop them.
+    ``ctx`` is the caller's ``root_system.Context`` of ``rs``, or None when
+    it has none yet.  ``coords`` are the fundamental-weight coordinates of
+    the cell: lam - mu in lam's seeded table, mu in P_q's.  When the table
+    holds the cell, one loop over the rows of the scaled inverse Cartan
+    matrix tests the root lattice, checks the bound and sums the flat
+    index, and the cell is decoded.  Any other point of Q_+ goes to
+    ``compute`` in root coordinates, which builds or grows the table;
+    ``make(rs, key)`` makes a missing engine, which is put in the engines
+    of ``ctx``, or of ``context(rs)`` when ``ctx`` is None, only once its
+    first table is built, so a refused build leaves nothing behind.  A
+    point off Q_+ touches no engine and no context.  A cell read moves its
+    engine to the end of ``engines``, which runs from the least to the most
+    recently used: the order in which builds drop them.
     """
+    engines = ctx.engines if ctx else {}
     eng = engines.get(key)
     if eng is not None and eng.bound is not None:
         index = 0
@@ -302,22 +308,20 @@ def read(rs: RootSystem, engines: dict, key, coords, make) -> QPoly:
         return QPoly._wrap({})
     eng = eng or make(rs, key)
     cell = eng.compute(root, engines)
-    # in place or not, the engine goes to the end once its table is built
-    engines[key] = engines.pop(key, eng)
+    # in place or not, the engine goes to the end once its table is built,
+    # of a context registered only now when the caller had none
+    (ctx or context(rs)).engines[key] = engines.pop(key, eng)
     return QPoly._wrap(cell)
 
 
 def q_partition(rs: RootSystem, mu: Weight) -> QPoly:
     """P_q(mu) as a polynomial; the zero polynomial when mu is not in Q_+."""
     rs.check_rank(mu.coords)
-    # a new context is registered only once the read is not refused
-    ctx = _contexts.get(rs._key) or Context()
-    poly = read(rs, ctx.engines, None, mu.coords,
+    return read(rs, _contexts.get(rs._key), None, mu.coords,
                 lambda rs, key: PartitionEngine(rs.positive_roots))
-    _contexts[rs._key] = ctx
-    return poly
 
 
+# layerbench's session.py and traced_cli.py call it
 def q_partition_cache_stats():
     """(table cells, lookups answered without a rebuild) over every table
     of every root system: P_q and one per highest weight."""

@@ -355,6 +355,8 @@ class RootSystem:
             out.append(x)
         return tuple(out)
 
+    # layerbench/tracer.py wraps it by name, and the traced cli-verify run
+    # requires its root_system.to_root_coords span
     def weight_to_root_coords(self, w: Weight) -> tuple:
         """Exact rational solution of cartan . x = coords, as Fractions
         (``fractions`` is imported on the first call)."""
@@ -479,10 +481,13 @@ class Context:
     """Everything that queries fill for reuse about one root system, in one
     slot per cache; the static data lives on ``RootSystem``.
 
-    The partition tables are filled by ``qkostant`` (P_q, under the key None)
-    and ``lusztig`` (one per highest weight lam, under lam), the memo of the
-    defining sum (through ``remember``) and the characters (through
-    ``remember_character``) by ``lusztig``.  The context is the only holder
+    The partition tables are filled only by ``qkostant.read`` (P_q, under
+    the key None, and one per highest weight lam, under lam), the memo of
+    the defining sum (through ``remember``) and the characters (through
+    ``remember_character``) by ``lusztig``.  Only ``context`` makes and
+    registers a context, and only ``clear_caches`` drops them, so the
+    callers that may be the first to fill one write through ``context`` and
+    leave none behind when refused.  The context is the only holder
     of its tables, and no table refers back to it, so dropping the context
     frees them at once.  Both memos drop their oldest entries first once
     full, the tables their least recently used once their cells pass
@@ -524,7 +529,8 @@ _contexts = {}
 
 
 def context(rs: RootSystem) -> Context:
-    """The caches of ``rs``, shared by every root system with its Cartan matrix."""
+    """The caches of ``rs``, shared by every root system with its Cartan
+    matrix: the one place that makes a context and registers it."""
     ctx = _contexts.get(rs._key)
     if ctx is None:
         ctx = _contexts[rs._key] = Context()

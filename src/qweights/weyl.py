@@ -62,10 +62,12 @@ class WeylElement(namedtuple("WeylElement", "matrix length")):
     def sign(self) -> int:
         return -1 if self.length & 1 else 1
 
+    # layerbench/tracer.py wraps it by name, for its weyl.act span
     def act(self, w: Weight) -> Weight:
         return Weight(tuple(sum(map(mul, row, w.coords)) for row in self.matrix))
 
 
+# layerbench/tracer.py wraps it by name, for its weyl.elements.count counter
 def enumerate_weyl(rs: RootSystem):
     """Yield every Weyl element exactly once, in length order (BFS).  A group
     over the orbit-point budget is refused before anything is yielded."""
@@ -92,6 +94,7 @@ def enumerate_weyl(rs: RootSystem):
         depth += 1
 
 
+# layerbench/tracer.py wraps it by name, for its weyl.elements span
 def weyl_elements(rs: RootSystem) -> tuple:
     """The Weyl group, materialised in length order.  Nothing keeps it: it
     is a reference for tests, rebuilt on each call."""

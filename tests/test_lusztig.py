@@ -1,8 +1,11 @@
 """Graded multiplicities: frozen values, specializations, route agreement."""
 
+import copy
 import gc
 import itertools
+import operator
 import pathlib
+import pickle
 import random
 import sys
 import time
@@ -839,6 +842,16 @@ class TestClearCaches:
             query(e8)
         assert not root_system._contexts
 
+    def test_q_partition_off_the_cone_makes_no_context(self):
+        # omega_1 is off the root lattice and -theta off Q_+: both read zero
+        # and register nothing; a point of Q_+ registers one context
+        clear_caches()
+        assert q_partition(A2, A2.fundamental_weight(1)) == QPoly.zero()
+        assert q_partition(A2, -A2.theta) == QPoly.zero()
+        assert not root_system._contexts
+        assert q_partition(A2, A2.theta) == P({1: 1, 2: 1})
+        assert list(root_system._contexts) == [A2._key]
+
     def test_a_refused_read_keeps_the_tables(self, monkeypatch):
         # a read refused for its box leaves every table, its own too, as it
         # was, in the same order, and makes no engine for a new weight
@@ -1258,3 +1271,48 @@ class TestCharacterMemo:
         assert character(a1, Weight((3,))) is first
         character(a1, Weight((1,)))
         assert list(ctx.characters) == [(4,), (1,)]
+
+
+class TestReadOnlyCharacter:
+    """``character`` hands out its memo, so a WeightMultiset takes no change."""
+
+    MUTATIONS = {
+        "setitem": lambda ch: ch.__setitem__(ZERO2, 5),
+        "delitem": lambda ch: ch.__delitem__(ZERO2),
+        "ior": lambda ch: ch.__ior__({ZERO2: 5}),
+        "ior operator": lambda ch: operator.ior(ch, {ZERO2: 5}),
+        "clear": lambda ch: ch.clear(),
+        "pop": lambda ch: ch.pop(ZERO2),
+        "popitem": lambda ch: ch.popitem(),
+        "setdefault": lambda ch: ch.setdefault(Weight((5, 5)), 1),
+        "update": lambda ch: ch.update({ZERO2: 5}),
+    }
+
+    @pytest.mark.parametrize("mutate", MUTATIONS.values(), ids=MUTATIONS.keys())
+    def test_a_mutation_is_refused_and_changes_nothing(self, mutate):
+        clear_caches()
+        ch = character(B2, B2.theta)
+        before = list(ch.items())
+        assert freudenthal_multiplicity(B2, B2.theta, ZERO2) == 2
+        with pytest.raises(TypeError, match=r"dict\(\.\.\.\)"):
+            mutate(ch)
+        assert character(B2, B2.theta) is ch
+        assert ch.items() == before
+        assert freudenthal_multiplicity(B2, B2.theta, ZERO2) == 2
+
+    def test_copies_and_pickles(self):
+        clear_caches()
+        ch = character(B2, B2.theta)
+        for twin in (copy.copy(ch), copy.deepcopy(ch), pickle.loads(pickle.dumps(ch))):
+            assert type(twin) is WeightMultiset and twin is not ch
+            assert twin.items() == ch.items()
+        mutable = dict(ch)
+        mutable[ZERO2] = 5
+        assert ch.get(ZERO2) == 2
+
+    def test_a_new_multiset_from_a_character(self):
+        # the fault-injection idiom of test_identities
+        ch = character(A2, A2.theta)
+        more = WeightMultiset({**ch, Weight((3, 0)): 1})
+        assert more.get(Weight((3, 0))) == 1 and len(more) == len(ch) + 1
+        assert Weight((3, 0)) not in character(A2, A2.theta)

@@ -244,6 +244,14 @@ class TestCanonicalForms:
     def test_hashable(self):
         assert len({P(q1=1), P(q1=1), P(q2=1)}) == 2
 
+    def test_a_constant_hashes_as_the_int_it_equals(self):
+        # a == b must give hash(a) == hash(b), across QPoly and int too
+        assert QPoly.one() == 1 and len({QPoly.one(), 1}) == 1
+        assert {1: "a"}.get(QPoly.one()) == "a"
+        assert hash(QPoly.zero()) == hash(0)
+        assert hash(P(q0=-7)) == hash(-7)
+        assert len({P(q1=1), 1, 0, QPoly.zero()}) == 3
+
     def test_bool(self):
         assert not QPoly.zero()
         assert P(q1=1)
