@@ -62,7 +62,7 @@ from .weyl import (
     weyl_elements,
 )
 
-__version__ = "4.2.0"
+__version__ = "4.3.0"
 
 __all__ = [
     "BudgetError",

@@ -8,9 +8,9 @@ always carries the offending input and both polynomials, stringified.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from itertools import product as iproduct
-from math import gcd
+from math import gcd, prod
 
 from .lusztig import (
     brylinski_form,
@@ -23,37 +23,28 @@ from .lusztig import (
 )
 from .poly import QPoly
 from .root_system import RootSystem, Weight, _dual_partition, build_dual_root_system
-from .weyl import dominant_representative, orbit, stabilizer_poincare
+from .weyl import _check_points, dominant_representative, orbit, stabilizer_poincare
 
 
-class Report:
+class Report(namedtuple("Report", "identity root_system inputs status failures details")):
     """The outcome of one verifier: its inputs, "pass" or "fail" (or
     "refused", with the budget's error in details, from ``verify all``), the
-    failed checks and details.  Equal to a Report with equal fields."""
+    failed checks and details."""
 
-    def __init__(self, identity: str, root_system: str, inputs: dict, status: str,
-                 failures: list = None, details: dict = None):
-        self.identity = identity
-        self.root_system = root_system
-        self.inputs = inputs
-        self.status = status
-        self.failures = [] if failures is None else failures
-        self.details = {} if details is None else details
+    __slots__ = ()
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __repr__(self):
-        return f"Report({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+    def __new__(cls, identity: str, root_system: str, inputs: dict, status: str,
+                failures: list = None, details: dict = None):
+        return super().__new__(cls, identity, root_system, inputs, status,
+                               [] if failures is None else failures,
+                               {} if details is None else details)
 
     @property
     def passed(self) -> bool:
         return self.status == "pass"
 
     def to_dict(self) -> dict:
-        return dict(vars(self))
+        return self._asdict()
 
     def to_json(self) -> str:
         import json
@@ -290,11 +281,10 @@ def _is_root_multiple(rs: RootSystem, w: Weight) -> bool:
     g = gcd(*ints)
     if g == 0:
         return True
-    if all(x <= 0 for x in ints):
-        ints = [-x for x in ints]
-    elif any(x < 0 for x in ints):
-        return False
-    return tuple(x // g for x in ints) in rs._root_index
+    root = tuple(x // g for x in ints)
+    # _root_index holds the positive roots, so a vector of mixed signs
+    # matches neither it nor its negation
+    return root in rs._root_index or tuple(-x for x in root) in rs._root_index
 
 
 def verify_height_duality(rs: RootSystem, lam: Weight) -> Report:
@@ -341,11 +331,15 @@ def verify_height_duality(rs: RootSystem, lam: Weight) -> Report:
 
 def classify_principal_pairs(systems, height_bound: int):
     """Scan every dominant root-lattice weight with 0 < hot(lambda) <= bound
-    and keep the pairs satisfying the fixed-space dimension hypothesis."""
+    and keep the pairs satisfying the fixed-space dimension hypothesis.  A
+    root system with more than ``weyl.MAX_ORBIT_POINTS`` candidate weights
+    is refused before its scan computes any character."""
     found = []
     for rs in systems:
         ranges = [range(height_bound * rs._inv_scale // h + 1)
                   for h in rs._fund_heights]
+        _check_points(prod(map(len, ranges)),
+                      f"the {rs.name} candidate weights up to height {height_bound}")
         for coords in iproduct(*ranges):
             rc = rs.root_coords(coords)
             if rc is None or not 0 < sum(rc) <= height_bound:

@@ -427,8 +427,6 @@ def brylinski_form(rs: RootSystem, lam: Weight, gam: Weight) -> QPoly:
         if not rs.dominance_leq(nu, gam):
             continue
         p = lusztig_q_analogue(rs, lam, nu) * lusztig_q_analogue(rs, gam, nu)
-        if p.is_zero():
-            continue
         out = out + p * t0.exact_div(stabilizer_poincare(rs, nu))
     return out
 

@@ -11,7 +11,7 @@ from qweights import qkostant
 from qweights.identities import Report
 from qweights.lusztig import WeightMultiset, weyl_dimension
 from qweights.poly import QPoly
-from qweights.root_system import Weight, build_root_system, clear_caches
+from qweights.root_system import BudgetError, Weight, build_root_system, clear_caches
 from qweights.weyl import orbit
 
 
@@ -158,6 +158,19 @@ class TestClassification:
                        ("B2", (0, 2)), ("B2", (1, 0)), ("B2", (2, 0)),
                        ("G2", (0, 1)), ("G2", (1, 0)), ("G2", (2, 0))}
 
+    @pytest.mark.parametrize("name,bound,count", [
+        ("A2", 10**6, "1,000,002,000,001"), ("B3", 10**4, "22,242,227,556"),
+    ])
+    def test_oversized_scan_refused_before_any_character(self, monkeypatch,
+                                                         name, bound, count):
+        def no_character(rs, lam):
+            raise AssertionError(f"character({lam}) computed before the refusal")
+
+        monkeypatch.setattr(idn, "character", no_character)
+        with pytest.raises(BudgetError, match=f"the {name} candidate weights up to "
+                                              f"height {bound} reaches {count} points"):
+            idn.classify_principal_pairs([build_root_system(name)], bound)
+
     def test_zero_weight_excluded(self):
         a2 = build_root_system("A2")
         pairs = idn.classify_principal_pairs([a2], 6)
@@ -220,6 +233,16 @@ class TestReports:
         failures = []
         idn._expect(failures, "demo", "mu", QPoly.q(), QPoly.q())
         assert failures == []
+
+
+def test_a_report_is_an_immutable_tuple():
+    report = Report("demo", "A2", {}, "pass")
+    with pytest.raises(AttributeError):
+        report.status = "fail"
+    identity, root_system, inputs, status, failures, details = report
+    assert (identity, root_system, status) == ("demo", "A2", "pass")
+    assert inputs == details == {} and failures == []
+    assert report == ("demo", "A2", {}, "pass", [], {})
 
 
 class TestFaultInjection:

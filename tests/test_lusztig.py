@@ -510,6 +510,12 @@ class TestTensorAndDuality:
         assert tensor_zero_q(A2, w1, w1) == P({0: 1, 1: 1, 2: 1})
         assert tensor_zero_q(A2, w1, dual_weight(A2, w1)).is_zero()
 
+    @pytest.mark.parametrize("form", [klimyk_decompose, weighted_sum, brylinski_form])
+    @pytest.mark.parametrize("lam,gam", [((-1, 1), (1, 0)), ((1, 0), (2, -1))])
+    def test_non_dominant_highest_weight_refused(self, form, lam, gam):
+        with pytest.raises(ValueError, match="both highest weights must be dominant"):
+            form(A2, Weight(lam), Weight(gam))
+
     def test_weighted_sum_matches_brylinski(self):
         for rs, lam, gam in [(A2, Weight((1, 1)), Weight((1, 1))),
                              (B2, Weight((1, 0)), Weight((1, 0))),

@@ -86,6 +86,12 @@ class TestArithmetic:
         assert 1 - QPoly.q() == P(q0=1, q1=-1)
         assert -P(q1=2) == P(q1=-2)
 
+    def test_sub_refuses_a_string(self):
+        with pytest.raises(TypeError):
+            "a" - QPoly.one()
+        with pytest.raises(TypeError):
+            QPoly.one() - "a"
+
     def test_mul(self):
         assert P(q0=1, q1=1) * P(q0=1, q1=-1) == P(q0=1, q2=-1)
         assert P(q1=2) * 3 == P(q1=6)
@@ -159,6 +165,11 @@ class TestDivision:
     def test_inexact_raises(self):
         with pytest.raises(InexactDivisionError):
             P(q0=1, q1=1, q2=1).exact_div(P(q0=1, q1=1))
+
+    def test_constant_remainder_raises(self):
+        # the leading coefficient does not divide: 1 / 2 leaves a remainder
+        with pytest.raises(InexactDivisionError, match="not divisible by 2"):
+            QPoly.one().exact_div(QPoly({0: 2}))
 
     def test_zero_divisor(self):
         with pytest.raises(ZeroDivisionError):
@@ -234,6 +245,15 @@ class TestCanonicalForms:
     def test_from_string_roundtrip(self):
         for p in (QPoly.zero(), P(q0=2), P(q1=-1, q2=1, q3=1), QPoly({-1: 3})):
             assert QPoly.from_string(str(p)) == p
+
+    @pytest.mark.parametrize("text", ["q^2", "1*q^1 + q^2", "1*q", "x", ""])
+    def test_from_string_refuses_a_malformed_term(self, text):
+        with pytest.raises(ValueError, match="cannot parse polynomial term"):
+            QPoly.from_string(text)
+
+    def test_repr(self):
+        assert repr(QPoly.one()) == "QPoly('1*q^0')"
+        assert repr(QPoly.zero()) == "QPoly('0')"
 
     def test_json_roundtrip(self):
         p = P(q1=-1, q4=12345678901234567890)

@@ -202,6 +202,19 @@ def test_root_lattice_membership():
         a2.height(a2.fundamental_weight(0))
 
 
+def test_pairing_refuses_a_non_root():
+    a2 = build_root_system("A2")
+    w = a2.fundamental_weight(0)
+    # omega_1 lies off the root lattice
+    with pytest.raises(ValueError, match=r"\(1,0\) is not a root of A2"):
+        a2.pairing(w, w)
+    # 2 alpha_1 is in the root lattice, but not a root
+    with pytest.raises(ValueError, match=r"\(2, 0\) is not a positive root of A2"):
+        a2.pairing(w, (2, 0))
+    with pytest.raises(ValueError, match="not a positive root"):
+        a2.pairing(w, -a2.theta)
+
+
 def test_dominance_order():
     rs = build_root_system("G2")
     assert rs.dominance_leq(rs.theta_s, rs.theta)
