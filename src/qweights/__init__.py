@@ -2,10 +2,14 @@
 
 The central object is the polynomial refinement of a weight multiplicity:
 a monic-in-the-top-degree polynomial in q whose value at q=1 is the ordinary
-multiplicity.  Three independent evaluation routes (alternating sum over the
-Weyl group, rank-descent recursion, convolution against zero-weight
-coefficients) are exposed side by side so they can cross-check one another,
-and the `identities` module verifies the closed-form statements mechanically.
+multiplicity.  Three evaluation routes (alternating sum over the Weyl group,
+rank-descent recursion, convolution against zero-weight coefficients) are
+exposed side by side so they can cross-check one another.  They are not
+disjoint: the recursion reads the alternating sum at dominant weights, and
+the convolution reads its zero-weight factors through the alternating sum
+at highest weight zero, with its table and memo.  The recursion is the
+check that uses no Weyl-numerator seeds on non-dominant weights.  The
+`identities` module verifies the closed-form statements mechanically.
 """
 
 from .identities import (
@@ -62,7 +66,7 @@ from .weyl import (
     weyl_elements,
 )
 
-__version__ = "4.3.0"
+__version__ = "4.4.0"
 
 __all__ = [
     "BudgetError",

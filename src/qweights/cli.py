@@ -31,14 +31,13 @@ from math import comb
 
 from . import identities as idn
 from .lusztig import (
-    _module_box,
     character,
     cherednik_coefficient,
     generalized_exponents,
     lusztig_q_analogue,
 )
 from .poly import QPoly
-from .qkostant import MAX_TABLE_CELLS, _check_cells
+from .qkostant import MAX_TABLE_CELLS, _check_cells, module_box
 from .root_system import BudgetError, RootSystem, Weight, build_root_system
 from .weyl import _check_points
 
@@ -153,7 +152,7 @@ def _cmd_table(rs: RootSystem, args) -> int:
         raise ValueError(f"--lambda {lam} must be dominant")
     # the rows fill lam's module box: a box over the cell budget is refused
     # before the character is walked
-    _check_cells(_module_box(rs, lam))
+    _check_cells(module_box(rs, lam.coords))
     items = character(rs, lam).items()
     # lowest weights first: the kernel table is sized once, by the largest box
     polys = {mu: lusztig_q_analogue(rs, lam, mu) for mu, _ in reversed(items)}

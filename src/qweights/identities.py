@@ -72,14 +72,6 @@ def _qh(rs) -> QPoly:
     return QPoly.q_int(rs.coxeter_number)
 
 
-def _exponent_sum(exponents) -> QPoly:
-    """Sum of q^e with multiplicity (exponents can repeat, e.g. D4)."""
-    out = QPoly.zero()
-    for e in exponents:
-        out = out + QPoly.q(e)
-    return out
-
-
 # -- adjoint and little adjoint ------------------------------------------
 
 
@@ -128,7 +120,8 @@ def _verify_root_module(rs: RootSystem, top: Weight, top_rc, roots, exps,
     hot_top = sum(top_rc)
     ell = len([r for r in roots if sum(r) == 1])
 
-    m0_closed = _exponent_sum(exps)
+    # sum of q^e with multiplicity (exponents can repeat, e.g. D4)
+    m0_closed = QPoly(Counter(exps))
     # -top first: its box, 2 top, sizes the kernel table for every query here
     lusztig_q_analogue(rs, top, -top)
     m0 = lusztig_q_analogue(rs, top, zero)

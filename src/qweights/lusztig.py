@@ -1,28 +1,30 @@
-"""q-analogues of weight multiplicities, computed three independent ways.
+"""q-analogues of weight multiplicities, computed three ways.
 
 * ``lusztig_q_analogue`` — the defining alternating sum of partition values
   at w(lam+rho)-(mu+rho).  The sum is linear in the partition function, so
   for a fixed lam the whole family mu -> m_lam^mu(q) is one generating
   function, (Weyl numerator of lam) / prod_{gamma>0}(1 - q e^gamma).  Each
-  lam gets one kernel table seeded with that numerator, and m_lam^mu is its
-  cell lam - mu.  The seeds are the points (lam+rho) - w(lam+rho) inside the
-  table's box, the depths of the orbit of lam+rho walked down from the top
-  one length layer at a time (``weyl.descend``), in integer root
-  coordinates, pruned as soon as a point leaves the box, so only a few w
-  are visited instead of all of W.  The table grows to the module box
-  lam - w0(lam), which holds every weight of the module.  A
+  lam gets one kernel table, and m_lam^mu is its cell lam - mu.
+  ``qkostant`` owns what the table holds: it seeds it with the numerator,
+  at the points (lam+rho) - w(lam+rho) of the orbit of lam+rho walked down
+  one length layer at a time and pruned to the box, and grows it to the
+  module box lam - w0(lam), which holds every weight of the module.  A
   cell has negative coefficients where mu is not dominant; the kernel
-  decodes them exactly (see ``qkostant``);
+  decodes them exactly;
 * ``q_analogue_by_induction`` — the reflection relation at a negative
   coordinate of the target weight, in one walk over the weights between
   mu and lam, reducing to dominant targets which fall back to the sum.
   It is a cross-check, so its memo lives for one call only, and it refuses
   exactly the queries the sum refuses;
 * ``q_analogue_via_kernel`` — convolution of ordinary weight multiplicities
-  (Freudenthal) with the q-analogues at highest weight zero.
+  (Freudenthal) with the q-analogues at highest weight zero, which it reads
+  through ``lusztig_q_analogue(rs, 0, .)``: the sum's lam = 0 table and memo.
 
-The three routes share nothing except the dominant-target base case of the
-induction, so agreement between them is a genuine cross-check.
+So the routes are not disjoint: the induction reads the sum at dominant
+weights, and the convolution reads the sum at lam = 0.  The induction is
+the cross-check that uses no seeds on non-dominant weights: there the
+reflection relation alone gives each value, so a wrong seed or sign in the
+sum's tables shows as a disagreement with it.
 
 Supporting operations: characters, tensor decomposition, stabilizer Poincare
 ratios, generalized exponents, and the coefficientwise-positivity test.
@@ -34,10 +36,11 @@ are bounded: the defining sum by its entries, the characters by the
 weights they hold.  A q-analogue that is refused, for its input or for
 the budget of its table, leaves no context where there was none, and
 so does a character refused for its input or for either of its budgets.
-This module builds no context: it looks up the one of ``rs`` in the
-registry, hands it (or None) to ``qkostant.read``, the only code that
-fills the tables, and writes its memos into it, or through
-``context(rs)``, which registers a new one, when there was none.
+This module builds no context and no table: it looks up the context of
+``rs`` in the registry, hands it (or None) and lam to ``qkostant.read``,
+the only code that makes and fills the tables, and writes its memos into
+it, or through ``context(rs)``, which registers a new one, when there was
+none.
 Freudenthal's data on each positive root is static, and ``character``
 reads it from the ``RootSystem``.
 
@@ -59,7 +62,7 @@ from collections import Counter
 from operator import add, mul, sub
 
 from .poly import QPoly
-from .qkostant import PartitionEngine, _check_cells, read
+from .qkostant import _check_cells, read
 from .root_system import (BudgetError, RootSystem, Weight, _contexts, _weight,
                           clear_caches, context)
 from .weyl import (_check_points, descend, dominant_representative, orbit,
@@ -117,36 +120,9 @@ def lusztig_q_analogue(rs: RootSystem, lam: Weight, mu: Weight) -> QPoly:
     lam.check_dominant()
     rs.check_rank(lam)
     rs.check_rank(mu)
-    poly = read(rs, ctx, lc, tuple(map(sub, lc, mc)), _seeded_engine)
+    poly = read(rs, ctx, lc, tuple(map(sub, lc, mc)))
     (ctx or context(rs)).remember((lc, mc), poly)
     return poly
-
-
-def _module_box(rs: RootSystem, lam: Weight) -> tuple:
-    """lam - w0(lam) in root coordinates: the box [0, lam - w0(lam)] holds
-    lam - mu for every weight mu of lam's module."""
-    return rs.root_coords(tuple(map(add, lam.coords, dual_weight(rs, lam).coords)))
-
-
-def _seeded_engine(rs: RootSystem, lc) -> PartitionEngine:
-    """A new engine for the Weyl numerator of the highest weight ``lc``,
-    whose tables grow to its module box lam - w0(lam)."""
-    lam = Weight(lc)
-    return PartitionEngine(rs.positive_roots, lambda bound: _weyl_seeds(rs, lam, bound),
-                           _module_box(rs, lam))
-
-
-def _weyl_seeds(rs: RootSystem, lam: Weight, bound) -> list:
-    """The seeds (d, sign(w)) of the Weyl numerator of lam: one at each
-    point d = (lam+rho) - w(lam+rho) that lies in the box [0, bound].
-
-    They are the depths of the regular orbit of lam+rho walked down from
-    the top (``weyl.descend``), pruned to the box; layer k holds the w of
-    length k, so odd layers carry the sign -1.
-    """
-    return [(d, -1 if k & 1 else 1)
-            for k, layer in enumerate(descend(rs, (lam + rs.rho).coords, bound))
-            for d in layer.values()]
 
 
 def q_analogue_by_induction(rs: RootSystem, lam: Weight, mu: Weight) -> QPoly:

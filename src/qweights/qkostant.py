@@ -8,13 +8,18 @@ So one unbounded-knapsack pass per positive root fills P_q at every point of
 a box [0, bound] of root coordinates at once.  The same pass, run on a
 table seeded with a numerator N instead of the single 1 at cell 0, fills
 every cell nu with the nu-coefficient of N / prod(1 - q e^gamma).  Seeded
-with the Weyl numerator of lam (``lusztig``), cell nu is m_lam^{lam-nu}(q),
-so each q-analogue is one table cell.  A table is kept per numerator in the
+with the Weyl numerator of a highest weight lam, a +-1 at each point
+(lam+rho) - w(lam+rho) of the box (``_weyl_seeds``), cell nu is
+m_lam^{lam-nu}(q), so each q-analogue of lam's module is one table cell.
+This module is the one owner of what a table holds: ``PartitionEngine(rs,
+lam)`` seeds itself, with the single 1 for P_q when lam is None, and knows
+lam's module box lam - w0(lam) (``module_box``), which holds lam - mu for
+every weight mu of the module.  A table is kept per highest weight in the
 ``engines`` slot of the root system's ``root_system.Context``, its only
 holder: an engine refers to nothing that holds it, so dropping the context
 frees its tables at once.  A target outside the table builds
 its own box, or the union with the old one while that is not much larger;
-an engine given the module box lam - w0(lam) builds that whole box instead
+lam's engine builds its whole module box instead
 for a target inside it once the box is at most ``_MAX_GROWTH`` times the
 cells it has already built plus those it would build now (a ski-rental
 rule), so a family's builds total under 1 + 1/``_MAX_GROWTH`` times its
@@ -44,20 +49,22 @@ of n, plus a sign bit.  No table has more than ``MAX_TABLE_CELLS`` cells
 (a larger box raises ``root_system.BudgetError`` and changes nothing), and
 neither have the tables of one context together: a build first drops the
 context's least recently used tables until the new one fits.  ``read``
-is the only code that fills ``engines``: it takes the caller's context,
-or None when the root system has none yet, and puts a new engine in it,
-through ``root_system.context`` when there was none, only once its first
-table is built, so a refused build or a point off Q_+ registers nothing.
+is the only code that makes an engine and fills ``engines``: it takes the
+caller's context, or None when the root system has none yet, and puts a
+new engine in it, through ``root_system.context`` when there was none,
+only once its first table is built, so a refused build or a point off Q_+
+registers nothing.
 The packed cell format is read only in this module.
 """
 
 from __future__ import annotations
 
 from math import prod
-from operator import gt, mul
+from operator import add, gt, mul
 
 from .poly import QPoly
 from .root_system import BudgetError, RootSystem, Weight, _contexts, context
+from .weyl import descend, dominant_representative
 
 # A target outside the box grows the table to the union of the two boxes,
 # unless the union has more than this many times the cells of the old box
@@ -123,28 +130,50 @@ def _width(roots, bound) -> int:
     return count[n].bit_length()
 
 
+def module_box(rs: RootSystem, lc) -> tuple:
+    """lam - w0(lam) in root coordinates, for the dominant weight ``lc``:
+    the box [0, lam - w0(lam)] holds lam - mu for every weight mu of lam's
+    module.  -w0(lam) is the dominant weight in the orbit of -lam."""
+    dual, _ = dominant_representative(rs, -Weight(lc))
+    return rs.root_coords(tuple(map(add, lc, dual.coords)))
+
+
+def _weyl_seeds(rs: RootSystem, lc, bound) -> list:
+    """The seeds (d, sign(w)) of the Weyl numerator of the highest weight
+    ``lc``: one at each point d = (lam+rho) - w(lam+rho) that lies in the
+    box [0, bound].
+
+    They are the depths of the regular orbit of lam+rho walked down from
+    the top (``weyl.descend``), pruned to the box; layer k holds the w of
+    length k, so odd layers carry the sign -1.
+    """
+    return [(d, -1 if k & 1 else 1)
+            for k, layer in enumerate(descend(rs, tuple(map(add, lc, rs.rho.coords)), bound))
+            for d in layer.values()]
+
+
 class PartitionEngine:
     """The coefficients of N / prod(1 - q e^gamma) over a box [0, bound] of
-    root coordinates, for one root system; N = 1 gives P_q.
+    root coordinates, for one root system: N = 1 gives P_q when ``lam`` is
+    None, and otherwise N is the Weyl numerator of the highest weight
+    ``lam``, whose tables grow to its module box.
 
-    ``numerator``, when given, maps a bound to the (point, sign) seeds of N
-    inside its box.  An engine refers to nothing that holds it: the other
-    tables of its context, which a build may drop, are handed to
-    ``compute`` by ``read``.  The table
+    An engine keeps its root system, which holds no context, and refers to
+    nothing that holds it: the other tables of its context, which a build
+    may drop, are handed to ``compute`` by ``read``.  The table
     is flat and row-major; cell nu holds its polynomial packed into one int,
     ``width`` bits per coefficient:
     sum_j c_j * 2^(width*j), each c_j in [-2^(width-1), 2^(width-1)).
     """
 
-    __slots__ = ("roots", "numerator", "module", "bound", "strides",
+    __slots__ = ("rs", "lam", "module", "bound", "strides",
                  "width", "table", "hits", "spent")
 
-    def __init__(self, roots, numerator=None, module=None):
-        self.roots = [tuple(int(x) for x in r) for r in roots]
-        self.numerator = numerator
-        # the box every later target will lie in (lam - w0(lam) for the
-        # weights of one module), or None
-        self.module = module
+    def __init__(self, rs: RootSystem, lam=None):
+        self.rs = rs
+        self.lam = lam
+        # the box every later target will lie in, or None for P_q
+        self.module = None if lam is None else module_box(rs, lam)
         self.bound = None
         self.strides = ()
         self.width = 0
@@ -208,13 +237,14 @@ class PartitionEngine:
             strides.append(step)
             step *= b + 1
         strides.reverse()
-        seeds = self.numerator(bound) if self.numerator else [((0,) * len(bound), 1)]
+        rs, lam = self.rs, self.lam
+        seeds = [((0,) * len(bound), 1)] if lam is None else _weyl_seeds(rs, lam, bound)
         # Every final cell is a signed sum of at most len(seeds) values of
         # P_q, whose coefficients are each at most P_1(bound) < 2^_width (see
         # there), so every |c_j| < 2^(width-1).  The packed cells are exact
         # integer arithmetic on sum_j c_j 2^(width*j), so only the final
         # cells need the bound.
-        width = _width(self.roots, bound) + len(seeds).bit_length() + 1
+        width = _width(rs.positive_roots, bound) + len(seeds).bit_length() + 1
         f = [0] * size
         # live[c] is set for the row starting at flat index c once it may
         # hold a nonzero cell; a row never set holds only zeros
@@ -226,7 +256,7 @@ class PartitionEngine:
         *head, last = bound
         # the factors commute, so the tallest roots go first and the table
         # stays sparse until the simple roots' passes at the end
-        for gamma in sorted(self.roots, key=sum, reverse=True):
+        for gamma in sorted(rs.positive_roots, key=sum, reverse=True):
             off = sum(map(mul, gamma, strides))
             # the cells nu >= gamma, visited in increasing flat order, so
             # f[nu - gamma] already counts any number of gamma parts; each
@@ -270,9 +300,10 @@ def _decode(cell: int, width: int) -> dict:
     return out
 
 
-def read(rs: RootSystem, ctx, key, coords, make) -> QPoly:
+def read(rs: RootSystem, ctx, key, coords) -> QPoly:
     """Cell ``coords`` of the table ``ctx.engines[key]``, as a polynomial;
-    zero when ``coords`` is not in Q_+.
+    zero when ``coords`` is not in Q_+.  ``key`` is None for P_q, or the
+    highest weight lam, as a coordinate tuple, for lam's seeded table.
 
     ``ctx`` is the caller's ``root_system.Context`` of ``rs``, or None when
     it has none yet.  ``coords`` are the fundamental-weight coordinates of
@@ -280,8 +311,8 @@ def read(rs: RootSystem, ctx, key, coords, make) -> QPoly:
     holds the cell, one loop over the rows of the scaled inverse Cartan
     matrix tests the root lattice, checks the bound and sums the flat
     index, and the cell is decoded.  Any other point of Q_+ goes to
-    ``compute`` in root coordinates, which builds or grows the table;
-    ``make(rs, key)`` makes a missing engine, which is put in the engines
+    ``compute`` in root coordinates, which builds or grows the table; a
+    missing engine, ``PartitionEngine(rs, key)``, is put in the engines
     of ``ctx``, or of ``context(rs)`` when ``ctx`` is None, only once its
     first table is built, so a refused build leaves nothing behind.  A
     point off Q_+ touches no engine and no context.  A cell read moves its
@@ -306,7 +337,7 @@ def read(rs: RootSystem, ctx, key, coords, make) -> QPoly:
     root = rs.root_coords(coords)
     if root is None or min(root) < 0:
         return QPoly._wrap({})
-    eng = eng or make(rs, key)
+    eng = eng or PartitionEngine(rs, key)
     cell = eng.compute(root, engines)
     # in place or not, the engine goes to the end once its table is built,
     # of a context registered only now when the caller had none
@@ -317,8 +348,7 @@ def read(rs: RootSystem, ctx, key, coords, make) -> QPoly:
 def q_partition(rs: RootSystem, mu: Weight) -> QPoly:
     """P_q(mu) as a polynomial; the zero polynomial when mu is not in Q_+."""
     rs.check_rank(mu.coords)
-    return read(rs, _contexts.get(rs._key), None, mu.coords,
-                lambda rs, key: PartitionEngine(rs.positive_roots))
+    return read(rs, _contexts.get(rs._key), None, mu.coords)
 
 
 # layerbench's session.py and traced_cli.py call it

@@ -4,7 +4,7 @@ One rule moves a weight: s_i lowers coordinate k of a weight by
 a[k][i] times coordinate i (``RootSystem.cartan_columns``), and only this
 module applies it to weights.  ``descend`` walks the orbit of a dominant
 point down, one length layer at a time; ``orbit`` is the union of its
-layers, ``lusztig`` reads the seeds of its Weyl numerators off the same
+layers, ``qkostant`` reads the seeds of its Weyl numerators off the same
 walk, in root coordinates and pruned to a box, and ``character`` writes
 each multiplicity over the layers of its dominant weight's orbit.
 ``dominant_representative`` walks the other way, up to the chamber, and

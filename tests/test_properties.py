@@ -4,10 +4,14 @@ Freudenthal's multiplicity, the three routes against each other, the
 kernel's seeded tables against the dense pass of ``test_qkostant``, the
 cells a family table builds against its module box, the height product
 criterion against polynomial cross-multiplication, and the CLI on
-arbitrary argv."""
+arbitrary argv; and that a failing property is reported under the
+project's pytest settings."""
 
 import contextlib
 import io
+import pathlib
+import subprocess
+import sys
 from collections import Counter
 from math import prod
 
@@ -225,3 +229,22 @@ def test_cli_answers_or_refuses(data):
         assert err.getvalue(), argv
     else:
         assert err.getvalue() == "" and out.getvalue(), argv
+
+
+def test_a_failing_property_is_reported(tmp_path):
+    # pytest turns warnings into errors, and Hypothesis reports a failing
+    # example through libcst where it is installed, which imports the
+    # deprecated mypy_extensions.TypedDict: unless pyproject.toml ignores
+    # that warning, the report aborts the whole run with an INTERNALERROR
+    ini = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
+    tmp_path.joinpath("test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(ini),
+         "--rootdir", str(tmp_path), "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in done.stdout + done.stderr, done.stdout
+    assert "1 failed" in done.stdout, done.stdout

@@ -5,10 +5,11 @@ import itertools
 
 import pytest
 
-from qweights.lusztig import _weyl_seeds, dual_weight
+from qweights.lusztig import dual_weight
 from qweights.poly import QPoly
 from qweights.qkostant import (
     PartitionEngine,
+    _weyl_seeds,
     _width,
     kernel_backend,
     q_partition,
@@ -22,7 +23,7 @@ def _engine(rs):
     missing; ``q_partition`` makes the same engine."""
     engines = context(rs).engines
     if None not in engines:
-        engines[None] = PartitionEngine(rs.positive_roots)
+        engines[None] = PartitionEngine(rs)
     return engines[None]
 
 
@@ -182,7 +183,7 @@ def test_every_cell_matches_reference(name, top, cells):
     # one seed: the width is the bits of P_1(bound), one more for the count
     # of seeds and one for the sign, so every coefficient is a balanced digit
     eng = _engine(rs)
-    assert eng.width == _width(eng.roots, bound) + 2
+    assert eng.width == _width(rs.positive_roots, bound) + 2
     assert most < 1 << (eng.width - 1)
     # one table answered every cell: the first lookup built it
     assert q_partition_cache_stats() == (cells, cells)
@@ -191,7 +192,7 @@ def test_every_cell_matches_reference(name, top, cells):
 def test_rebuilds_keep_values():
     rs = build_root_system("B3")
     ref = MemoReference(rs.positive_roots)
-    eng = PartitionEngine(rs.positive_roots)
+    eng = PartitionEngine(rs)
     small = (1, 1, 1)
     targets = [small, (2, 1, 1), (2, 2, 1), (2, 2, 2), (2, 3, 2), (2, 3, 3),
                (3, 3, 3), small]
@@ -246,11 +247,10 @@ def dense_pass(roots, bound, seeds):
 
 
 def module_engine(rs, lam):
-    """An engine seeded with the Weyl numerator of lam, as lusztig makes it,
-    and the module box lam - w0(lam) in root coordinates."""
+    """An engine seeded with the Weyl numerator of lam, as ``read`` makes
+    it, and the module box lam - w0(lam) in root coordinates."""
     module = root_coords(rs, lam + dual_weight(rs, lam))
-    return PartitionEngine(rs.positive_roots,
-                           lambda bound: _weyl_seeds(rs, lam, bound), module), module
+    return PartitionEngine(rs, lam.coords), module
 
 
 def assert_matches_dense_pass(eng, bound):
@@ -260,8 +260,11 @@ def assert_matches_dense_pass(eng, bound):
     eng.compute(bound)
     built = eng.bound
     assert built in (bound, eng.module)
-    seeds = eng.numerator(built) if eng.numerator else [((0,) * len(built), 1)]
-    width, table = dense_pass(eng.roots, built, seeds)
+    if eng.lam is None:
+        seeds = [((0,) * len(built), 1)]
+    else:
+        seeds = _weyl_seeds(eng.rs, eng.lam, built)
+    width, table = dense_pass(eng.rs.positive_roots, built, seeds)
     assert eng.width == width
     assert eng.table == table
     return seeds
@@ -281,8 +284,9 @@ def assert_matches_dense_pass(eng, bound):
 def test_dense_pass_edge_cases(name, lam, bound, seeds):
     rs = build_root_system(name)
     if lam is None:
-        eng = PartitionEngine(rs.positive_roots)
+        eng = PartitionEngine(rs)
     else:
-        eng, _ = module_engine(rs, Weight(lam))
+        eng, module = module_engine(rs, Weight(lam))
+        assert eng.module == module
     assert len(assert_matches_dense_pass(eng, bound)) == seeds
     assert eng.bound == bound
