@@ -13,8 +13,9 @@ Each subcommand makes only the output its ``--format`` prints.  Every
 any text row is built; ``roots``, ``table`` and ``cherednik`` print every
 other format through one renderer, ``_render``: the rows as CSV, LaTeX or
 captioned text.  Each subparser names its handler (``common``).
-``VERIFY`` maps each identity name to its verifier with its default inputs;
-``verify NAME`` runs one entry and ``verify all`` every entry that applies.
+``VERIFY`` maps each identity name to the flags it reads and its verifier
+with its default inputs; ``verify NAME`` runs one entry and refuses any
+other flag, and ``verify all`` runs every entry that applies and takes none.
 Under ``all`` an identity refused for its budget is reported ``REFUSED``
 with its error, and the others still run.
 
@@ -217,10 +218,11 @@ def _cmd_gen_exponents(rs: RootSystem, args) -> int:
 
 # -- verify ----------------------------------------------------------------
 #
-# Each entry of VERIFY runs one identity on its inputs from the command line,
-# ``lam`` parsed from --lambda or None, and holds the identity's default
-# inputs.  It reads ``idn.verify_...`` when it runs, so that a wrapper
-# installed on the module later is the one called.
+# Each entry of VERIFY names the flags its identity reads, which are the
+# only ones ``verify NAME`` takes, and runs the identity on its inputs from
+# the command line, ``lam`` parsed from --lambda or None, with the
+# identity's default inputs.  It reads ``idn.verify_...`` when it runs, so
+# that a wrapper installed on the module later is the one called.
 
 
 def _gamma(rs: RootSystem, args, default: Weight) -> Weight:
@@ -253,32 +255,37 @@ def _verify_induction(rs: RootSystem, lam, args):
 
 
 VERIFY = {
-    "adjoint": lambda rs, lam, args: [idn.verify_adjoint(rs)],
-    "little-adjoint": lambda rs, lam, args: [idn.verify_little_adjoint(rs)],
-    "main": lambda rs, lam, args: [idn.verify_main_identity(
-        rs, lam or rs.theta, _gamma(rs, args, rs.theta_s))],
-    "minuscule": _verify_minuscule,
-    "coxeter": lambda rs, lam, args: [idn.verify_coxeter_identity(rs)],
-    "height-duality": lambda rs, lam, args: [idn.verify_height_duality(rs, lam or rs.theta)],
-    "induction": _verify_induction,
+    "adjoint": ((), lambda rs, lam, args: [idn.verify_adjoint(rs)]),
+    "little-adjoint": ((), lambda rs, lam, args: [idn.verify_little_adjoint(rs)]),
+    "main": (("--lambda", "--gamma"), lambda rs, lam, args: [idn.verify_main_identity(
+        rs, lam or rs.theta, _gamma(rs, args, rs.theta_s))]),
+    "minuscule": (("--lambda",), _verify_minuscule),
+    "coxeter": ((), lambda rs, lam, args: [idn.verify_coxeter_identity(rs)]),
+    "height-duality": (("--lambda",), lambda rs, lam, args: [
+        idn.verify_height_duality(rs, lam or rs.theta)]),
+    "induction": (("--lambda", "--gamma", "--alpha-index"), _verify_induction),
     # the default is the first short simple root, the first with d_i = 1
-    "subregular": lambda rs, lam, args: [idn.verify_subregular_identity(
-        rs, lam or rs.theta_s,
-        rs.symmetrizer.index(1) if args.alpha_index is None else args.alpha_index)],
+    "subregular": (("--lambda", "--alpha-index"), lambda rs, lam, args: [
+        idn.verify_subregular_identity(
+            rs, lam or rs.theta_s,
+            rs.symmetrizer.index(1) if args.alpha_index is None else args.alpha_index)]),
 }
 IDENTITIES = tuple(VERIFY)
 
 
 def _cmd_verify(rs: RootSystem, args) -> int:
+    # each of these inputs suits some identities and refuses others
+    reads = () if args.identity == "all" else VERIFY[args.identity][0]
+    for flag, value in (("--lambda", args.lam), ("--gamma", args.gamma),
+                        ("--alpha-index", args.alpha_index)):
+        if value is not None and flag not in reads:
+            raise ValueError(f"{flag} applies to one identity, not to all"
+                             if args.identity == "all"
+                             else f"{flag} does not apply to {args.identity}")
     lam = None if args.lam is None else _parse_weight(args.lam, rs.rank, "--lambda")
     if args.identity != "all":
         names = [args.identity]
     else:
-        # each of these inputs suits some identities and refuses others
-        for flag, value in (("--lambda", args.lam), ("--gamma", args.gamma),
-                            ("--alpha-index", args.alpha_index)):
-            if value is not None:
-                raise ValueError(f"{flag} applies to one identity, not to all")
         # little-adjoint needs two root lengths, minuscule a minuscule weight
         names = [name for name in IDENTITIES
                  if not (name == "little-adjoint" and max(rs.symmetrizer) == 1)
@@ -286,7 +293,7 @@ def _cmd_verify(rs: RootSystem, args) -> int:
     reports = []
     for name in names:
         try:
-            reports += VERIFY[name](rs, lam, args)
+            reports += VERIFY[name][1](rs, lam, args)
         except BudgetError as exc:
             # one identity alone keeps its error and exit status
             if args.identity != "all":

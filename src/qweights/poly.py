@@ -62,7 +62,10 @@ class QPoly:
     @classmethod
     def q_int(cls, h: int) -> "QPoly":
         """The q-integer [h] = 1 + q + ... + q^(h-1), for h >= 0; [h] of a
-        negative h is a Laurent polynomial, so it is refused."""
+        negative h is a Laurent polynomial, so it is refused, and an h that
+        is not an int (a bool, a float) raises TypeError."""
+        if type(h) is not int:
+            raise TypeError(f"q-integer [h] takes an int h, not {h!r}")
         if h < 0:
             raise ValueError(f"q-integer [{h}] of a negative h")
         return cls({e: 1 for e in range(h)})
@@ -150,6 +153,10 @@ class QPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        """self^n for an int n >= 0; an n that is not an int (a bool, a
+        float) raises TypeError."""
+        if type(n) is not int:
+            raise TypeError(f"QPoly powers take an int exponent, not {n!r}")
         if n < 0:
             raise ValueError("negative power of a polynomial")
         out = QPoly.one()

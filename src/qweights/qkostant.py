@@ -17,13 +17,16 @@ lam's module box lam - w0(lam) (``module_box``), which holds lam - mu for
 every weight mu of the module.  A table is kept per highest weight in the
 ``engines`` slot of the root system's ``root_system.Context``, its only
 holder: an engine refers to nothing that holds it, so dropping the context
-frees its tables at once.  A target outside the table builds
-its own box, or the union with the old one while that is not much larger;
-lam's engine builds its whole module box instead
-for a target inside it once the box is at most ``_MAX_GROWTH`` times the
-cells it has already built plus those it would build now (a ski-rental
-rule), so a family's builds total under 1 + 1/``_MAX_GROWTH`` times its
-module box while reads stay in it, and a few small reads keep small boxes.
+frees its tables at once.  How large a box to build is decided by one
+ski-rental rule: small boxes are paid for until their total makes the
+large one worth building.  A target outside the table has one candidate
+box, the union of the old box and its own, widened to lam's module box
+when the target lies in it; the candidate is built when it has at most
+``_MAX_GROWTH`` times the cells the engine has built so far plus the
+target's own, and otherwise the target's own box is.  So a family's builds
+total under 1 + 1/``_MAX_GROWTH`` times its module box while reads stay in
+it, a few small reads keep small boxes, and reads that alternate between
+two far boxes build their union once they have paid for a quarter of it.
 
 Every query reads through ``read``, in fundamental-weight coordinates.
 When the table holds the cell, one loop over the rows of the root
@@ -66,20 +69,21 @@ from .poly import QPoly
 from .root_system import BudgetError, RootSystem, Weight, _contexts, context
 from .weyl import descend, dominant_representative
 
-# A target outside the box grows the table to the union of the two boxes,
-# unless the union has more than this many times the cells of the old box
-# and the target's own box together: then the table is rebuilt for the
-# target alone, so scattered targets such as (k,0,0,0) then (0,k,0,0) do not
-# fill (k+1)^rank cells.  A target inside the module box builds that box
-# instead when it has at most this many times the cells the engine has
-# built so far and the cells it would build now.
+# The ski-rental factor.  A target outside the box builds the union of the
+# old box and its own, or lam's module box when the target lies in it, if
+# that box has at most this many times the cells the engine has built so
+# far plus the target's own; otherwise it builds its own box.  So scattered
+# targets such as (k,0,0,0) then (0,k,0,0) do not fill (k+1)^rank cells,
+# and targets read again and again grow the table to what they span.
 _MAX_GROWTH = 4
 
 # No table is built with more cells than this, counted from the bound before
 # anything is walked or allocated, and the tables of one context hold no
 # more than this together.  The box of E8 theta has 151,200 cells and
-# that of E7 2*theta 165,375, at about 150 bytes a cell; the 14,189,175 cells
-# of E8 2*theta are refused.
+# that of E7 2*theta 165,375; the 14,189,175 cells of E8 2*theta are refused.
+# The budget counts cells, not bytes: a packed cell holds every digit up to
+# its top degree, so a tall box costs far more a cell than these do (A2
+# lam = 0's 982,101-cell table held about 3.5 KB a cell; ROADMAP item P).
 MAX_TABLE_CELLS = 1_000_000
 
 
@@ -102,11 +106,6 @@ def _check_cells(box) -> int:
             f"input too large: the partition table for the box {box} "
             f"needs {size:,} cells, over the budget of {MAX_TABLE_CELLS:,}")
     return size
-
-
-def _limit(cells) -> int:
-    """The most cells a box may have when it replaces boxes of ``cells``."""
-    return min(_MAX_GROWTH * cells, MAX_TABLE_CELLS)
 
 
 def _width(roots, bound) -> int:
@@ -184,31 +183,30 @@ class PartitionEngine:
     def compute(self, mu, engines=None) -> dict:
         """Sparse {exponent: coefficient} dict of cell mu; {} off the cone.
 
-        A target that leaves the table builds its own box, or the union
-        with the old box within the growth limit.  For a target in the
-        module box, the whole box is built instead when it has at most
-        ``_MAX_GROWTH`` times the cells built so far plus those of that box,
-        the first table too: while the reads stay in the module box, every
-        build before its own holds under a ``_MAX_GROWTH``-th of it in all.
-        A box over ``MAX_TABLE_CELLS`` raises ``BudgetError`` and changes
-        nothing.  Otherwise ``engines``, when given, are the tables of the
-        context, least recently used first: before the build, the oldest
-        of them other than this one are dropped until the new table fits
-        next to the rest.
+        A target that leaves the table has one candidate box: the union
+        of the old box and its own (its own when there is no table),
+        widened to the module box when the target lies in it.  The
+        candidate is built when it has at most ``_MAX_GROWTH`` times the
+        cells built so far plus the target's own, and at most
+        ``MAX_TABLE_CELLS``; otherwise the target's own box is.  While the
+        reads stay in the module box, every build before its own holds
+        under a ``_MAX_GROWTH``-th of it in all.  Only a target whose own
+        box is over ``MAX_TABLE_CELLS`` raises ``BudgetError``, and it
+        changes nothing.  Otherwise ``engines``, when given, are the
+        tables of the context, least recently used first: before the
+        build, the oldest of them other than this one are dropped until
+        the new table fits next to the rest.
         """
         if min(mu) < 0:
             return {}
         bound = self.bound
         if bound is None or any(map(gt, mu, bound)):
             # with no table yet, the union is the target's own box
-            old = bound or mu
-            box = tuple(map(max, mu, old))
-            if _cells(box) > _limit(_cells(old) + _cells(mu)):
-                box = tuple(mu)
+            box = tuple(map(max, mu, bound or mu))
             if self.module is not None and not any(map(gt, mu, self.module)):
-                grown = tuple(map(max, box, self.module))
-                if _cells(grown) <= _limit(self.spent + _cells(box)):
-                    box = grown
+                box = tuple(map(max, box, self.module))
+            if _cells(box) > min(_MAX_GROWTH * (self.spent + _cells(mu)), MAX_TABLE_CELLS):
+                box = tuple(mu)
             size = _check_cells(box)
             if engines:
                 # this engine's old table is dropped by the build, so the

@@ -284,6 +284,16 @@ class TestCherednik:
             main(["cherednik", "E8", "--max-height", "5"])
 
 
+# the flags each identity of ``verify NAME`` reads; every other flag is
+# refused.  A value for each flag, valid on B2
+READS = {"adjoint": (), "little-adjoint": (), "coxeter": (),
+         "main": ("--lambda", "--gamma"), "minuscule": ("--lambda",),
+         "height-duality": ("--lambda",),
+         "induction": ("--lambda", "--gamma", "--alpha-index"),
+         "subregular": ("--lambda", "--alpha-index")}
+FLAGS = {"--lambda": "0,2", "--gamma": "0,-1", "--alpha-index": "1"}
+
+
 class TestVerify:
     def test_all_g2(self, capsys):
         code, out, _ = run(capsys, "verify", "all", "G2")
@@ -328,6 +338,41 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "all", "B2", flag, value)
         assert code == 2 and out == ""
         assert err == f"error: {flag} applies to one identity, not to all\n"
+
+    def test_reads_names_every_identity(self):
+        assert sorted(READS) == sorted(cli.IDENTITIES)
+
+    @pytest.mark.parametrize("name,flag", [(name, flag) for name, reads in READS.items()
+                                           for flag in FLAGS if flag not in reads])
+    def test_one_identity_refuses_a_flag_it_does_not_read(self, capsys, monkeypatch,
+                                                          name, flag):
+        # refused before the identity runs
+        for verifier in [n for n in dir(idn) if n.startswith("verify_")]:
+            monkeypatch.setattr(idn, verifier, None)
+        code, out, err = run(capsys, "verify", name, "B2", flag, FLAGS[flag])
+        assert code == 2 and out == ""
+        assert err == f"error: {flag} does not apply to {name}\n"
+
+    @pytest.mark.parametrize("name", [name for name, reads in READS.items() if reads])
+    def test_the_flags_an_identity_reads_still_work(self, capsys, name):
+        # each flag set to the value the identity takes by default answers
+        # as the run without it does
+        rs = root_system.build_root_system("B2")
+        theta, theta_s = rs.theta.coords, rs.theta_s.coords
+        defaults = {
+            "main": {"--lambda": theta, "--gamma": theta_s},
+            "minuscule": {"--lambda": (0, 1)},
+            "height-duality": {"--lambda": theta},
+            "induction": {"--lambda": theta, "--gamma": (-rs.theta).coords,
+                          "--alpha-index": 1},
+            "subregular": {"--lambda": theta_s, "--alpha-index": 1},
+        }[name]
+        assert sorted(defaults) == sorted(READS[name])
+        code, plain, _ = run(capsys, "verify", name, "B2")
+        assert code == 0 and plain.startswith(f"PASS {name} B2")
+        flags = [f"{flag}={value if type(value) is int else ','.join(map(str, value))}"
+                 for flag, value in defaults.items()]
+        assert run(capsys, "verify", name, "B2", *flags) == (0, plain, "")
 
     def test_verify_alpha_index(self, capsys):
         code, out, _ = run(capsys, "verify", "subregular", "C3",

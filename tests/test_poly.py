@@ -1,6 +1,7 @@
 """Exact sparse polynomial arithmetic."""
 
 import random
+import re
 from fractions import Fraction
 from math import comb
 
@@ -39,6 +40,19 @@ class TestConstruction:
     def test_only_int_shifts(self, k):
         with pytest.raises(TypeError, match="shifts by an int"):
             QPoly.one().shift(k)
+
+    @pytest.mark.parametrize("n", [1.5, 2.0, Fraction(2), True, False])
+    def test_only_int_powers(self, n):
+        # True would be q^1 and 1.5 would fail inside the square-and-multiply
+        # loop; each is refused by name before any product
+        with pytest.raises(TypeError, match=re.escape(f"int exponent, not {n!r}")):
+            QPoly.q() ** n
+
+    @pytest.mark.parametrize("h", [1.5, 3.0, Fraction(3), True, False])
+    def test_only_int_q_integers(self, h):
+        # [True] would be 1 and [False] 0
+        with pytest.raises(TypeError, match=re.escape(f"int h, not {h!r}")):
+            QPoly.q_int(h)
 
     def test_a_bool_is_not_an_int_operand(self):
         # the constructor's rule holds for the operators: a bool is refused

@@ -215,6 +215,22 @@ def test_scattered_targets_do_not_fill_the_union_box():
     assert q_partition_cache_stats()[0] < 7 ** 4 // 10
 
 
+def test_alternating_targets_pay_for_their_union(monkeypatch):
+    # (9,0,0) and (0,9,0) each build their own box while the union (100
+    # cells) is over four times the cells built so far plus their own 10;
+    # the third read has paid 20 and builds the union, which holds the rest
+    rs = build_root_system("A3")
+    ref = MemoReference(rs.positive_roots)
+    clear_caches()
+    bounds = []
+    build = PartitionEngine._build
+    monkeypatch.setattr(PartitionEngine, "_build",
+                        lambda eng, bound: bounds.append(bound) or build(eng, bound))
+    for mu in [(9, 0, 0), (0, 9, 0)] * 2:
+        assert _engine(rs).compute(mu) == ref.compute(mu), mu
+    assert bounds == [(9, 0, 0), (0, 9, 0), (9, 9, 0)]
+
+
 def test_kernel_backend_is_pure():
     assert kernel_backend() == "pure"
 
