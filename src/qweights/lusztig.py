@@ -46,12 +46,16 @@ reads it from the ``RootSystem``.
 
 Between the API call and the table cell everything runs on integer
 coordinate tuples.  ``lusztig_q_analogue`` looks up the memo first, since
-only a valid query is ever remembered; after a miss it checks dominance
-and both ranks and hands the difference lam - mu to ``qkostant.read``.
-There one loop takes lam - mu to its cell when lam's table holds it, and
-only a point outside the table is converted (``RootSystem.root_coords``)
-and handed to the kernel to build or grow the table.  The decoded cell
-becomes a QPoly without a second check.  ``character`` fills orbits and
+only a valid query is ever remembered.  After a miss it checks that lam
+is dominant and of the right rank only when the context holds no table
+under lam: a table is built only under a lam that passed those checks,
+and a context belongs to one Cartan matrix.  The rank of mu is checked on
+every miss, and mu itself is handed to ``qkostant.read``.  There one
+pass over the rows that lam's table keeps takes mu to its cell when the
+table holds it, and only a point outside the table is converted
+(``RootSystem.root_coords``) and handed to the kernel to build or grow
+the table.  The cell is decoded in ``qkostant`` and becomes a QPoly
+without a second check.  ``character`` fills orbits and
 Freudenthal's denominators on tuples too, and makes one Weight per weight
 of the module.
 """
@@ -117,10 +121,13 @@ def lusztig_q_analogue(rs: RootSystem, lam: Weight, mu: Weight) -> QPoly:
     got = ctx and ctx.defining.get((lc, mc))
     if got is not None:
         return got
-    lam.check_dominant()
-    rs.check_rank(lam)
+    # a table is built only under a lam that passed these checks, and a
+    # context holds the tables of one Cartan matrix, so of one rank
+    if not ctx or lc not in ctx.engines:
+        lam.check_dominant()
+        rs.check_rank(lam)
     rs.check_rank(mu)
-    poly = read(rs, ctx, lc, tuple(map(sub, lc, mc)))
+    poly = read(rs, ctx, lc, mc)
     (ctx or context(rs)).remember((lc, mc), poly)
     return poly
 

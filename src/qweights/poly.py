@@ -176,7 +176,12 @@ class QPoly:
         return QPoly._wrap({e + k: c for e, c in self._terms.items()})
 
     def exact_div(self, divisor: "QPoly") -> "QPoly":
-        """Exact quotient self / divisor; InexactDivisionError if it does not divide."""
+        """Exact quotient self / divisor; InexactDivisionError if it does not
+        divide.  An int divides as a constant polynomial, and any other
+        divisor that is not a QPoly raises TypeError."""
+        given, divisor = divisor, _coerce(divisor)
+        if divisor is NotImplemented:
+            raise TypeError(f"QPoly divides by a QPoly or an int, not {given!r}")
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():

@@ -28,13 +28,17 @@ total under 1 + 1/``_MAX_GROWTH`` times its module box while reads stay in
 it, a few small reads keep small boxes, and reads that alternate between
 two far boxes build their union once they have paid for a quarter of it.
 
-Every query reads through ``read``, in fundamental-weight coordinates.
-When the table holds the cell, one loop over the rows of the root
-system's scaled inverse Cartan matrix tests the root lattice, checks the
-bound and sums the flat index, and the cell is decoded: no root-coordinate
-tuple and no call of ``PartitionEngine.compute``.  Only a point of Q_+
-outside the table goes to ``compute``, in root coordinates, which builds
-or grows the table.
+Every query reads through ``read``, from the weight mu in
+fundamental-weight coordinates: cell lam - mu of lam's table, and of P_q's
+as if lam were 0, so ``q_partition`` hands it -mu.  A build keeps one row
+per simple root on its engine (``rows``): the row of the root system's
+scaled inverse Cartan matrix, its product with lam (0 for P_q), the bound
+and the stride.  When the table holds the cell, one pass over them takes
+row.lam - row.mu to its ``divmod`` by the scale, which tests the root
+lattice, the cone and the bound and sums the flat index, and the cell is
+decoded here: no lam - mu tuple, no root-coordinate tuple and no call of
+``PartitionEngine.compute``.  Only a point of Q_+ outside the table goes
+to ``compute``, in root coordinates, which builds or grows the table.
 
 The factors of the product commute and the packed cells are exact
 integers, so the passes may run in any order; they run tallest root first.
@@ -63,7 +67,7 @@ The packed cell format is read only in this module.
 from __future__ import annotations
 
 from math import prod
-from operator import add, gt, mul
+from operator import add, gt, mul, sub
 
 from .poly import QPoly
 from .root_system import BudgetError, RootSystem, Weight, _contexts, context
@@ -165,7 +169,7 @@ class PartitionEngine:
     sum_j c_j * 2^(width*j), each c_j in [-2^(width-1), 2^(width-1)).
     """
 
-    __slots__ = ("rs", "lam", "module", "bound", "strides",
+    __slots__ = ("rs", "lam", "module", "bound", "strides", "rows",
                  "width", "table", "hits", "spent")
 
     def __init__(self, rs: RootSystem, lam=None):
@@ -174,7 +178,7 @@ class PartitionEngine:
         # the box every later target will lie in, or None for P_q
         self.module = None if lam is None else module_box(rs, lam)
         self.bound = None
-        self.strides = ()
+        self.strides = self.rows = ()
         self.width = 0
         self.table = []
         # lookups answered without a build, and the cells of every build
@@ -228,13 +232,8 @@ class PartitionEngine:
     def _build(self, bound):
         size = _cells(bound)
         # drop the old table first, so the two are never held together
-        self.bound, self.table = None, []
-        strides = []
-        step = 1
-        for b in reversed(bound):
-            strides.append(step)
-            step *= b + 1
-        strides.reverse()
+        self.bound, self.rows, self.table = None, (), []
+        strides = [_cells(bound[i + 1:]) for i in range(len(bound))]
         rs, lam = self.rs, self.lam
         seeds = [((0,) * len(bound), 1)] if lam is None else _weyl_seeds(rs, lam, bound)
         # Every final cell is a signed sum of at most len(seeds) values of
@@ -270,6 +269,11 @@ class PartitionEngine:
                     live[c] = 1
                     for i in range(c + lo, c + last + 1):
                         f[i] += f[i - off] << width
+        # what ``read`` needs of each row of the scaled inverse Cartan matrix:
+        # its product with lam (0 for P_q, as map stops at the empty tuple),
+        # the row, the bound and the stride
+        self.rows = tuple((sum(map(mul, row, lam or ())), row, b, s)
+                          for row, b, s in zip(rs._scaled_inv_cartan, bound, strides))
         self.bound, self.strides, self.width, self.table = bound, strides, width, f
         self.spent += size
 
@@ -298,17 +302,20 @@ def _decode(cell: int, width: int) -> dict:
     return out
 
 
-def read(rs: RootSystem, ctx, key, coords) -> QPoly:
-    """Cell ``coords`` of the table ``ctx.engines[key]``, as a polynomial;
-    zero when ``coords`` is not in Q_+.  ``key`` is None for P_q, or the
-    highest weight lam, as a coordinate tuple, for lam's seeded table.
+def read(rs: RootSystem, ctx, key, mu) -> QPoly:
+    """Cell lam - ``mu`` of the table ``ctx.engines[key]``, as a
+    polynomial; zero when lam - mu is not in Q_+.  ``key`` is the highest
+    weight lam, as a coordinate tuple, for lam's seeded table, or None for
+    P_q, read as lam = 0: P_q(nu) is ``read`` at mu = -nu.
 
     ``ctx`` is the caller's ``root_system.Context`` of ``rs``, or None when
-    it has none yet.  ``coords`` are the fundamental-weight coordinates of
-    the cell: lam - mu in lam's seeded table, mu in P_q's.  When the table
-    holds the cell, one loop over the rows of the scaled inverse Cartan
-    matrix tests the root lattice, checks the bound and sums the flat
-    index, and the cell is decoded.  Any other point of Q_+ goes to
+    it has none yet.  ``mu`` is a coordinate tuple of the rank of ``rs``,
+    which the caller has checked; ``read`` checks neither it nor ``key``.
+    When the table holds the cell, one pass over the engine's ``rows``
+    takes each row.lam - row.mu to its ``divmod`` by the scale of the
+    inverse Cartan matrix: the remainder tests the root lattice, the
+    quotient the cone and the bound, and the flat index is summed on the
+    way; then the cell is decoded.  Any other point of Q_+ goes to
     ``compute`` in root coordinates, which builds or grows the table; a
     missing engine, ``PartitionEngine(rs, key)``, is put in the engines
     of ``ctx``, or of ``context(rs)`` when ``ctx`` is None, only once its
@@ -319,10 +326,11 @@ def read(rs: RootSystem, ctx, key, coords) -> QPoly:
     """
     engines = ctx.engines if ctx else {}
     eng = engines.get(key)
-    if eng is not None and eng.bound is not None:
+    if eng is not None and eng.rows:
+        scale = rs._inv_scale
         index = 0
-        for row, b, s in zip(rs._scaled_inv_cartan, eng.bound, eng.strides):
-            x, r = divmod(sum(map(mul, row, coords)), rs._inv_scale)
+        for top, row, b, s in eng.rows:
+            x, r = divmod(top - sum(map(mul, row, mu)), scale)
             if r or x < 0:
                 return QPoly._wrap({})
             if x > b:
@@ -332,7 +340,7 @@ def read(rs: RootSystem, ctx, key, coords) -> QPoly:
             engines[key] = engines.pop(key)
             eng.hits += 1
             return QPoly._wrap(_decode(eng.table[index], eng.width))
-    root = rs.root_coords(coords)
+    root = rs.root_coords(tuple(map(sub, key or (0,) * len(mu), mu)))
     if root is None or min(root) < 0:
         return QPoly._wrap({})
     eng = eng or PartitionEngine(rs, key)
@@ -346,7 +354,7 @@ def read(rs: RootSystem, ctx, key, coords) -> QPoly:
 def q_partition(rs: RootSystem, mu: Weight) -> QPoly:
     """P_q(mu) as a polynomial; the zero polynomial when mu is not in Q_+."""
     rs.check_rank(mu.coords)
-    return read(rs, _contexts.get(rs._key), None, mu.coords)
+    return read(rs, _contexts.get(rs._key), None, (-mu).coords)
 
 
 # layerbench's session.py and traced_cli.py call it

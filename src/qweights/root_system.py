@@ -12,9 +12,10 @@ Conventions, fixed once and documented in the README:
   ``root_coords``: a coordinate tuple times the inverse Cartan matrix scaled
   by its least common denominator, one ``divmod`` by that scale per row,
   and ``None`` off the root lattice.  The lattice test, the dominance order
-  and the height read it directly; ``qkostant.read`` runs the same rows
-  fused with its table's bound and strides; ``weight_to_root_coords`` is its
-  exact-rational view, for callers that want the coordinates of any weight
+  and the height read it directly; each ``qkostant`` table keeps the same
+  rows next to their products with its lam, its bound and its strides, for
+  ``qkostant.read``.  ``weight_to_root_coords`` is the exact-rational view
+  of ``root_coords``, for callers that want the coordinates of any weight
   as ``Fraction``s, and the only code here that imports ``fractions``.
   The symmetrizer and the scaled inverse are computed in integers.
 * The symmetrizer d_i is normalized so short simple roots have (a,a) = 2;

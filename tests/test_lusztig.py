@@ -7,6 +7,7 @@ import operator
 import pathlib
 import pickle
 import random
+import re
 import sys
 import time
 import tracemalloc
@@ -1247,6 +1248,92 @@ class TestOnePassRead:
         assert q_partition_cache_stats() == (21_128, 1_440)
         assert (len(builds), sum(prod(b + 1 for b in bound) for bound in builds)) \
             == (44, 23_649)
+
+
+class TestBuiltTableRead:
+    """Once lam's table is built, a memo miss skips lam's checks and reads
+    the cell straight from mu; every answer and refusal is the one a cold
+    context gives."""
+
+    def test_wrong_rank_mu_reads_as_on_a_cold_context(self):
+        messages = []
+        for warm in (False, True):
+            clear_caches()
+            if warm:
+                lusztig_q_analogue(A2, A2.theta, -A2.theta)
+                q_partition(A2, A2.theta)
+                assert set(root_system.context(A2).engines) == {A2.theta.coords, None}
+            for call in (lambda mu: lusztig_q_analogue(A2, A2.theta, mu),
+                         lambda mu: q_partition(A2, mu)):
+                for mu in (Weight((1, 1, 0)), Weight((1,))):
+                    with pytest.raises(ValueError) as refused:
+                        call(mu)
+                    messages.append(str(refused.value))
+        assert messages[:4] == messages[4:] == [
+            "(1,1,0) is not a weight of A2", "(1) is not a weight of A2"] * 2
+
+    def test_non_dominant_lam_refused_beside_other_tables(self, builds):
+        for lam in (B2.theta, B2.theta_s):
+            lusztig_q_analogue(B2, lam, -lam)
+        q_partition(B2, B2.theta)
+        engines = root_system.context(B2).engines
+        held = list(engines)
+        cases = [(Weight((2, -1)), "(2,-1) is not dominant"),
+                 (Weight((-1, 2)), "(-1,2) is not dominant"),
+                 (Weight((0, -2)), "(0,-2) is not dominant"),
+                 (Weight((1, 0, 0)), "(1,0,0) is not a weight of B2")]
+        for lam, message in cases:
+            for mu in (ZERO2, B2.theta, lam):
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    lusztig_q_analogue(B2, lam, mu)
+        assert list(engines) == held and len(builds) == 3
+
+    @pytest.mark.parametrize("rs", [A2, B2, G2, B3], ids=str)
+    def test_off_lattice_or_cone_reads_zero_and_moves_nothing(self, rs, builds):
+        # lam's module box is built first, then every mu whose lam - mu lies
+        # off the root lattice or has a negative root coordinate
+        lam = rs.theta
+        lusztig_q_analogue(rs, lam, -dual_weight(rs, lam))
+        box = root_coords(rs, lam + dual_weight(rs, lam))
+        engines = root_system.context(rs).engines
+        held, bound = list(engines), engines[lam.coords].bound
+        shifts = [w for w in map(rs.fundamental_weight, range(rs.rank))
+                  if not rs.in_root_lattice(w)]
+        read = 0
+        for nu in itertools.product(*(range(-2, b + 3) for b in box)):
+            diff = rs.root_to_weight_basis(nu)
+            for shift in shifts + ([Weight.zero(rs.rank)] if min(nu) < 0 else []):
+                assert lusztig_q_analogue(rs, lam, lam - diff - shift).is_zero()
+                read += 1
+        assert read and list(engines) == held and builds == [bound]
+
+    def test_past_the_bound_grows_the_table(self, builds, monkeypatch):
+        compute = qkostant.PartitionEngine.compute
+        asked = []
+        monkeypatch.setattr(qkostant.PartitionEngine, "compute",
+                            lambda eng, mu, engines=None: asked.append(mu)
+                            or compute(eng, mu, engines))
+        a1, a2 = A2.simple_roots
+        # the lowest weight builds A2 theta's module box (2, 2) at once; a
+        # read inside it asks compute nothing, and theta - mu = 3 alpha_1,
+        # past it, grows the table to the union
+        lowest = lusztig_q_analogue(A2, A2.theta, -A2.theta)
+        inside = lusztig_q_analogue(A2, A2.theta, A2.theta - a1 - a2)
+        assert (asked, builds) == ([(2, 2)], [(2, 2)])
+        past = lusztig_q_analogue(A2, A2.theta, A2.theta - 3 * a1)
+        assert (asked, builds) == ([(2, 2), (3, 0)], [(2, 2), (3, 2)])
+        assert root_system.context(A2).engines[A2.theta.coords].bound == (3, 2)
+        assert [lowest, inside, past] == [
+            q_analogue_by_induction(A2, A2.theta, mu)
+            for mu in (-A2.theta, A2.theta - a1 - a2, A2.theta - 3 * a1)]
+        # P_q the same way: (1, 0) is read from the table of (2, 0), and
+        # (0, 3) grows it to the union
+        del asked[:], builds[:]
+        assert q_partition(A2, 2 * a1) == QPoly.q() ** 2
+        assert q_partition(A2, a1) == QPoly.q()
+        assert asked == [(2, 0)]
+        assert q_partition(A2, 3 * a2) == QPoly.q() ** 3
+        assert (asked, builds) == ([(2, 0), (0, 3)], [(2, 0), (2, 3)])
 
 
 class TestCharacterMemo:

@@ -189,6 +189,20 @@ class TestDivision:
         with pytest.raises(ZeroDivisionError):
             P(q1=1).exact_div(QPoly.zero())
 
+    def test_int_divisor(self):
+        # an int divides as the constant polynomial it equals
+        assert P(q0=2, q1=4).exact_div(2) == P(q0=1, q1=2)
+        assert QPoly.one().exact_div(-1) == -1
+        with pytest.raises(InexactDivisionError, match="not divisible by 2"):
+            QPoly.one().exact_div(2)
+        with pytest.raises(ZeroDivisionError):
+            QPoly.one().exact_div(0)
+
+    @pytest.mark.parametrize("d", ["x", 2.0, Fraction(2), True, None])
+    def test_other_divisor_refused(self, d):
+        with pytest.raises(TypeError, match=re.escape(f"QPoly or an int, not {d!r}")):
+            QPoly.one().exact_div(d)
+
     def test_zero_dividend(self):
         assert QPoly.zero().exact_div(P(q1=1)) == 0
 

@@ -1,7 +1,8 @@
 """Property tests on random inputs: the integer weight -> root conversion
 against its exact-rational view, the q-analogue at q = 1 against
-Freudenthal's multiplicity, the three routes against each other, the
-kernel's seeded tables against the dense pass of ``test_qkostant``, the
+Freudenthal's multiplicity, the three routes against each other, a read
+of a built table against the same read on a cold context, the kernel's
+seeded tables against the dense pass of ``test_qkostant``, the
 cells a family table builds against its module box, the height product
 criterion against polynomial cross-multiplication, and the CLI on
 arbitrary argv; and that a failing property is reported under the
@@ -95,6 +96,33 @@ def test_three_routes_agree(data):
     got = lusztig_q_analogue(rs, lam, mu)
     assert q_analogue_by_induction(rs, lam, mu) == got
     assert q_analogue_via_kernel(rs, lam, mu) == got
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_warm_table_reads_as_a_cold_one(data):
+    # once lam's module box is built, a memo miss reads the cell from mu
+    # alone; mu runs over the box and one step past each side of it, on and
+    # off the root lattice, so zero answers are drawn too
+    rs = build_root_system(data.draw(st.sampled_from(["A2", "B2", "G2", "A3"])))
+    lam = Weight(coords(data, rs.rank, 0, 2))
+    box = rs.root_coords((lam + dual_weight(rs, lam)).coords)
+    nu = tuple(data.draw(st.integers(-1, b + 1)) for b in box)
+    mu = lam - rs.root_to_weight_basis(nu)
+    if data.draw(st.booleans()):
+        mu = mu + rs.fundamental_weight(data.draw(st.integers(0, rs.rank - 1)))
+    wrong = Weight(mu.coords + (0,))
+    answers, refusals = [], []
+    for warm in (True, False):
+        clear_caches()
+        if warm:
+            lusztig_q_analogue(rs, lam, -dual_weight(rs, lam))
+        answers.append(lusztig_q_analogue(rs, lam, mu))
+        with pytest.raises(ValueError) as refused:
+            lusztig_q_analogue(rs, lam, wrong)
+        refusals.append(str(refused.value))
+    assert answers[0] == answers[1] == q_analogue_by_induction(rs, lam, mu)
+    assert refusals[0] == refusals[1] == f"{wrong} is not a weight of {rs.name}"
 
 
 @settings(max_examples=100, deadline=None)
