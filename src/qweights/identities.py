@@ -348,6 +348,10 @@ def classify_principal_pairs(systems, height_bound: int):
 
 
 def _check_alpha_index(rs: RootSystem, alpha_index: int):
+    """Refuse an index that is not an int (a bool, a float, a str) with
+    TypeError, and one off 0..rank-1 with ValueError."""
+    if type(alpha_index) is not int:
+        raise TypeError(f"a simple root index is an int, not {alpha_index!r}")
     if not 0 <= alpha_index < rs.rank:
         raise ValueError(f"simple root index {alpha_index} is not in "
                          f"0..{rs.rank - 1} for {rs.name}")

@@ -273,12 +273,14 @@ def character(rs: RootSystem, lam: Weight) -> WeightMultiset:
             if min(nu) >= 0 and nu not in found:
                 found.add(nu)
                 todo.append(nu)
-        _check_points(len(found), f"the dominant weights of {lam}")
+        # lam is formatted into the message only on a refusal, not once
+        # per weight popped
+        _check_points(len(found), "the dominant weights of", lam)
     # the orbit size of a dominant weight depends only on its zero
     # coordinates, so it is counted once per pattern of them
     zeros = Counter(tuple(map(bool, nu)) for nu in found)
     _check_points(sum(n * orbit_size(rs, _weight(z)) for z, n in zeros.items()),
-                  f"the weights of {lam}")
+                  "the weights of", lam)
     # lam - mu in root coordinates, for the bound and Freudenthal's denominators
     depth = {mu: rs.root_coords(tuple(map(sub, lc, mu))) for mu in found}
     steps = sum(min(x // g for x, g in zip(depth[mu], gamma) if g)
@@ -423,7 +425,7 @@ def generalized_exponents(rs: RootSystem, lam: Weight) -> list:
         raise ValueError(f"{lam} is not in the root lattice")
     poly = lusztig_q_analogue(rs, lam, Weight.zero(rs.rank))
     # the list holds m_lam^0(1) exponents, counted before it is made
-    _check_points(sum(poly.terms().values()), f"the exponent multiset of {lam}")
+    _check_points(sum(poly.terms().values()), "the exponent multiset of", lam)
     return poly.exponent_multiset()
 
 

@@ -38,7 +38,9 @@ row.lam - row.mu to its ``divmod`` by the scale, which tests the root
 lattice, the cone and the bound and sums the flat index, and the cell is
 decoded here: no lam - mu tuple, no root-coordinate tuple and no call of
 ``PartitionEngine.compute``.  Only a point of Q_+ outside the table goes
-to ``compute``, in root coordinates, which builds or grows the table.
+to ``compute``, in root coordinates, which does nothing but grow the
+table to hold it; ``read`` then decodes that cell, at the point times the
+table's strides.  So ``read`` is the one code that looks up a cell.
 
 The factors of the product commute and the packed cells are exact
 integers, so the passes may run in any order; they run tallest root first.
@@ -163,9 +165,10 @@ class PartitionEngine:
 
     An engine keeps its root system, which holds no context, and refers to
     nothing that holds it: the other tables of its context, which a build
-    may drop, are handed to ``compute`` by ``read``.  The table
-    is flat and row-major; cell nu holds its polynomial packed into one int,
-    ``width`` bits per coefficient:
+    may drop, are handed to ``compute`` by ``read``.  It reads no cell
+    itself: ``read`` does, from ``rows`` or, after a build, from
+    ``strides``.  The table is flat and row-major; cell nu holds its
+    polynomial packed into one int, ``width`` bits per coefficient:
     sum_j c_j * 2^(width*j), each c_j in [-2^(width-1), 2^(width-1)).
     """
 
@@ -184,50 +187,39 @@ class PartitionEngine:
         # lookups answered without a build, and the cells of every build
         self.hits = self.spent = 0
 
-    def compute(self, mu, engines=None) -> dict:
-        """Sparse {exponent: coefficient} dict of cell mu; {} off the cone.
+    def compute(self, root, engines):
+        """Grow the table to hold ``root``, a point of Q_+ outside it, in
+        root coordinates; ``read`` is the one caller, and reads the cell.
 
-        A target that leaves the table has one candidate box: the union
-        of the old box and its own (its own when there is no table),
-        widened to the module box when the target lies in it.  The
-        candidate is built when it has at most ``_MAX_GROWTH`` times the
-        cells built so far plus the target's own, and at most
-        ``MAX_TABLE_CELLS``; otherwise the target's own box is.  While the
-        reads stay in the module box, every build before its own holds
-        under a ``_MAX_GROWTH``-th of it in all.  Only a target whose own
-        box is over ``MAX_TABLE_CELLS`` raises ``BudgetError``, and it
-        changes nothing.  Otherwise ``engines``, when given, are the
-        tables of the context, least recently used first: before the
-        build, the oldest of them other than this one are dropped until
-        the new table fits next to the rest.
+        The target has one candidate box: the union of the old box and its
+        own (its own when there is no table), widened to the module box
+        when the target lies in it.  The candidate is built when it has at
+        most ``_MAX_GROWTH`` times the cells built so far plus the target's
+        own, and at most ``MAX_TABLE_CELLS``; otherwise the target's own box
+        is.  While the reads stay in the module box, every build before its
+        own holds under a ``_MAX_GROWTH``-th of it in all.  Only a target
+        whose own box is over ``MAX_TABLE_CELLS`` raises ``BudgetError``,
+        and it changes nothing.  Otherwise ``engines`` are the tables of
+        the context, least recently used first: before the build, the
+        oldest of them other than this one are dropped until the new table
+        fits next to the rest.
         """
-        if min(mu) < 0:
-            return {}
-        bound = self.bound
-        if bound is None or any(map(gt, mu, bound)):
-            # with no table yet, the union is the target's own box
-            box = tuple(map(max, mu, bound or mu))
-            if self.module is not None and not any(map(gt, mu, self.module)):
-                box = tuple(map(max, box, self.module))
-            if _cells(box) > min(_MAX_GROWTH * (self.spent + _cells(mu)), MAX_TABLE_CELLS):
-                box = tuple(mu)
-            size = _check_cells(box)
-            if engines:
-                # this engine's old table is dropped by the build, so the
-                # two are never held together
-                held = size + sum(len(eng.table) for eng in engines.values()
-                                  if eng is not self)
-                for key in list(engines):
-                    if held <= MAX_TABLE_CELLS:
-                        break
-                    eng = engines[key]
-                    if eng is not self:
-                        held -= len(eng.table)
-                        del engines[key]
-            self._build(box)
-        else:
-            self.hits += 1
-        return _decode(self.table[sum(map(mul, mu, self.strides))], self.width)
+        # with no table yet, the union is the target's own box
+        box = tuple(map(max, root, self.bound or root))
+        if self.module is not None and not any(map(gt, root, self.module)):
+            box = tuple(map(max, box, self.module))
+        if _cells(box) > min(_MAX_GROWTH * (self.spent + _cells(root)), MAX_TABLE_CELLS):
+            box = root
+        # this engine's old table is dropped by the build, so the two are
+        # never held together
+        others = [(key, eng) for key, eng in engines.items() if eng is not self]
+        held = _check_cells(box) + sum(len(eng.table) for _, eng in others)
+        for key, eng in others:
+            if held <= MAX_TABLE_CELLS:
+                break
+            held -= len(eng.table)
+            del engines[key]
+        self._build(box)
 
     def _build(self, bound):
         size = _cells(bound)
@@ -316,7 +308,8 @@ def read(rs: RootSystem, ctx, key, mu) -> QPoly:
     inverse Cartan matrix: the remainder tests the root lattice, the
     quotient the cone and the bound, and the flat index is summed on the
     way; then the cell is decoded.  Any other point of Q_+ goes to
-    ``compute`` in root coordinates, which builds or grows the table; a
+    ``compute`` in root coordinates, which grows the table to hold it, and
+    the cell is decoded at that point times the table's strides; a
     missing engine, ``PartitionEngine(rs, key)``, is put in the engines
     of ``ctx``, or of ``context(rs)`` when ``ctx`` is None, only once its
     first table is built, so a refused build leaves nothing behind.  A
@@ -344,11 +337,11 @@ def read(rs: RootSystem, ctx, key, mu) -> QPoly:
     if root is None or min(root) < 0:
         return QPoly._wrap({})
     eng = eng or PartitionEngine(rs, key)
-    cell = eng.compute(root, engines)
+    eng.compute(root, engines)
     # in place or not, the engine goes to the end once its table is built,
     # of a context registered only now when the caller had none
     (ctx or context(rs)).engines[key] = engines.pop(key, eng)
-    return QPoly._wrap(cell)
+    return QPoly._wrap(_decode(eng.table[sum(map(mul, root, eng.strides))], eng.width))
 
 
 def q_partition(rs: RootSystem, mu: Weight) -> QPoly:

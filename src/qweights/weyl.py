@@ -45,9 +45,12 @@ from .root_system import BudgetError, RootSystem, Weight, _dual_partition, _weig
 MAX_ORBIT_POINTS = 500_000
 
 
-def _check_points(count: int, what: str):
-    """Raise BudgetError when ``what`` holds more than MAX_ORBIT_POINTS."""
+def _check_points(count: int, what: str, *args):
+    """Raise BudgetError when ``what``, followed by ``args``, holds more
+    than MAX_ORBIT_POINTS.  The args are put through ``str`` only then, so
+    a check that passes formats nothing."""
     if count > MAX_ORBIT_POINTS:
+        what = " ".join(map(str, (what, *args)))
         raise BudgetError(f"input too large: {what} reaches {count:,} points, "
                           f"over the budget of {MAX_ORBIT_POINTS:,} orbit points")
 
@@ -204,5 +207,5 @@ def orbit(rs: RootSystem, mu: Weight) -> frozenset:
     Its closed-form size is counted against the orbit-point budget before
     the walk, and each point becomes one Weight."""
     top, _ = dominant_representative(rs, mu)
-    _check_points(orbit_size(rs, top), f"the orbit of {mu}")
+    _check_points(orbit_size(rs, top), "the orbit of", mu)
     return frozenset(_weight(x) for layer in descend(rs, top.coords) for x in layer)

@@ -3,6 +3,7 @@ serialize deterministically, and actually record mismatches."""
 
 import itertools
 import json
+import re
 
 import pytest
 
@@ -142,6 +143,17 @@ class TestVerifiers:
         b2 = build_root_system("B2")
         with pytest.raises(ValueError):
             idn.verify_subregular_identity(b2, Weight((0, 1)), 1)  # not in lattice
+
+    @pytest.mark.parametrize("index", [True, 2.0, "2"])
+    def test_alpha_index_must_be_an_int(self, index):
+        # a bool is not taken as the index 1, and a float or a str is refused
+        # by name before any arithmetic on it
+        b3 = build_root_system("B3")
+        message = f"^a simple root index is an int, not {re.escape(repr(index))}$"
+        with pytest.raises(TypeError, match=message):
+            idn.verify_induction_lemma(b3, b3.theta, -b3.theta, index)
+        with pytest.raises(TypeError, match=message):
+            idn.verify_subregular_identity(b3, b3.theta, index)
 
 
 class TestClassification:

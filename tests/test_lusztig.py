@@ -45,7 +45,7 @@ from qweights.poly import QPoly
 from qweights.qkostant import q_partition, q_partition_cache_stats
 from qweights.root_system import RootSystem, Weight, build_dual_root_system, build_root_system
 from qweights.weyl import dominant_representative, orbit, stabilizer_poincare
-from test_qkostant import _engine
+from test_qkostant import read_cell
 
 
 def P(pairs):
@@ -63,6 +63,23 @@ LAYERBENCH = pathlib.Path(__file__).resolve().parent.parent / "layerbench"
 
 def root_coords(rs, weight):
     return tuple(int(x) for x in rs.weight_to_root_coords(weight))
+
+
+@pytest.fixture
+def grown(monkeypatch):
+    """Each root handed to ``compute`` from here on, with whether it was a
+    point of Q_+ outside its engine's table, the one case ``read`` hands
+    on."""
+    seen = []
+    compute = qkostant.PartitionEngine.compute
+
+    def spy(eng, root, engines):
+        outside = eng.bound is None or any(map(gt, root, eng.bound))
+        seen.append((root, min(root) >= 0 and outside))
+        return compute(eng, root, engines)
+
+    monkeypatch.setattr(qkostant.PartitionEngine, "compute", spy)
+    return seen
 
 
 @pytest.fixture
@@ -696,7 +713,7 @@ def pruned_walk_sum(rs, lam, mu):
     layer = {(lam + rs.rho).coords: tuple(int(x) for x in diff)}
     while layer:
         for arg in layer.values():
-            acc = acc + sign * QPoly(_engine(rs).compute(arg))
+            acc = acc + sign * QPoly(read_cell(rs, arg))
         nxt = {}
         for x, arg in layer.items():
             for i in range(rs.rank):
@@ -735,17 +752,18 @@ class TestSeededTable:
             expected = {}
             for sign, d in terms:
                 arg = tuple(map(sub, nu, d))
-                for e, c in _engine(rs).compute(arg).items():
+                for e, c in read_cell(rs, arg).items():
                     expected[e] = expected.get(e, 0) + sign * c
             # each coefficient fits a balanced digit of the table's width
             assert all(abs(c) < 1 << (eng.width - 1) for c in expected.values())
-            got = eng.compute(nu)
+            got = read_cell(rs, nu, lam.coords)
             assert QPoly(got) == QPoly(expected), nu
             negative += any(c < 0 for c in got.values())
         # the signed decode was exercised
         assert negative > 0
-        # one table answered every cell
+        # one table answered every cell, and read it from its rows
         cells = prod(b + 1 for b in box)
+        assert root_system.context(rs).engines[lam.coords] is eng
         assert (len(eng.table), eng.hits) == (cells, cells)
 
 
@@ -1006,6 +1024,24 @@ class TestCharacterBudget:
         monkeypatch.undo()
         assert len(character(A2, lam)) == 61
 
+    @pytest.mark.parametrize("budget", [6, 20, None])
+    def test_formats_lam_at_most_once(self, monkeypatch, budget):
+        # a refusal formats lam into its message once, and an answer not at
+        # all: the descent formatted it once per dominant weight it popped,
+        # 166,667 times to refuse A2 (10**20, 10**20)
+        lam = Weight((4, 4))
+        clear_caches()
+        shown = []
+        show = Weight.__str__
+        monkeypatch.setattr(Weight, "__str__", lambda w: shown.append(w) or show(w))
+        if budget is None:
+            assert len(character(A2, lam)) == 61
+        else:
+            monkeypatch.setattr(weyl, "MAX_ORBIT_POINTS", budget)
+            with pytest.raises(root_system.BudgetError, match=r" of \(4,4\) reaches "):
+                character(A2, lam)
+        assert len(shown) <= 1
+
     def test_refused_before_any_orbit_is_walked(self, monkeypatch):
         # the weights of E8 omega_4 number 3,207,121, the sum of the orbit
         # sizes of its dominant weights, found without a walk: neither
@@ -1136,7 +1172,8 @@ class CellOutside(Exception):
 class TestOnePassRead:
     """A read of a built table goes from lam - mu to the cell in one loop;
     every other point goes to ``root_coords`` and ``compute``, and gets the
-    answer they give."""
+    cell a build for that point holds at its root coordinates times the
+    strides."""
 
     TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2", "F4"]
 
@@ -1151,15 +1188,18 @@ class TestOnePassRead:
     @pytest.mark.parametrize("name", TYPES)
     def test_matches_root_coords_then_compute(self, name, monkeypatch):
         rs = build_root_system(name)
-        compute = qkostant.PartitionEngine.compute
+        engine = qkostant.PartitionEngine
+        compute = engine.compute
         asked = []
 
-        def spy(eng, mu, engines=None):
-            asked.append(mu)
-            if eng.bound is not None and any(map(gt, mu, eng.bound)):
-                raise CellOutside(mu)
-            return compute(eng, mu, engines)
+        def spy(eng, root, engines):
+            asked.append(root)
+            if eng.rows:
+                # a point of Q_+ past a table that reads from its rows
+                raise CellOutside(root)
+            return compute(eng, root, engines)
 
+        monkeypatch.setattr(engine, "compute", spy)
         # a weight off the root lattice, where the type has one
         shifts = [Weight.zero(rs.rank)] + [
             w for w in map(rs.fundamental_weight, range(rs.rank))
@@ -1172,25 +1212,45 @@ class TestOnePassRead:
             clear_caches()
             # the first table is exact: the lowest weight's box is the module's
             lusztig_q_analogue(rs, lam, -dual_weight(rs, lam))
-            eng = root_system.context(rs).engines[lam.coords]
+            ctx = root_system.context(rs)
+            eng = ctx.engines[lam.coords]
             assert eng.bound == box
-            monkeypatch.setattr(qkostant.PartitionEngine, "compute", spy)
+            # warm: every point reads from the rows, and a point of Q_+ past
+            # the box goes to compute
+            warm = []
             for nu in self.around(box):
                 for shift in shifts:
                     diff = rs.root_to_weight_basis(nu) + shift
                     mu = lam - diff
                     rc = rs.root_coords(diff.coords)
+                    inside = rc is not None and min(rc) >= 0
                     asked.clear()
-                    if rc is not None and min(rc) >= 0 and any(map(gt, rc, box)):
+                    if inside and any(map(gt, rc, box)):
                         with pytest.raises(CellOutside):
                             lusztig_q_analogue(rs, lam, mu)
                         assert asked == [rc], (name, lam, mu)
                         continue
-                    got = lusztig_q_analogue(rs, lam, mu)
+                    warm.append((mu, rc if inside else None, lusztig_q_analogue(rs, lam, mu)))
                     assert asked == [], (name, lam, mu)
-                    want = {} if rc is None or min(rc) < 0 else compute(eng, rc)
-                    assert got.terms() == want, (name, lam, mu)
-            monkeypatch.undo()
+            # cold: with its rows taken away, the table is read the long way:
+            # a point of Q_+ goes to root_coords and compute, whose build of
+            # the box (the warm table put back, not walked again) is read at
+            # the point's root coordinates times the strides, and any other
+            # point is zero
+            state = [getattr(eng, slot) for slot in engine.__slots__]
+
+            def rebuild(e, bound):
+                assert (e, bound) == (eng, box)
+                for slot, value in zip(engine.__slots__, state):
+                    setattr(e, slot, value)
+
+            with monkeypatch.context() as mp:
+                mp.setattr(engine, "_build", rebuild)
+                for mu, rc, got in warm:
+                    eng.rows = ()
+                    asked.clear()
+                    assert qkostant.read(rs, ctx, lam.coords, mu.coords) == got, (name, lam, mu)
+                    assert asked == ([rc] if rc else []), (name, lam, mu)
 
     def test_off_cone_read_keeps_the_order(self):
         # a read of a cell moves its table to the most recent end; a point
@@ -1227,11 +1287,11 @@ class TestOnePassRead:
         with pytest.raises(ValueError, match="^\\(-1,-1\\) is not in the positive root cone$"):
             cherednik_coefficient(A2, -A2.theta)
 
-    def test_lib_session_stream_cache_stats(self, builds):
+    def test_lib_session_stream_cache_stats(self, builds, grown):
         # the seed-1 query stream of the benchmark's lib-session workload
         # makes 44 builds of 23,649 cells in all, ends with tables of 21,128
         # cells and reads 1,440 cells of a built table; the memo answers the
-        # rest
+        # rest.  Each build was for a point of Q_+ outside its table
         sys.path.insert(0, str(LAYERBENCH))
         try:
             import oracle
@@ -1248,6 +1308,16 @@ class TestOnePassRead:
         assert q_partition_cache_stats() == (21_128, 1_440)
         assert (len(builds), sum(prod(b + 1 for b in bound) for bound in builds)) \
             == (44, 23_649)
+        assert len(grown) == 44 and all(outside for _, outside in grown)
+
+    @pytest.mark.parametrize("name", ["F4", "E6"])
+    def test_verify_all_grows_tables_only(self, name, grown, capsys):
+        # every identity of `verify all` reads its cells through read, and
+        # hands compute only the points of Q_+ outside a table
+        clear_caches()
+        assert cli.main(["verify", "all", name]) == 0
+        assert capsys.readouterr().out.startswith("PASS adjoint")
+        assert grown and all(outside for _, outside in grown)
 
 
 class TestBuiltTableRead:
@@ -1311,8 +1381,8 @@ class TestBuiltTableRead:
         compute = qkostant.PartitionEngine.compute
         asked = []
         monkeypatch.setattr(qkostant.PartitionEngine, "compute",
-                            lambda eng, mu, engines=None: asked.append(mu)
-                            or compute(eng, mu, engines))
+                            lambda eng, root, engines: asked.append(root)
+                            or compute(eng, root, engines))
         a1, a2 = A2.simple_roots
         # the lowest weight builds A2 theta's module box (2, 2) at once; a
         # read inside it asks compute nothing, and theta - mu = 3 alpha_1,

@@ -35,7 +35,7 @@ from qweights.lusztig import (  # noqa: E402
 from qweights.poly import QPoly  # noqa: E402
 from qweights.qkostant import _MAX_GROWTH, PartitionEngine  # noqa: E402
 from qweights.root_system import Weight, build_root_system, clear_caches  # noqa: E402
-from test_qkostant import assert_matches_dense_pass, module_engine  # noqa: E402
+from test_qkostant import assert_matches_dense_pass, module_box  # noqa: E402
 
 RANKS = {"A": range(1, 9), "B": range(2, 9), "C": range(2, 9), "D": range(4, 9),
          "E": (6, 7, 8), "F": (4,), "G": (2,)}
@@ -129,7 +129,8 @@ def test_warm_table_reads_as_a_cold_one(data):
 @given(st.data())
 def test_table_matches_dense_pass(data):
     rs = build_root_system(data.draw(st.sampled_from(UP_TO_RANK_4)))
-    eng, module = module_engine(rs, Weight(coords(data, rs.rank, 0, 2)))
+    lam = coords(data, rs.rank, 0, 2)
+    module = module_box(rs, Weight(lam))
     # each coordinate is drawn as a cut below the module box's, so that the
     # box stays within 20,000 cells and the draws lean to large boxes; the
     # engine builds the module box instead when that is at most four times
@@ -141,7 +142,7 @@ def test_table_matches_dense_pass(data):
         b = hi - data.draw(st.integers(0, hi))
         cells *= b + 1
         bound.append(b)
-    assert_matches_dense_pass(eng, tuple(bound))
+    assert_matches_dense_pass(rs, lam, tuple(bound))
 
 
 @settings(max_examples=100, deadline=None)

@@ -2,6 +2,7 @@
 the layered memo recursion it replaced and the dense pass it sped up."""
 
 import itertools
+from operator import sub
 
 import pytest
 
@@ -14,17 +15,18 @@ from qweights.qkostant import (
     kernel_backend,
     q_partition,
     q_partition_cache_stats,
+    read,
 )
-from qweights.root_system import Weight, build_root_system, clear_caches, context
+from qweights.root_system import Weight, _contexts, build_root_system, clear_caches, context
 
 
-def _engine(rs):
-    """The P_q engine of rs's context, made there with no table when
-    missing; ``q_partition`` makes the same engine."""
-    engines = context(rs).engines
-    if None not in engines:
-        engines[None] = PartitionEngine(rs)
-    return engines[None]
+def read_cell(rs, nu, lam=None):
+    """Cell ``nu``, in root coordinates, of the table of the highest weight
+    ``lam`` (a coordinate tuple), or of P_q's when lam is None, read through
+    ``qkostant.read`` as a sparse {exponent: coefficient} dict: the weight
+    lam - nu, and -nu for P_q, as the library reads it."""
+    mu = tuple(map(sub, lam or (0,) * rs.rank, rs.root_to_weight_basis(nu).coords))
+    return read(rs, _contexts.get(rs._key), lam, mu).terms()
 
 
 def brute_force(rs, target):
@@ -73,7 +75,7 @@ def test_matches_brute_force(name, bound):
 def test_empty_partition():
     rs = build_root_system("B3")
     assert q_partition(rs, Weight.zero(3)) == 1
-    assert QPoly(_engine(rs).compute((0, 0, 0))) == 1
+    assert QPoly(read_cell(rs, (0, 0, 0))) == 1
 
 
 def test_single_root_values():
@@ -89,7 +91,7 @@ def test_outside_cone_is_zero():
     assert q_partition(rs, rs.fundamental_weight(0)).is_zero()  # not in lattice
     assert q_partition(rs, -rs.theta).is_zero()
     assert q_partition(rs, rs.root_to_weight_basis((-1, 2))).is_zero()
-    assert _engine(rs).compute((-1, 2)) == {}
+    assert read_cell(rs, (-1, 2)) == {}
 
 
 def test_memo_statistics_accumulate():
@@ -173,16 +175,16 @@ def test_every_cell_matches_reference(name, top, cells):
     ref = MemoReference(rs.positive_roots)
     bound = root_coords(rs, top(rs))
     clear_caches()
-    assert _engine(rs).compute(bound) == ref.compute(bound)
+    assert read_cell(rs, bound) == ref.compute(bound)
     # no coefficient in the box exceeds the largest one of the bound cell
     most = max(ref.compute(bound).values())
     for nu in box(bound):
         expected = ref.compute(nu)
-        assert _engine(rs).compute(nu) == expected, nu
+        assert read_cell(rs, nu) == expected, nu
         assert max(expected.values()) <= most, nu
     # one seed: the width is the bits of P_1(bound), one more for the count
     # of seeds and one for the sign, so every coefficient is a balanced digit
-    eng = _engine(rs)
+    eng = context(rs).engines[None]
     assert eng.width == _width(rs.positive_roots, bound) + 2
     assert most < 1 << (eng.width - 1)
     # one table answered every cell: the first lookup built it
@@ -192,16 +194,17 @@ def test_every_cell_matches_reference(name, top, cells):
 def test_rebuilds_keep_values():
     rs = build_root_system("B3")
     ref = MemoReference(rs.positive_roots)
-    eng = PartitionEngine(rs)
+    clear_caches()
     small = (1, 1, 1)
     targets = [small, (2, 1, 1), (2, 2, 1), (2, 2, 2), (2, 3, 2), (2, 3, 3),
                (3, 3, 3), small]
     for mu in targets:
-        assert eng.compute(mu) == ref.compute(mu), mu
+        assert read_cell(rs, mu) == ref.compute(mu), mu
     # every growth rebuilt the table; only the final small target was a hit
+    eng = context(rs).engines[None]
     assert (len(eng.table), eng.hits) == (4 * 4 * 4, 1)
     for nu in box((3, 3, 3)):
-        assert eng.compute(nu) == ref.compute(nu), nu
+        assert read_cell(rs, nu) == ref.compute(nu), nu
 
 
 def test_scattered_targets_do_not_fill_the_union_box():
@@ -210,7 +213,7 @@ def test_scattered_targets_do_not_fill_the_union_box():
     clear_caches()
     for i in range(4):
         mu = tuple(6 if k == i else 0 for k in range(4))
-        assert _engine(rs).compute(mu) == ref.compute(mu), mu
+        assert read_cell(rs, mu) == ref.compute(mu), mu
     # the union of the four boxes has 7**4 cells
     assert q_partition_cache_stats()[0] < 7 ** 4 // 10
 
@@ -227,7 +230,7 @@ def test_alternating_targets_pay_for_their_union(monkeypatch):
     monkeypatch.setattr(PartitionEngine, "_build",
                         lambda eng, bound: bounds.append(bound) or build(eng, bound))
     for mu in [(9, 0, 0), (0, 9, 0)] * 2:
-        assert _engine(rs).compute(mu) == ref.compute(mu), mu
+        assert read_cell(rs, mu) == ref.compute(mu), mu
     assert bounds == [(9, 0, 0), (0, 9, 0), (9, 9, 0)]
 
 
@@ -262,18 +265,20 @@ def dense_pass(roots, bound, seeds):
     return width, f
 
 
-def module_engine(rs, lam):
-    """An engine seeded with the Weyl numerator of lam, as ``read`` makes
-    it, and the module box lam - w0(lam) in root coordinates."""
-    module = root_coords(rs, lam + dual_weight(rs, lam))
-    return PartitionEngine(rs, lam.coords), module
+def module_box(rs, lam):
+    """The module box lam - w0(lam) of the highest weight lam, in root
+    coordinates."""
+    return root_coords(rs, lam + dual_weight(rs, lam))
 
 
-def assert_matches_dense_pass(eng, bound):
-    """Read cell ``bound`` of a new engine and check the table it built,
-    the exact box or (by the growth rule) the module box, against the
-    dense pass on that box."""
-    eng.compute(bound)
+def assert_matches_dense_pass(rs, lam, bound):
+    """Read cell ``bound`` of lam's table (P_q's when lam is None) on a cold
+    context and check the table it built, the exact box or (by the growth
+    rule) the module box, against the dense pass on that box.  Returns the
+    engine and the seeds."""
+    clear_caches()
+    read_cell(rs, bound, lam)
+    eng = context(rs).engines[lam]
     built = eng.bound
     assert built in (bound, eng.module)
     if eng.lam is None:
@@ -283,7 +288,7 @@ def assert_matches_dense_pass(eng, bound):
     width, table = dense_pass(eng.rs.positive_roots, built, seeds)
     assert eng.width == width
     assert eng.table == table
-    return seeds
+    return eng, seeds
 
 
 @pytest.mark.parametrize("name,lam,bound,seeds", [
@@ -299,10 +304,8 @@ def assert_matches_dense_pass(eng, bound):
 ])
 def test_dense_pass_edge_cases(name, lam, bound, seeds):
     rs = build_root_system(name)
-    if lam is None:
-        eng = PartitionEngine(rs)
-    else:
-        eng, module = module_engine(rs, Weight(lam))
-        assert eng.module == module
-    assert len(assert_matches_dense_pass(eng, bound)) == seeds
+    eng, found = assert_matches_dense_pass(rs, lam, bound)
+    if lam is not None:
+        assert eng.module == module_box(rs, Weight(lam))
+    assert len(found) == seeds
     assert eng.bound == bound
