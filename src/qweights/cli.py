@@ -191,7 +191,7 @@ def _cmd_cherednik(rs: RootSystem, args) -> int:
     items = []
     for rc in sorted(_iter_cone(rs.rank, bound), key=lambda t: (sum(t), t)):
         nu = rs.root_to_weight_basis(rc)
-        items.append((rc, rs.is_positive_root_weight(nu), cherednik_coefficient(rs, nu)))
+        items.append((rc, rc in rs.root_length, cherednik_coefficient(rs, nu)))
     if args.format == "json":
         return _json({
             "root_system": rs.name,

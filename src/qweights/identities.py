@@ -275,9 +275,9 @@ def _is_root_multiple(rs: RootSystem, w: Weight) -> bool:
     if g == 0:
         return True
     root = tuple(x // g for x in ints)
-    # _root_index holds the positive roots, so a vector of mixed signs
+    # root_length holds the positive roots, so a vector of mixed signs
     # matches neither it nor its negation
-    return root in rs._root_index or tuple(-x for x in root) in rs._root_index
+    return root in rs.root_length or tuple(-x for x in root) in rs.root_length
 
 
 def verify_height_duality(rs: RootSystem, lam: Weight) -> Report:
@@ -326,7 +326,10 @@ def classify_principal_pairs(systems, height_bound: int):
     """Scan every dominant root-lattice weight with 0 < hot(lambda) <= bound
     and keep the pairs satisfying the fixed-space dimension hypothesis.  A
     root system with more than ``weyl.MAX_ORBIT_POINTS`` candidate weights
-    is refused before its scan computes any character."""
+    is refused before its scan computes any character, and a bound that is
+    not an int (a bool, a float, a str) raises TypeError."""
+    if type(height_bound) is not int:
+        raise TypeError(f"a height bound is an int, not {height_bound!r}")
     found = []
     for rs in systems:
         ranges = [range(height_bound * rs._inv_scale // h + 1)

@@ -30,9 +30,14 @@ class QPoly:
         """The polynomial of the mapping ``terms`` {exponent: coefficient},
         zero coefficients dropped, or the zero polynomial.  An exponent or
         coefficient that is not an int (a bool, a float, a Fraction) raises
-        TypeError."""
-        self._terms = {} if terms is None else {e: c for e, c in terms.items() if c}
-        for e, c in (terms or {}).items():
+        TypeError, and so does a ``terms`` that is not a mapping."""
+        try:
+            items = () if terms is None else terms.items()
+        except AttributeError:
+            raise TypeError(f"QPoly takes a mapping of exponents to coefficients, "
+                            f"not {terms!r}") from None
+        self._terms = {e: c for e, c in items if c}
+        for e, c in items:
             if type(e) is not int or type(c) is not int:
                 raise TypeError(f"QPoly takes int exponents and coefficients, not {e!r}: {c!r}")
 

@@ -2,7 +2,10 @@
 
 Conventions, fixed once and documented in the README:
 
-* Bourbaki numbering of simple roots for every type.
+* A root system is made from its type name alone, such as "B3": its Cartan
+  matrix is the one ``_standard_cartan`` makes for that type, so every
+  root system, a dual one included, has Bourbaki numbering of its simple
+  roots.
 * Cartan matrix entry ``A[i][j] = <alpha_j, alpha_i_check>``; the j-th column
   of A is alpha_j written in the fundamental-weight basis.
 * Roots are stored in simple-root coordinates (always integer vectors);
@@ -33,8 +36,8 @@ against one of two budgets: ``qkostant.MAX_TABLE_CELLS`` on the cells of a
 partition table, counted from its bound before it is built, and
 ``weyl.MAX_ORBIT_POINTS`` on the points an orbit walk, a character or the
 enumeration of W holds, and on the rank times the positive roots of a type
-that ``build_root_system`` would build, counted in closed form before any
-root is made.
+that ``RootSystem`` would build, counted in closed form before its Cartan
+matrix is made.
 """
 
 from __future__ import annotations
@@ -97,10 +100,16 @@ class Weight:
         return f"Weight(coords={self.coords!r})"
 
     def __add__(self, other):
-        return _weight(tuple(a + b for a, b in zip(self.coords, other.coords, strict=True)))
+        try:
+            return _weight(tuple(a + b for a, b in zip(self.coords, other.coords, strict=True)))
+        except ValueError:  # only the strict zip raises it
+            raise ValueError(f"cannot add {other} to {self}: the ranks differ") from None
 
     def __sub__(self, other):
-        return _weight(tuple(a - b for a, b in zip(self.coords, other.coords, strict=True)))
+        try:
+            return _weight(tuple(a - b for a, b in zip(self.coords, other.coords, strict=True)))
+        except ValueError:
+            raise ValueError(f"cannot subtract {other} from {self}: the ranks differ") from None
 
     def __neg__(self):
         return _weight(tuple(-a for a in self.coords))
@@ -181,7 +190,10 @@ def _standard_cartan(letter: str, rank: int):
 
 
 def _symmetrizer(cartan):
-    """Positive integers d_i with d_i * A[i][j] = d_j * A[j][i], min = 1."""
+    """Positive integers d_i with d_i * A[i][j] = d_j * A[j][i], min = 1, of
+    the Cartan matrix of a simple type: its diagram is connected, so the
+    walk below reaches every node, and its roots have at most two lengths in
+    the ratio 2 or 3, so each d_i is a multiple of the least."""
     rank = len(cartan)
     # d_0 starts as a multiple of every entry's product along a path of the
     # diagram, so each d_j = d_i * A[i][j] / A[j][i] below is an integer
@@ -193,11 +205,7 @@ def _symmetrizer(cartan):
             if i != j and cartan[i][j] and not d[j]:
                 d[j] = d[i] * cartan[i][j] // cartan[j][i]
                 todo.append(j)
-    if not all(d):
-        raise ValueError("Dynkin diagram is not connected")
     lo = min(d)
-    if any(x % lo for x in d):
-        raise ValueError("symmetrizer is not integral")
     return tuple(x // lo for x in d)
 
 
@@ -258,13 +266,26 @@ def _dual_partition(heights):
 
 
 class RootSystem:
-    """Immutable container for one simple root system."""
+    """The simple root system of the type ``name``, such as "B3", "b_3" or
+    "E8", as ``parse_type`` reads it, with the Bourbaki Cartan matrix of
+    that type; immutable.  Anything that is not a type name raises
+    ValueError, and a type whose rank times positive roots is over
+    ``weyl.MAX_ORBIT_POINTS`` raises BudgetError before anything is built.
+    ``build_root_system`` builds each type once and shares it."""
 
-    def __init__(self, cartan, letter: str, rank: int):
+    def __init__(self, name: str):
+        from .weyl import _check_points
+
+        letter, rank = parse_type(name)
+        # each positive root holds rank coordinates and takes about rank^2
+        # steps to build; the largest types that fit, A99, B79, C79 and D79,
+        # build in 5.5-6.9 s on one Xeon core under Python 3.11
+        count = _POSITIVE_ROOTS[letter](rank)
+        _check_points(rank * count, f"{letter}{rank}, {count:,} positive roots of rank {rank},")
         self.letter = letter
         self.rank = rank
         self.name = f"{letter}{rank}"
-        self.cartan = tuple(tuple(int(x) for x in row) for row in cartan)
+        self.cartan = _standard_cartan(letter, rank)
         # the key of its caches in ``_contexts``: a string hashes once
         self._key = repr(self.cartan)
         # column i as its nonzero (k, a[k][i]): s_i lowers coordinate k of a
@@ -276,7 +297,6 @@ class RootSystem:
         self.symmetrizer = _symmetrizer(self.cartan)
         self.positive_roots = _positive_roots(self.cartan)
         self.heights = tuple(sum(r) for r in self.positive_roots)
-        self._root_index = {r: k for k, r in enumerate(self.positive_roots)}
         # the inverse Cartan matrix times its least common denominator, as ints
         self._inv_scale, self._scaled_inv_cartan = _invert(self.cartan)
         # hot(omega_i) times that denominator: column i of it, summed
@@ -297,8 +317,6 @@ class RootSystem:
             gw = self.root_to_weight_basis(gamma).coords
             form = tuple(map(mul, gamma, d))
             norm = sum(map(mul, form, gw))
-            if norm % 2:
-                raise AssertionError(f"root {gamma} of {self.name} has odd squared length")
             data.append((gw, form, norm))
             self.root_length[gamma] = norm // 2
         self._root_data = tuple(data)
@@ -311,20 +329,14 @@ class RootSystem:
         self.rho = Weight((1,) * rank)
         self.theta = self.root_to_weight_basis(self.positive_roots[-1])
         self.theta_root_coords = self.positive_roots[-1]
-        short_dom = [r for r in self.short_positive_roots
-                     if self.root_to_weight_basis(r).is_dominant()]
-        if len(short_dom) != 1:
-            raise AssertionError(
-                f"{self.name} has {len(short_dom)} dominant short roots, expected 1"
-            )
-        self.theta_s_root_coords = short_dom[0]
-        self.theta_s = self.root_to_weight_basis(short_dom[0])
+        # the short dominant root is the highest short root
+        self.theta_s_root_coords = self.short_positive_roots[-1]
+        self.theta_s = self.root_to_weight_basis(self.theta_s_root_coords)
 
         self.simple_roots = tuple(
             self.root_to_weight_basis(tuple(1 if j == i else 0 for j in range(rank)))
             for i in range(rank)
         )
-        self._positive_root_weights = frozenset(gw for gw, _, _ in self._root_data)
 
     # -- basis conversion ----------------------------------------------
 
@@ -405,14 +417,14 @@ class RootSystem:
                 raise ValueError(f"{nu} is not a root of {self.name}")
         else:
             rc = tuple(nu)
-        if rc not in self._root_index:
+        if rc not in self.root_length:
             raise ValueError(f"{rc} is not a positive root of {self.name}")
         # (mu, beta) / ((beta, beta) / 2): exact, since beta_check is an
         # integer sum of simple coroots and mu is integral
         return self.inner(mu, rc) // self.root_length[rc]
 
     def is_positive_root_weight(self, w: Weight) -> bool:
-        return w.coords in self._positive_root_weights
+        return self.root_coords(w.coords) in self.root_length
 
     # -- misc -------------------------------------------------------------
 
@@ -443,33 +455,21 @@ def parse_type(text: str):
 
 @lru_cache(maxsize=None)
 def _build_cached(letter, rank):
-    from .weyl import _check_points
-
-    # each positive root holds rank coordinates and takes about rank^2
-    # steps to build; the largest types that fit, A99, B79, C79 and D79,
-    # build in 5.5-6.9 s on one Xeon core under Python 3.11
-    count = _POSITIVE_ROOTS[letter](rank)
-    _check_points(rank * count, f"{letter}{rank}, {count:,} positive roots of rank {rank},")
-    return RootSystem(_standard_cartan(letter, rank), letter, rank)
+    return RootSystem(f"{letter}{rank}")
 
 
 def build_root_system(name: str) -> RootSystem:
-    """Build the simple root system of the type ``name``, such as "B3",
-    "b_3" or "E8", as ``parse_type`` reads it.  Each type is built once and
-    shared."""
+    """The simple root system of the type ``name``, such as "B3", "b_3" or
+    "E8", as ``parse_type`` reads it.  Each type is built once and shared."""
     return _build_cached(*parse_type(name))
 
 
 def build_dual_root_system(rs: RootSystem) -> RootSystem:
-    """Root system whose roots are the coroots of ``rs`` (transposed Cartan).
-
-    For B/C the letter swaps; F4 and G2 come back with long and short simple
-    roots exchanged; simply-laced systems are unchanged.
-    """
-    dual_letter = {"B": "C", "C": "B"}.get(rs.letter, rs.letter)
-    transposed = tuple(tuple(rs.cartan[j][i] for j in range(rs.rank))
-                       for i in range(rs.rank))
-    return RootSystem(transposed, dual_letter, rs.rank)
+    """The root system of the dual type of ``rs``, whose roots are the
+    coroots of ``rs``: C_n for B_n, B_n for C_n, and the type of ``rs`` for
+    every other type.  It is the one ``build_root_system`` shares, in
+    Bourbaki numbering like every root system here."""
+    return _build_cached({"B": "C", "C": "B"}.get(rs.letter, rs.letter), rs.rank)
 
 
 # The entries the memo of the defining sum keeps per root system.  An entry

@@ -183,6 +183,13 @@ class TestClassification:
                                               f"height {bound} reaches {count} points"):
             idn.classify_principal_pairs([build_root_system(name)], bound)
 
+    @pytest.mark.parametrize("bound", [True, 2.5, "2"])
+    def test_a_bound_that_is_not_an_int_is_named(self, bound):
+        # True was read as the bound 1; 2.5 and "2" failed inside the scan
+        # with an unrelated TypeError
+        with pytest.raises(TypeError, match=re.escape(f"a height bound is an int, not {bound!r}")):
+            idn.classify_principal_pairs([build_root_system("A2")], bound)
+
     def test_zero_weight_excluded(self):
         a2 = build_root_system("A2")
         pairs = idn.classify_principal_pairs([a2], 6)

@@ -24,8 +24,12 @@ class TestConstruction:
         # one input form: a mapping (or nothing); pairs go through dict()
         assert QPoly() == QPoly({}) == QPoly.zero()
         assert QPoly(dict([(1, 2), (0, -1)])) == P(q0=-1, q1=2)
-        with pytest.raises(AttributeError):
-            QPoly([(1, 2), (0, -1)])
+        # anything else is named in a TypeError, not an AttributeError on
+        # its missing ``items``
+        for terms in ([(1, 2), (0, -1)], [(0, 1)], "1", 3, QPoly.one):
+            with pytest.raises(TypeError, match=re.escape(
+                    f"QPoly takes a mapping of exponents to coefficients, not {terms!r}")):
+                QPoly(terms)
 
     @pytest.mark.parametrize("terms", [
         {0: 0.5}, {1.5: 2}, {0: 2.0}, {2.0: 1}, {0: Fraction(1, 2)}, {Fraction(2): 1},

@@ -1,16 +1,22 @@
 """Static root-system data against the classical tables."""
 
 import copy
+import itertools
 import pickle
 import re
+import time
 from math import gcd
+from operator import add
 
 import pytest
 
 import qweights
 from qweights import root_system
+from qweights.lusztig import lusztig_q_analogue
+from qweights.poly import QPoly
 from qweights.root_system import (
     BudgetError,
+    RootSystem,
     Weight,
     build_dual_root_system,
     build_root_system,
@@ -138,7 +144,7 @@ def test_short_exponents(name, exps):
     assert max(exps) == sum(rs.theta_s_root_coords)
 
 
-@pytest.mark.parametrize("name", ["A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4"])
+@pytest.mark.parametrize("name", UP_TO_RANK_8)
 def test_cartan_structure(name):
     rs = build_root_system(name)
     A, d = rs.cartan, rs.symmetrizer
@@ -228,10 +234,16 @@ def test_dominance_order():
 
 def test_wrong_rank_is_rejected():
     a2 = build_root_system("A2")
-    with pytest.raises(ValueError):
+    # both weights are named, not zip's "argument 2 is longer than argument 1"
+    with pytest.raises(ValueError, match=re.escape("cannot add (1,1,0) to (1,1): the ranks differ")):
         Weight((1, 1)) + Weight((1, 1, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("cannot subtract (0) from (1,1): the ranks differ")):
         Weight((1, 1)) - Weight((0,))
+    with pytest.raises(ValueError, match=re.escape("cannot add (1,0,0) to (1,0): the ranks differ")):
+        Weight((1, 0)) + Weight((1, 0, 0))
+    with pytest.raises(ValueError, match=re.escape(
+            "cannot subtract (1,0,0) from (1,0): the ranks differ")):
+        Weight((1, 0)) - Weight((1, 0, 0))
     with pytest.raises(ValueError):
         a2.weight_to_root_coords(Weight((1, 1, 0)))
     with pytest.raises(ValueError):
@@ -371,10 +383,6 @@ def test_parse_type():
         build_root_system(("C", 3))
 
 
-UP_TO_RANK_8 = ([f"{letter}{rank}" for letter, low in (("A", 1), ("B", 2), ("C", 2), ("D", 4))
-                 for rank in range(low, 9)] + ["E6", "E7", "E8", "F4", "G2"])
-
-
 @pytest.mark.parametrize("name", UP_TO_RANK_8)
 def test_per_root_data_match_their_formulas(name):
     # root_length, the positive roots as weights and Freudenthal's data come
@@ -388,8 +396,21 @@ def test_per_root_data_match_their_formulas(name):
         assert form == tuple(rs.inner(rs.fundamental_weight(i), r) for i in range(n))
         assert norm == sum(r[j] * r[k] * d[k] * a[k][j] for j in range(n) for k in range(n))
         assert rs.root_length[r] * 2 == norm
-    assert rs._positive_root_weights == {rs.root_to_weight_basis(r).coords
-                                         for r in rs.positive_roots}
+    # the short dominant root is the one dominant short root
+    assert [r for r in rs.short_positive_roots
+            if rs.root_to_weight_basis(r).is_dominant()] == [rs.theta_s_root_coords]
+    # the weights of the positive roots, and no other weight of the sums
+    # of two of them, their negatives, zero and twice each
+    roots = set(rs.positive_roots)
+    weights = {r: rs.root_to_weight_basis(r) for r in rs.positive_roots}
+    zero = Weight.zero(n)
+    for w in weights.values():
+        assert rs.is_positive_root_weight(w)
+        assert not rs.is_positive_root_weight(-w) and not rs.is_positive_root_weight(w + w)
+    assert not rs.is_positive_root_weight(zero)
+    for r, s in itertools.combinations(rs.positive_roots, 2):
+        summed = tuple(map(add, r, s))
+        assert rs.is_positive_root_weight(weights[r] + weights[s]) == (summed in roots)
 
 
 def test_e8_builds_without_a_flag():
@@ -427,15 +448,59 @@ def test_dual_root_system():
 
 def test_root_systems_are_equal_by_cartan_matrix():
     b3, c3 = build_root_system("B3"), build_root_system("C3")
-    dual = build_dual_root_system(b3)
-    assert dual is not c3
-    assert dual == c3 and hash(dual) == hash(c3)
-    assert repr(dual) == "RootSystem(C3)"
-    # F4's dual has the same name, with long and short roots exchanged
+    fresh = RootSystem("C3")
+    assert fresh is not c3
+    assert fresh == c3 and hash(fresh) == hash(c3)
+    assert fresh != b3
+    assert repr(fresh) == "RootSystem(C3)"
+    # a dual is the shared system of the dual type: F4's is F4 itself
+    assert build_dual_root_system(b3) is c3
     f4 = build_root_system("F4")
-    assert build_dual_root_system(f4).name == "F4"
-    assert build_dual_root_system(f4) != f4
+    assert build_dual_root_system(f4) is f4
     assert f4 != "F4"
+
+
+def test_a_root_system_is_made_from_a_type_name():
+    assert RootSystem("b_3") == build_root_system("B3")
+    assert RootSystem("b_3").name == "B3"
+    # a Cartan matrix is not a type name: the affine A1 matrix, which
+    # never finished building as a matrix, is refused at once
+    start = time.perf_counter()
+    for bad in (((2, -2), (-2, 2)), ((2, -1), (-1, 2)), "Z2", "A0", None):
+        with pytest.raises(ValueError, match="root-system type|no simple root system"):
+            RootSystem(bad)
+    assert time.perf_counter() - start < 0.5
+    with pytest.raises(TypeError):
+        RootSystem(((2, -1), (-1, 2)), "A", 2)
+
+
+def _dual_name(name):
+    return {"B": "C", "C": "B"}.get(name[0], name[0]) + name[1:]
+
+
+@pytest.mark.parametrize("name", UP_TO_RANK_8)
+def test_dual_is_the_shared_system_of_the_dual_type(name):
+    rs = build_root_system(name)
+    dual = build_dual_root_system(rs)
+    assert dual is build_root_system(_dual_name(name))
+    assert build_dual_root_system(RootSystem(name)) is dual
+    # its Cartan matrix is the transpose of rs's, with the nodes reversed
+    # for F4 and G2, whose Bourbaki numbering puts the long roots first
+    n = rs.rank
+    p = (lambda i: n - 1 - i) if rs.letter in "FG" else (lambda i: i)
+    for i in range(n):
+        for j in range(n):
+            assert dual.cartan[i][j] == rs.cartan[p(j)][p(i)]
+
+
+@pytest.mark.parametrize("name,m0", [("F4", {4: 1, 8: 1}), ("G2", {3: 1})])
+def test_zero_weight_at_the_dual_short_dominant_root(name, m0):
+    # the long-root half of the Coxeter ratio: m^0 at the short dominant
+    # root of the dual system, the same as when the dual of F4 and G2 was
+    # the transposed matrix, with long and short roots exchanged
+    dual = build_dual_root_system(build_root_system(name))
+    got = lusztig_q_analogue(dual, dual.theta_s, Weight.zero(dual.rank))
+    assert got == QPoly(m0)
 
 
 UP_TO_RANK_12 = [f"{letter}{rank}" for letter in "ABCDEFG" for rank in range(1, 13)
@@ -451,12 +516,24 @@ def test_positive_root_count_in_closed_form(name):
 @pytest.mark.parametrize("letter,largest", [("A", 99), ("B", 79), ("C", 79), ("D", 79)])
 def test_largest_type_that_builds(monkeypatch, letter, largest):
     # rank times the positive roots is counted against MAX_ORBIT_POINTS
-    # before anything is built
-    monkeypatch.setattr(root_system, "RootSystem", lambda cartan, letter, rank: rank)
-    build = root_system._build_cached.__wrapped__
-    assert build(letter, largest) == largest
-    with pytest.raises(BudgetError, match=f"^input too large: {letter}{largest + 1}, "):
-        build(letter, largest + 1)
+    # before the Cartan matrix is made
+    class Made(Exception):
+        pass
+
+    made = []
+
+    def cartan(letter, rank):
+        made.append(f"{letter}{rank}")
+        raise Made  # past the count: no root of the large type is built
+
+    monkeypatch.setattr(root_system, "_standard_cartan", cartan)
+    with pytest.raises(Made):
+        RootSystem(f"{letter}{largest}")
+    assert made == [f"{letter}{largest}"]
+    for build in (RootSystem, build_root_system):
+        with pytest.raises(BudgetError, match=f"^input too large: {letter}{largest + 1}, "):
+            build(f"{letter}{largest + 1}")
+    assert made == [f"{letter}{largest}"]
 
 
 def test_lru_cache_identity():
