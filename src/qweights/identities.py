@@ -190,7 +190,7 @@ def verify_main_identity(rs: RootSystem, lam: Weight, gam: Weight) -> Report:
 def is_minuscule(rs: RootSystem, lam: Weight) -> bool:
     """Nonzero dominant weight whose weight system is one Weyl orbit: the
     ones that pair to 1 with the highest coroot, the coroot of theta_s."""
-    return (lam.is_dominant() and not lam.is_zero()
+    return (rs.weight(lam).is_dominant() and not lam.is_zero()
             and rs.pairing(lam, rs.theta_s_root_coords) == 1)
 
 
@@ -284,8 +284,7 @@ def verify_height_duality(rs: RootSystem, lam: Weight) -> Report:
     """When the zero-weight space has the same dimension as the fixed space
     of a principal nilpotent, the positive weights are graded by height like
     a union of strings, and the telescoping product identity holds."""
-    lam.check_dominant()
-    if not rs.in_root_lattice(lam):
+    if not rs.in_root_lattice(rs.weight(lam, dominant=True)):
         raise ValueError(f"{lam} is not in the root lattice")
     ch = character(rs, lam)
     counts = _height_counts(rs, ch)
@@ -363,8 +362,7 @@ def _check_alpha_index(rs: RootSystem, alpha_index: int):
 def verify_induction_lemma(rs: RootSystem, lam: Weight, gam: Weight,
                            alpha_index: int) -> Report:
     """The four-term reflection relation, all terms from the defining sum."""
-    lam.check_dominant()
-    rs.check_rank(gam)
+    rs.weight(gam)
     _check_alpha_index(rs, alpha_index)
     n = -gam.coords[alpha_index]
     if n <= 0:
@@ -391,8 +389,7 @@ def verify_subregular_identity(rs: RootSystem, lam: Weight,
                                alpha_index: int) -> Report:
     """q * m^alpha = q^{hot(alpha+)} * m^{alpha+} for a short simple root,
     and nonnegativity of the subregular Poincare series m^0 - q*m^alpha."""
-    lam.check_dominant()
-    if not rs.in_root_lattice(lam):
+    if not rs.in_root_lattice(rs.weight(lam, dominant=True)):
         raise ValueError(f"{lam} is not in the root lattice")
     _check_alpha_index(rs, alpha_index)
     simple_rc = tuple(1 if j == alpha_index else 0 for j in range(rs.rank))

@@ -44,13 +44,18 @@ none.
 Freudenthal's data on each positive root is static, and ``character``
 reads it from the ``RootSystem``.
 
-Between the API call and the table cell everything runs on integer
-coordinate tuples.  ``lusztig_q_analogue`` looks up the memo first, since
-only a valid query is ever remembered.  After a miss it checks that lam
-is dominant and of the right rank only when the context holds no table
-under lam: a table is built only under a lam that passed those checks,
-and a context belongs to one Cartan matrix.  The rank of mu is checked on
-every miss, and mu itself is handed to ``qkostant.read``.  There one
+Every weight argument is checked by ``RootSystem.weight``, the one check
+of the public API: in each function here, or in the first public function
+it hands the weight to.  Between the API call and the table cell
+everything runs on integer coordinate tuples.  ``lusztig_q_analogue``
+reads the coordinates of lam and mu and looks up the memo first, since
+only a valid query is ever remembered; an argument without coordinates
+makes the key None, which misses.  After a miss it checks lam with
+``RootSystem.weight`` unless the context holds a table under lam's
+coordinates: a table is built only under a lam that passed that check,
+and a context belongs to one Cartan matrix.  A key of None always checks
+lam, since P_q's table is held under None.  mu is checked on every miss,
+and its coordinates are handed to ``qkostant.read``.  There one
 pass over the rows that lam's table keeps takes mu to its cell when the
 table holds it, and only a point outside the table is converted
 (``RootSystem.root_coords``) and handed to the kernel to build or grow
@@ -115,20 +120,23 @@ def lusztig_q_analogue(rs: RootSystem, lam: Weight, mu: Weight) -> QPoly:
     """The q-analogue of the multiplicity of mu in the highest-weight module
     of lam: the alternating Weyl-group sum of partition values at
     w(lam+rho)-(mu+rho), read as cell lam - mu of lam's seeded table."""
-    lc, mc = lam.coords, mu.coords
+    try:
+        key = lam.coords, mu.coords
+    except AttributeError:  # not a Weight: the memo misses, refused below
+        key = None
     # only a valid query is remembered, and only a valid one makes a context
     ctx = _contexts.get(rs._key)
-    got = ctx and ctx.defining.get((lc, mc))
+    got = ctx and ctx.defining.get(key)
     if got is not None:
         return got
-    # a table is built only under a lam that passed these checks, and a
-    # context holds the tables of one Cartan matrix, so of one rank
-    if not ctx or lc not in ctx.engines:
-        lam.check_dominant()
-        rs.check_rank(lam)
-    rs.check_rank(mu)
-    poly = read(rs, ctx, lc, mc)
-    (ctx or context(rs)).remember((lc, mc), poly)
+    # a table is built only under a lam that passed this check, and a
+    # context holds the tables of one Cartan matrix, so of one rank; P_q's
+    # table is held under None, so a key of None always checks lam
+    if key is None or not ctx or key[0] not in ctx.engines:
+        rs.weight(lam, dominant=True)
+    rs.weight(mu)
+    poly = read(rs, ctx, lam.coords, mu.coords)
+    (ctx or context(rs)).remember(key, poly)
     return poly
 
 
@@ -147,16 +155,13 @@ def q_analogue_by_induction(rs: RootSystem, lam: Weight, mu: Weight) -> QPoly:
     before the walk: the check ``lusztig_q_analogue(lam, mu)`` reaches
     itself, so the two routes refuse the same queries.
     """
-    lam.check_dominant()
-    rs.check_rank(lam)
-    rs.check_rank(mu)
-    lc = lam.coords
+    lc = rs.weight(lam, dominant=True).coords
 
     def below(nu):
         diff = rs.root_coords(tuple(map(sub, lc, nu)))
         return diff if diff is not None and min(diff) >= 0 else None
 
-    box = below(mu.coords)
+    box = below(rs.weight(mu).coords)
     if box is not None:
         _check_cells(box)
     memo = {}
@@ -191,7 +196,7 @@ def q_analogue_by_induction(rs: RootSystem, lam: Weight, mu: Weight) -> QPoly:
 def cherednik_coefficient(rs: RootSystem, nu: Weight) -> QPoly:
     """m_0^{-nu}(q), the kernel coefficient at a point nu of Q_+."""
     zero = Weight.zero(rs.rank)
-    if not rs.dominance_leq(zero, nu):
+    if not rs.dominance_leq(zero, rs.weight(nu)):
         raise ValueError(f"{nu} is not in the positive root cone")
     return lusztig_q_analogue(rs, zero, -nu)
 
@@ -199,7 +204,7 @@ def cherednik_coefficient(rs: RootSystem, nu: Weight) -> QPoly:
 def q_analogue_via_kernel(rs: RootSystem, lam: Weight, mu: Weight) -> QPoly:
     """Convolution route: sum of m_lam^gamma * m_0^{mu-gamma}(q) over weights
     gamma of the module with gamma above mu."""
-    lam.check_dominant()
+    rs.weight(mu)
     zero = Weight.zero(rs.rank)
     acc = {}
     for gamma, m in character(rs, lam).items():
@@ -216,11 +221,9 @@ def q_analogue_via_kernel(rs: RootSystem, lam: Weight, mu: Weight) -> QPoly:
 
 def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
     """Dimension of the irreducible module, by the product formula."""
-    lam.check_dominant()
-    rs.check_rank(lam)
     num = 1
     den = 1
-    lr = (lam + rs.rho).coords
+    lr = (rs.weight(lam, dominant=True) + rs.rho).coords
     # (lam + rho, gamma) and (rho, gamma) from Freudenthal's data on gamma
     for _, form, _ in rs._root_data:
         num *= sum(map(mul, form, lr))
@@ -254,8 +257,7 @@ def character(rs: RootSystem, lam: Weight) -> WeightMultiset:
     the weights are known; only a character that is not refused is
     remembered, so a refused one leaves no context.
     """
-    lam.check_dominant()
-    rs.check_rank(lam)
+    rs.weight(lam, dominant=True)
     ctx = _contexts.get(rs._key)
     got = ctx and ctx.characters.get(lam.coords)
     if got is not None:
@@ -333,16 +335,13 @@ def character(rs: RootSystem, lam: Weight) -> WeightMultiset:
 
 def freudenthal_multiplicity(rs: RootSystem, lam: Weight, mu: Weight) -> int:
     """Ordinary weight multiplicity, independent of any q-machinery."""
-    lam.check_dominant()
-    rs.check_rank(mu)
+    rs.weight(mu)
     return character(rs, lam).get(mu)
 
 
 def dual_weight(rs: RootSystem, lam: Weight) -> Weight:
     """Highest weight of the dual module: -w0(lam)."""
-    lam.check_dominant()
-    rs.check_rank(lam)
-    rep, _ = dominant_representative(rs, -lam)
+    rep, _ = dominant_representative(rs, -rs.weight(lam, dominant=True))
     return rep
 
 
@@ -356,9 +355,7 @@ def klimyk_decompose(rs: RootSystem, lam: Weight, gam: Weight) -> WeightMultiset
     reflection wall (dropped) or sorts to a strictly dominant chamber point
     with a sign; the signed counts accumulate to the multiplicities.
     """
-    if not lam.is_dominant() or not gam.is_dominant():
-        raise ValueError("both highest weights must be dominant")
-    rs.check_rank(gam)
+    rs.weight(gam, dominant=True)
     rho = rs.rho
     acc = {}
     for mu, m in character(rs, lam).items():
@@ -389,8 +386,7 @@ def tensor_zero_q(rs: RootSystem, lam: Weight, gam: Weight) -> QPoly:
 
 def weighted_sum(rs: RootSystem, lam: Weight, gam: Weight) -> QPoly:
     """Sum over the weights mu of the gam-module of m_gam^mu * m_lam^mu(q)."""
-    if not lam.is_dominant() or not gam.is_dominant():
-        raise ValueError("both highest weights must be dominant")
+    rs.weight(lam, dominant=True)
     acc = {}
     # lowest weights first, so the kernel table is sized by the largest box
     for mu, m in reversed(character(rs, gam).items()):
@@ -404,8 +400,7 @@ def weighted_sum(rs: RootSystem, lam: Weight, gam: Weight) -> QPoly:
 def brylinski_form(rs: RootSystem, lam: Weight, gam: Weight) -> QPoly:
     """Sum over common dominant lower weights nu of
     m_lam^nu(q) * m_gam^nu(q) * t_0(q)/t_nu(q), with exact division."""
-    if not lam.is_dominant() or not gam.is_dominant():
-        raise ValueError("both highest weights must be dominant")
+    rs.weight(gam, dominant=True)
     t0 = stabilizer_poincare(rs, Weight.zero(rs.rank))
     out = QPoly.zero()
     for nu, _ in character(rs, lam).dominant_items():
@@ -420,8 +415,7 @@ def generalized_exponents(rs: RootSystem, lam: Weight) -> list:
     """Exponent multiset of m_lam^0(q), ascending; lam must lie in the root
     lattice (otherwise the zero weight does not occur).  A multiset of more
     than ``weyl.MAX_ORBIT_POINTS`` exponents is refused before it is made."""
-    lam.check_dominant()
-    if not rs.in_root_lattice(lam):
+    if not rs.in_root_lattice(rs.weight(lam, dominant=True)):
         raise ValueError(f"{lam} is not in the root lattice")
     poly = lusztig_q_analogue(rs, lam, Weight.zero(rs.rank))
     # the list holds m_lam^0(1) exponents, counted before it is made
@@ -432,5 +426,5 @@ def generalized_exponents(rs: RootSystem, lam: Weight) -> list:
 def broer_nonnegativity_test(rs: RootSystem, mu: Weight) -> bool:
     """True iff <mu, nu_check> >= -1 for every positive root nu — exactly the
     weights whose q-analogue has nonnegative coefficients for every module."""
-    rs.check_rank(mu)
+    rs.weight(mu)
     return all(rs.pairing(mu, r) >= -1 for r in rs.positive_roots)

@@ -346,8 +346,7 @@ def read(rs: RootSystem, ctx, key, mu) -> QPoly:
 
 def q_partition(rs: RootSystem, mu: Weight) -> QPoly:
     """P_q(mu) as a polynomial; the zero polynomial when mu is not in Q_+."""
-    rs.check_rank(mu.coords)
-    return read(rs, _contexts.get(rs._key), None, (-mu).coords)
+    return read(rs, _contexts.get(rs._key), None, (-rs.weight(mu)).coords)
 
 
 # layerbench's session.py and traced_cli.py call it

@@ -24,6 +24,19 @@ Conventions, fixed once and documented in the README:
 * The symmetrizer d_i is normalized so short simple roots have (a,a) = 2;
   then the coroot of a short root is the root itself.
 
+``RootSystem.weight`` is the one check of a weight argument of the public
+API in ``lusztig``, ``identities``, ``weyl`` and ``qkostant``: each public
+function hands it every weight argument, itself or through the first
+public function that it hands the weight to, before any work.  It returns
+the argument only when it is a ``Weight`` of the system's rank, dominant
+where a highest weight is asked for; any other value, a tuple included,
+raises TypeError and is not converted.  The methods below the boundary
+(``root_coords``, ``dominance_leq``, ``inner``, ``pairing``) check only the
+rank, through ``check_rank``.  ``lusztig_q_analogue`` answers a memo hit
+before any check, since only a checked query is remembered, and after a
+miss checks lam only when no table is held under lam's coordinates: a
+table is made only under a lam that passed the check.
+
 Static data is computed once, when a ``RootSystem`` is built.  Everything
 that queries fill about one root system lives in its ``Context``
 (``context(rs)``), keyed by the Cartan matrix, as a string made once per
@@ -67,7 +80,9 @@ class BudgetError(ValueError):
 class Weight:
     """Integral weight in fundamental-weight coordinates.  Immutable; equal
     only to a Weight with the same coordinates, and hashed as the tuple
-    ``(coords,)``.  Weights add to and subtract from Weights of their rank."""
+    ``(coords,)``.  Weights add to and subtract from Weights of their rank,
+    and multiply by ints; any other operand, a bool included, raises
+    TypeError."""
 
     __slots__ = ("coords",)
 
@@ -100,12 +115,16 @@ class Weight:
         return f"Weight(coords={self.coords!r})"
 
     def __add__(self, other):
+        if not isinstance(other, Weight):
+            return NotImplemented
         try:
             return _weight(tuple(a + b for a, b in zip(self.coords, other.coords, strict=True)))
         except ValueError:  # only the strict zip raises it
             raise ValueError(f"cannot add {other} to {self}: the ranks differ") from None
 
     def __sub__(self, other):
+        if not isinstance(other, Weight):
+            return NotImplemented
         try:
             return _weight(tuple(a - b for a, b in zip(self.coords, other.coords, strict=True)))
         except ValueError:
@@ -115,7 +134,9 @@ class Weight:
         return _weight(tuple(-a for a in self.coords))
 
     def __mul__(self, n: int):
-        return Weight(tuple(n * a for a in self.coords))
+        if type(n) is not int:  # a bool included
+            return NotImplemented
+        return _weight(tuple(n * a for a in self.coords))
 
     __rmul__ = __mul__
 
@@ -133,11 +154,6 @@ class Weight:
 
     def is_dominant(self) -> bool:
         return not self.coords or min(self.coords) >= 0
-
-    def check_dominant(self):
-        """Raise ValueError unless the weight is dominant."""
-        if not self.is_dominant():
-            raise ValueError(f"{self} is not dominant")
 
     @classmethod
     def zero(cls, rank: int) -> "Weight":
@@ -347,6 +363,20 @@ class RootSystem:
             sum(a[k][j] * root_coords[j] for j in range(n) if root_coords[j])
             for k in range(n)
         ))
+
+    def weight(self, w, dominant=False) -> Weight:
+        """``w`` itself, once it is checked to be a Weight of this rank, and
+        dominant when ``dominant`` is true: the one check of a weight
+        argument of the public API.  Any value whose type is not Weight
+        raises TypeError; dominance is tested before the rank, each raising
+        ValueError."""
+        if type(w) is not Weight:
+            raise TypeError(f"a weight of {self.name} is a Weight, not {w!r}")
+        if dominant and not w.is_dominant():
+            raise ValueError(f"{w} is not dominant")
+        if len(w.coords) != self.rank:
+            raise ValueError(f"{w} is not a weight of {self.name}")
+        return w
 
     def check_rank(self, w):
         """Raise ValueError unless w, a Weight or a coordinate tuple, has one

@@ -115,8 +115,7 @@ def dominant_representative(rs: RootSystem, mu: Weight):
     lowers coordinate k by a[k][i] times coordinate i, so a step touches
     only the k with a[k][i] != 0, and the length is the number of steps.
     """
-    rs.check_rank(mu)
-    cur = list(mu.coords)
+    cur = list(rs.weight(mu).coords)
     cols = rs.cartan_columns
     steps = 0
     # Why the step count is the length: let N(x) be the positive roots beta
@@ -162,8 +161,7 @@ def orbit_size(rs: RootSystem, nu: Weight) -> int:
 def _stabilizer_exponents(rs: RootSystem, nu: Weight) -> tuple:
     """The exponents of the stabilizer of a dominant weight, computed from
     its coordinates on each call: nothing is kept."""
-    rs.check_rank(nu)
-    nu.check_dominant()
+    rs.weight(nu, dominant=True)
     # a positive root lies in the subsystem on J = {i : nu_i = 0} exactly
     # when every product r_i * nu_i vanishes, as no factor is negative
     return _dual_partition(h for r, h in zip(rs.positive_roots, rs.heights)

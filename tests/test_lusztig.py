@@ -529,9 +529,13 @@ class TestTensorAndDuality:
         assert tensor_zero_q(A2, w1, dual_weight(A2, w1)).is_zero()
 
     @pytest.mark.parametrize("form", [klimyk_decompose, weighted_sum, brylinski_form])
-    @pytest.mark.parametrize("lam,gam", [((-1, 1), (1, 0)), ((1, 0), (2, -1))])
-    def test_non_dominant_highest_weight_refused(self, form, lam, gam):
-        with pytest.raises(ValueError, match="both highest weights must be dominant"):
+    @pytest.mark.parametrize("lam,gam,message", [
+        ((-1, 1), (1, 0), "^\\(-1,1\\) is not dominant$"),
+        ((1, 0), (2, -1), "^\\(2,-1\\) is not dominant$"),
+    ], ids=["lam0-gam0", "lam1-gam1"])
+    def test_non_dominant_highest_weight_refused(self, form, lam, gam, message):
+        # the refusal names the highest weight that is not dominant
+        with pytest.raises(ValueError, match=message):
             form(A2, Weight(lam), Weight(gam))
 
     def test_weighted_sum_matches_brylinski(self):

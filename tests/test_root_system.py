@@ -1,7 +1,9 @@
 """Static root-system data against the classical tables."""
 
 import copy
+import inspect
 import itertools
+import operator
 import pickle
 import re
 import time
@@ -318,6 +320,86 @@ def test_wrong_rank_weight_gets_the_library_refusal(name, coords):
     text = re.escape(str(Weight(coords)))
     with pytest.raises(ValueError, match=rf"^{text} is not a weight of A2$"):
         WEIGHT_TAKERS[name](Weight(coords))
+
+
+def weight_parameters():
+    """Each public function whose first parameter is a root system, with the
+    names of its weight parameters: every parameter but rs and alpha_index."""
+    found = {}
+    for name in qweights.__all__:
+        f = getattr(qweights, name)
+        params = list(inspect.signature(f).parameters) if inspect.isfunction(f) else []
+        if params[:1] == ["rs"]:
+            found[name] = [p for p in params[1:] if p != "alpha_index"]
+    return found
+
+
+WEIGHT_PARAMETERS = weight_parameters()
+NOT_WEIGHTS = [(1, 1), [1, 1], 1, "(1,1)", True, None]
+
+
+def test_weight_parameters_are_found():
+    # the sweep below reaches every public function that takes a weight
+    takers = {name for name, params in WEIGHT_PARAMETERS.items() if params}
+    assert len(takers) == 24
+    assert {name.split("(")[0] for name in WEIGHT_TAKERS} == takers
+
+
+@pytest.mark.parametrize("bad", NOT_WEIGHTS, ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize("name,param", [(name, p) for name, params in WEIGHT_PARAMETERS.items()
+                                        for p in params])
+def test_a_weight_parameter_refuses_what_is_not_a_weight(name, param, bad):
+    # RootSystem.weight is the one check of a weight argument: anything that
+    # is not a Weight raises TypeError at once, with valid arguments elsewhere
+    args = {p: A2_WEIGHT for p in WEIGHT_PARAMETERS[name]}
+    args["rs"] = A2
+    if "alpha_index" in inspect.signature(getattr(qweights, name)).parameters:
+        args["alpha_index"] = 1
+    if name == "verify_induction_lemma":
+        args["gam"] = Weight((0, -1))  # negative at alpha_index
+    args[param] = bad
+    start = time.perf_counter()
+    with pytest.raises(TypeError, match=f"^a weight of A2 is a Weight, not {re.escape(repr(bad))}$"):
+        getattr(qweights, name)(**args)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_a_tuple_weight_is_refused_not_read_as_zero():
+    # it answered 0 here, where the multiplicity of the zero weight is 2
+    assert qweights.freudenthal_multiplicity(A2, A2.theta, Weight((0, 0))) == 2
+    with pytest.raises(TypeError, match=re.escape("a weight of A2 is a Weight, not (0, 0)")):
+        qweights.freudenthal_multiplicity(A2, A2.theta, (0, 0))
+
+
+def test_the_weight_check():
+    w = Weight((1, -1))
+    assert A2.weight(w) is w
+    assert A2.weight(A2.theta, dominant=True) is A2.theta
+    with pytest.raises(TypeError, match=re.escape("a weight of A2 is a Weight, not [1, -1]")):
+        A2.weight([1, -1])
+    # dominance is tested before the rank
+    with pytest.raises(ValueError, match=r"^\(1,-1\) is not dominant$"):
+        A2.weight(w, dominant=True)
+    with pytest.raises(ValueError, match=r"^\(-1,0,0\) is not dominant$"):
+        A2.weight(Weight((-1, 0, 0)), dominant=True)
+    with pytest.raises(ValueError, match=r"^\(-1,0,0\) is not a weight of A2$"):
+        A2.weight(Weight((-1, 0, 0)))
+
+
+def test_weight_operators_refuse_foreign_operands():
+    # Python's TypeError names both types, and a bool is not taken as an
+    # int, as in QPoly
+    w = Weight((1, 0))
+    cases = [(operator.add, 3, "+", "int"), (operator.sub, (1, 0), "-", "tuple"),
+             (operator.add, None, "+", "NoneType"), (operator.mul, True, "*", "bool"),
+             (operator.mul, 2.0, "*", "float"), (operator.mul, w, "*", "Weight")]
+    for op, other, sign, kind in cases:
+        with pytest.raises(TypeError, match=re.escape(
+                f"unsupported operand type(s) for {sign}: 'Weight' and '{kind}'")):
+            op(w, other)
+        with pytest.raises(TypeError):
+            op(other, w)
+    assert 2 * w == w * 2 == Weight((2, 0)) and w * -1 == -w
 
 
 def test_weight_arithmetic():
