@@ -12,7 +12,10 @@ Each subcommand makes only the output its ``--format`` prints.  Every
 ``--format json`` result is printed by ``_json`` where it is made, before
 any text row is built; ``roots``, ``table`` and ``cherednik`` print every
 other format through one renderer, ``_render``: the rows as CSV, LaTeX or
-captioned text.  Each subparser names its handler (``common``).
+captioned text.  ``COMMANDS`` names each subcommand's handler, positionals
+and flags; ``main`` reads the command line against it, and ``-h`` or
+``--help`` prints it.  A flag's value follows it (``--mu -1,-1``) or is
+joined to it (``--mu=-1,-1``).
 ``VERIFY`` maps each identity name to the flags it reads and its verifier
 with its default inputs; ``verify NAME`` runs one entry and refuses any
 other flag, and ``verify all`` runs every entry that applies and takes none.
@@ -26,9 +29,9 @@ with an identity refused and none failed.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from math import comb
+from types import SimpleNamespace
 
 from . import identities as idn
 from .lusztig import (
@@ -105,6 +108,7 @@ def _render(fmt: str, header, rows, caption: str) -> int:
 
 
 def _cmd_roots(rs: RootSystem, args) -> int:
+    """Static root-system data."""
     header = ["root_coords", "weight_coords", "height", "length"]
     roots = [(list(root), list(rs.root_to_weight_basis(root).coords), sum(root),
               "short" if rs.root_length[root] == 1 else "long")
@@ -132,6 +136,7 @@ def _cmd_roots(rs: RootSystem, args) -> int:
 
 
 def _cmd_qanalogue(rs: RootSystem, args) -> int:
+    """One graded multiplicity polynomial."""
     lam = _parse_weight(args.lam, rs.rank, "--lambda")
     mu = _parse_weight(args.mu, rs.rank, "--mu")
     poly = lusztig_q_analogue(rs, lam, mu)
@@ -148,6 +153,7 @@ def _cmd_qanalogue(rs: RootSystem, args) -> int:
 
 
 def _cmd_table(rs: RootSystem, args) -> int:
+    """All weights of one irreducible."""
     lam = _parse_weight(args.lam, rs.rank, "--lambda")
     if not lam.is_dominant():
         raise ValueError(f"--lambda {lam} must be dominant")
@@ -180,6 +186,7 @@ def _iter_cone(rank: int, bound: int, prefix=()):
 
 
 def _cmd_cherednik(rs: RootSystem, args) -> int:
+    """Zero-weight coefficients on the cone."""
     bound = args.max_height
     if bound < 0:
         raise ValueError("--max-height must be nonnegative")
@@ -207,6 +214,7 @@ def _cmd_cherednik(rs: RootSystem, args) -> int:
 
 
 def _cmd_gen_exponents(rs: RootSystem, args) -> int:
+    """Exponent multiset of the zero-weight polynomial."""
     lam = _parse_weight(args.lam, rs.rank, "--lambda")
     exps = generalized_exponents(rs, lam)
     if args.format == "json":
@@ -235,22 +243,19 @@ def _minuscule_fundamentals(rs: RootSystem):
 
 
 def _verify_minuscule(rs: RootSystem, lam, args):
-    if lam is not None:
-        return [idn.verify_minuscule(rs, lam)]
-    fundamentals = _minuscule_fundamentals(rs)
-    if not fundamentals:
+    weights = _minuscule_fundamentals(rs) if lam is None else [lam]
+    if not weights:
         raise ValueError(f"{rs.name} has no minuscule weights")
-    return [idn.verify_minuscule(rs, w) for w in fundamentals]
+    return [idn.verify_minuscule(rs, w) for w in weights]
 
 
 def _verify_induction(rs: RootSystem, lam, args):
     gam = _gamma(rs, args, -rs.theta)
-    ai = args.alpha_index
+    # by default the first simple root that gamma pairs negatively with
+    ai = args.alpha_index if args.alpha_index is not None else next(
+        (i for i, c in enumerate(gam.coords) if c < 0), None)
     if ai is None:
-        # the first simple root that gamma pairs negatively with
-        ai = next((i for i, c in enumerate(gam.coords) if c < 0), None)
-        if ai is None:
-            raise ValueError(f"--gamma {gam} has no negative pairing with a simple root")
+        raise ValueError(f"--gamma {gam} has no negative pairing with a simple root")
     return [idn.verify_induction_lemma(rs, lam or rs.theta, gam, ai)]
 
 
@@ -274,14 +279,7 @@ IDENTITIES = tuple(VERIFY)
 
 
 def _cmd_verify(rs: RootSystem, args) -> int:
-    # each of these inputs suits some identities and refuses others
-    reads = () if args.identity == "all" else VERIFY[args.identity][0]
-    for flag, value in (("--lambda", args.lam), ("--gamma", args.gamma),
-                        ("--alpha-index", args.alpha_index)):
-        if value is not None and flag not in reads:
-            raise ValueError(f"{flag} applies to one identity, not to all"
-                             if args.identity == "all"
-                             else f"{flag} does not apply to {args.identity}")
+    """Run one identity verifier, or all that apply."""
     lam = None if args.lam is None else _parse_weight(args.lam, rs.rank, "--lambda")
     if args.identity != "all":
         names = [args.identity]
@@ -314,66 +312,93 @@ def _cmd_verify(rs: RootSystem, args) -> int:
     return 1 if "fail" in statuses else 2 if "refused" in statuses else 0
 
 
-# -- parser ----------------------------------------------------------------
+# -- command line ----------------------------------------------------------
+#
+# One table says what each command takes: COMMANDS gives its handler, whose
+# docstring is its help, its positionals, the flags it needs and the flags
+# it may take besides --format.  FLAGS gives each flag's attribute on
+# ``args``, its default and its metavar: an N value is read as an int, and
+# a metavar of alternatives lists the values the flag accepts.  ``verify
+# NAME`` takes only the flags that VERIFY says NAME reads, ``verify all``
+# none.
+
+FLAGS = {"--format": ("format", "text", "text|json|csv|latex"),
+         "--lambda": ("lam", None, "WEIGHT"), "--mu": ("mu", None, "WEIGHT"),
+         "--gamma": ("gamma", None, "WEIGHT"), "--max-height": ("max_height", 4, "N"),
+         "--alpha-index": ("alpha_index", None, "N")}
+COMMANDS = {
+    "roots": (_cmd_roots, "TYPE", (), ()),
+    "qanalogue": (_cmd_qanalogue, "TYPE", ("--lambda", "--mu"), ()),
+    "table": (_cmd_table, "TYPE", ("--lambda",), ()),
+    "cherednik": (_cmd_cherednik, "TYPE", (), ("--max-height",)),
+    "gen-exponents": (_cmd_gen_exponents, "TYPE", ("--lambda",), ()),
+    "verify": (_cmd_verify, "IDENTITY TYPE", (), ("--lambda", "--gamma", "--alpha-index")),
+}
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qweights",
-        description="Exact graded weight multiplicities for simple Lie algebras",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _help() -> int:
+    print("usage: qweights COMMAND [IDENTITY] TYPE [--FLAG VALUE | --FLAG=VALUE ...], where\n"
+          "TYPE is a root system such as B3, WEIGHT comma-separated fundamental coordinates\n"
+          "such as -1,0 and N an integer\n\ncommands:")
+    for name, (handler, positionals, needs, takes) in COMMANDS.items():
+        flags = [f"{f} {FLAGS[f][2]}" if f in needs else f"[{f} {FLAGS[f][2]}]"
+                 for f in (*needs, *takes, "--format")]
+        # python -OO strips the docstrings, and then the help names the commands only
+        print(f"  {' '.join([name, positionals, *flags])}\n      {handler.__doc__ or ''}")
+    print(f"\nIDENTITY is all or one of: {', '.join(IDENTITIES)}")
+    return 0
 
-    def common(p, handler):
-        p.add_argument("type", help="root system, e.g. A2, B3, F4")
-        p.add_argument("--format", choices=("text", "json", "csv", "latex"),
-                       default="text")
-        p.set_defaults(handler=handler)
 
-    p = sub.add_parser("roots", help="print static root-system data")
-    common(p, _cmd_roots)
-
-    p = sub.add_parser("qanalogue", help="one graded multiplicity polynomial")
-    common(p, _cmd_qanalogue)
-    p.add_argument("--lambda", dest="lam", required=True,
-                   help="highest weight, comma-separated fundamental coordinates")
-    p.add_argument("--mu", required=True,
-                   help="target weight, comma-separated fundamental coordinates")
-
-    p = sub.add_parser("table", help="all weights of one irreducible")
-    common(p, _cmd_table)
-    p.add_argument("--lambda", dest="lam", required=True)
-
-    p = sub.add_parser("cherednik", help="zero-weight coefficients on the cone")
-    common(p, _cmd_cherednik)
-    p.add_argument("--max-height", type=int, default=4)
-
-    p = sub.add_parser("gen-exponents",
-                       help="exponent multiset of the zero-weight polynomial")
-    common(p, _cmd_gen_exponents)
-    p.add_argument("--lambda", dest="lam", required=True)
-
-    p = sub.add_parser("verify", help="run identity verifiers")
-    p.add_argument("identity", choices=IDENTITIES + ("all",))
-    common(p, _cmd_verify)
-    p.add_argument("--lambda", dest="lam", default=None)
-    p.add_argument("--gamma", default=None)
-    p.add_argument("--alpha-index", type=int, default=None)
-    return parser
+def _parse(argv):
+    """The args of one command line, with the command's handler, or None
+    for -h or --help; a malformed line raises ValueError."""
+    words = iter([p for w in argv for p in (w.split("=", 1) if w.startswith("--") else [w])])
+    positionals, given = [], {}
+    for word in words:
+        if word in ("-h", "--help"):
+            return None
+        if word.startswith("-"):
+            # a value may start with "-", so the word after a flag is its value
+            given[word] = next(words, None)
+        else:
+            positionals.append(word)
+    command, *rest = positionals or [""]
+    if command not in COMMANDS or len(rest) != len(COMMANDS[command][1].split()):
+        raise ValueError(f"expected COMMAND [IDENTITY] TYPE, not {' '.join(positionals)!r}")
+    handler, names, needs, takes = COMMANDS[command]
+    args = {dest: default for dest, default, _ in FLAGS.values()}
+    args.update(zip(names.lower().split(), rest), handler=handler)
+    name = args.get("identity", command)
+    if command == "verify":
+        if name not in (*VERIFY, "all"):
+            raise ValueError(f"unknown identity {name!r}")
+        takes = VERIFY[name][0] if name in VERIFY else ()
+    # a flag that is needed and missing is read as one given no value
+    for flag, value in {**dict.fromkeys(needs), **given}.items():
+        if flag not in (*needs, *takes, "--format"):
+            raise ValueError(f"unknown flag {flag}" if flag not in FLAGS
+                             else f"{flag} applies to one identity, not to all" if name == "all"
+                             else f"{flag} does not apply to {name}")
+        dest, _, metavar = FLAGS[flag]
+        try:
+            if value is None or "|" in metavar and value not in metavar.split("|"):
+                raise ValueError
+            args[dest] = int(value) if metavar == "N" else value
+        except ValueError:
+            raise ValueError(f"{command} needs {flag} {metavar}"
+                             + ("" if value is None else f", not {value!r}")) from None
+    return SimpleNamespace(**args)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.handler(build_root_system(args.type), args)
-    except ValueError as exc:
-        # a BudgetError is a ValueError whose message starts "input too large"
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OverflowError as exc:
-        # a coordinate too large to size a list or a table by
-        print(f"error: input too large: {exc}", file=sys.stderr)
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        return args.handler(build_root_system(args.type), args) if args else _help()
+    except (ValueError, OverflowError) as exc:
+        # a BudgetError is a ValueError whose message starts "input too large"; an
+        # OverflowError is a coordinate too large to size a list or a table by
+        too_large = "input too large: " if isinstance(exc, OverflowError) else ""
+        print(f"error: {too_large}{exc}", file=sys.stderr)
         return 2
 
 

@@ -80,14 +80,17 @@ class BudgetError(ValueError):
 class Weight:
     """Integral weight in fundamental-weight coordinates.  Immutable; equal
     only to a Weight with the same coordinates, and hashed as the tuple
-    ``(coords,)``.  Weights add to and subtract from Weights of their rank,
-    and multiply by ints; any other operand, a bool included, raises
-    TypeError."""
+    ``(coords,)``.  A coordinate that is a bool raises TypeError, and one
+    that is not integral ValueError.  Weights add to and subtract from
+    Weights of their rank, and multiply by ints; any other operand, a bool
+    included, raises TypeError."""
 
     __slots__ = ("coords",)
 
     def __init__(self, coords):
         coords = tuple(coords)
+        if bool in map(type, coords):
+            raise TypeError(f"a weight coordinate is an int, not a bool: {coords!r}")
         ints = tuple(map(int, coords))
         if ints != coords:
             bad = next(c for c in coords if int(c) != c)

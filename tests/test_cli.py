@@ -469,10 +469,7 @@ class TestGuardsAndBackend:
         # the flag that lifted the retired Weyl-order guard, spelled in two
         # parts so that a search for it finds no live use
         flag = "--unsafe-" + "large-rank"
-        with pytest.raises(SystemExit) as exc:
-            main(["roots", "E8", flag])
-        assert exc.value.code == 2
-        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert run(capsys, "roots", "E8", flag) == (2, "", f"error: unknown flag {flag}\n")
 
     def test_verify_coxeter_e8(self, capsys):
         code, out, _ = run(capsys, "verify", "coxeter", "E8")
@@ -491,12 +488,67 @@ class TestGuardsAndBackend:
         assert "Traceback" not in err
 
     def test_backend(self, capsys):
-        # the subcommand is gone (the kernel is always the pure one); argparse
-        # refuses it as a usage error
-        with pytest.raises(SystemExit) as exc:
-            main(["backend"])
-        assert exc.value.code == 2
-        assert "invalid choice: 'backend'" in capsys.readouterr().err
+        # the subcommand is gone (the kernel is always the pure one); it is
+        # refused as a usage error that names it
+        code, out, err = run(capsys, "backend")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "'backend'" in err
+
+
+class TestCommandLine:
+    """One table, ``cli.COMMANDS`` with ``cli.FLAGS``, says what each command
+    takes; ``main`` reads the line against it and returns 2 on a malformed
+    one, never raising SystemExit."""
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["verify", "--help"],
+                                      ["qanalogue", "A2", "--lambda", "1,1", "-h"], ["bogus", "-h"]])
+    def test_help_lists_every_command_identity_and_flag(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        words = set(out.replace(",", " ").replace("[", " ").replace("]", " ").split())
+        names = [*cli.COMMANDS, *cli.IDENTITIES, "all", *cli.FLAGS]
+        assert [name for name in names if name not in words] == []
+        assert "--mu WEIGHT" in out and "[--max-height N]" in out
+
+    def test_a_value_may_start_with_a_minus_sign(self, capsys):
+        expected = (0, "-1*q^2 + 1*q^3 + 1*q^4\n", "")
+        assert run(capsys, "qanalogue", "A2", "--lambda", "1,1", "--mu", "-1,-1") == expected
+        assert run(capsys, "qanalogue", "A2", "--lambda=1,1", "--mu=-1,-1") == expected
+        assert run(capsys, "cherednik", "A2", "--max-height", "-1") == (
+            2, "", "error: --max-height must be nonnegative\n")
+
+    def test_flags_go_anywhere_and_the_last_repeat_wins(self, capsys):
+        expected = run(capsys, "qanalogue", "A2", "--lambda", "1,1", "--mu", "0,0")
+        assert expected[0] == 0
+        assert run(capsys, "--mu", "1,1", "qanalogue", "--format=json", "--mu=0,0", "A2",
+                   "--lambda", "1,1", "--format", "text") == expected
+
+    def test_argv_defaults_to_the_process_arguments(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.argv", ["qweights", "gen-exponents", "G2", "--lambda", "0,1"])
+        assert main() == 0
+        assert capsys.readouterr().out == "1 5\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        ([], "expected COMMAND [IDENTITY] TYPE, not ''"),
+        (["roots"], "expected COMMAND [IDENTITY] TYPE, not 'roots'"),
+        (["roots", "G2", "B2"], "expected COMMAND [IDENTITY] TYPE, not 'roots G2 B2'"),
+        (["verify", "all"], "expected COMMAND [IDENTITY] TYPE, not 'verify all'"),
+        (["verify", "bogus", "G2"], "unknown identity 'bogus'"),
+        (["qanalogue", "A2", "--lambda", "1,1"], "qanalogue needs --mu WEIGHT"),
+        (["qanalogue", "A2", "--lambda", "1,1", "--mu"], "qanalogue needs --mu WEIGHT"),
+        # argparse took a prefix of a flag; the flag is now spelled in full
+        (["cherednik", "G2", "--max", "3"], "unknown flag --max"),
+        (["qanalogue", "A2", "--lam", "1,1", "--mu", "0,0"], "qanalogue needs --lambda WEIGHT"),
+        (["roots", "G2", "-x"], "unknown flag -x"),
+        (["roots", "G2", "--lambda", "1,0"], "--lambda does not apply to roots"),
+        (["roots", "G2", "--format", "xml"],
+         "roots needs --format text|json|csv|latex, not 'xml'"),
+        (["cherednik", "G2", "--max-height", "x"], "cherednik needs --max-height N, not 'x'"),
+        (["verify", "induction", "G2", "--alpha-index="],
+         "verify needs --alpha-index N, not ''"),
+    ])
+    def test_usage_errors(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.skipif(shutil.which("qweights") is None,

@@ -70,10 +70,7 @@ def run(argv, perturbed=False) -> dict:
             stack.enter_context(_wrong_at_minus_alpha3())
         stack.enter_context(contextlib.redirect_stdout(out))
         stack.enter_context(contextlib.redirect_stderr(err))
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
+        code = main(list(argv))
     return {"argv": list(argv), "perturbed": perturbed,
             "stdout": out.getvalue(), "stderr": err.getvalue(), "exit": code}
 

@@ -439,10 +439,18 @@ def test_weight_is_an_immutable_value():
         del w.coords
     assert w.coords == (1, -2, 0)
     assert copy.copy(w) == w == pickle.loads(pickle.dumps(w))
-    with pytest.raises(ValueError, match="non-integral weight coordinate 0.5"):
-        Weight((1, 0.5))
-    with pytest.raises(ValueError):
-        Weight(("1", 0))
+
+
+@pytest.mark.parametrize("coords,error,message", [
+    ((1, 0.5), ValueError, "non-integral weight coordinate 0.5"),
+    (("1", 0), ValueError, "non-integral weight coordinate '1'"),
+    # a bool is not taken as an int, as in QPoly and Weight * True
+    ((True, 0), TypeError, "a weight coordinate is an int, not a bool: (True, 0)"),
+    ((0, 1, False), TypeError, "a weight coordinate is an int, not a bool: (0, 1, False)"),
+])
+def test_a_coordinate_that_is_not_an_integer_is_refused(coords, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        Weight(coords)
 
 
 def test_parse_type():
