@@ -196,7 +196,7 @@ def q_analogue_by_induction(rs: RootSystem, lam: Weight, mu: Weight) -> QPoly:
 def cherednik_coefficient(rs: RootSystem, nu: Weight) -> QPoly:
     """m_0^{-nu}(q), the kernel coefficient at a point nu of Q_+."""
     zero = Weight.zero(rs.rank)
-    if not rs.dominance_leq(zero, rs.weight(nu)):
+    if not rs.dominance_leq(zero, nu):
         raise ValueError(f"{nu} is not in the positive root cone")
     return lusztig_q_analogue(rs, zero, -nu)
 
@@ -426,5 +426,4 @@ def generalized_exponents(rs: RootSystem, lam: Weight) -> list:
 def broer_nonnegativity_test(rs: RootSystem, mu: Weight) -> bool:
     """True iff <mu, nu_check> >= -1 for every positive root nu — exactly the
     weights whose q-analogue has nonnegative coefficients for every module."""
-    rs.weight(mu)
     return all(rs.pairing(mu, r) >= -1 for r in rs.positive_roots)

@@ -292,4 +292,7 @@ class QPoly:
 
     @classmethod
     def from_json(cls, pairs) -> "QPoly":
-        return cls({int(e): int(c) for e, c in pairs})
+        """Parse the form ``json_pairs`` writes.  Only a str coefficient is
+        read with ``int``; the rest goes to ``QPoly`` as it is, whose check
+        refuses a float or a bool with TypeError."""
+        return cls({e: int(c) if isinstance(c, str) else c for e, c in pairs})

@@ -27,12 +27,17 @@ Conventions, fixed once and documented in the README:
 ``RootSystem.weight`` is the one check of a weight argument of the public
 API in ``lusztig``, ``identities``, ``weyl`` and ``qkostant``: each public
 function hands it every weight argument, itself or through the first
-public function that it hands the weight to, before any work.  It returns
-the argument only when it is a ``Weight`` of the system's rank, dominant
-where a highest weight is asked for; any other value, a tuple included,
-raises TypeError and is not converted.  The methods below the boundary
-(``root_coords``, ``dominance_leq``, ``inner``, ``pairing``) check only the
-rank, through ``check_rank``.  ``lusztig_q_analogue`` answers a memo hit
+public function or ``RootSystem`` method that it hands the weight to,
+before any work.  It returns the argument only when it is a ``Weight`` of
+the system's rank, dominant where a highest weight is asked for; any other
+value, a tuple included, raises TypeError and is not converted.  The ``RootSystem`` methods that
+take a weight (``dominance_leq``, ``height``, ``inner``, ``pairing``,
+``in_root_lattice``, ``is_positive_root_weight`` and
+``weight_to_root_coords``) read it through the same check.  A coordinate
+tuple is checked for its length only where it is taken: the weight
+coordinates of ``root_coords`` and the root coordinates of ``inner``.
+``pairing`` takes its root only as the root coordinates of a positive
+root, never as a Weight.  ``lusztig_q_analogue`` answers a memo hit
 before any check, since only a checked query is remembered, and after a
 miss checks lam only when no table is held under lam's coordinates: a
 table is made only under a lam that passed the check.
@@ -381,17 +386,12 @@ class RootSystem:
             raise ValueError(f"{w} is not a weight of {self.name}")
         return w
 
-    def check_rank(self, w):
-        """Raise ValueError unless w, a Weight or a coordinate tuple, has one
-        coordinate per simple root; either is named as a Weight prints."""
-        if len(w) != self.rank:
-            raise ValueError(f"{_weight(tuple(w))} is not a weight of {self.name}")
-
     def root_coords(self, coords):
         """Integer root coordinates of the weight with fundamental-weight
         coordinates ``coords`` (a tuple of ints), or None when it is off the
         root lattice."""
-        self.check_rank(coords)
+        if len(coords) != self.rank:
+            raise ValueError(f"{_weight(tuple(coords))} is not a weight of {self.name}")
         scale = self._inv_scale
         out = []
         for row in self._scaled_inv_cartan:
@@ -408,48 +408,40 @@ class RootSystem:
         (``fractions`` is imported on the first call)."""
         from fractions import Fraction
 
-        self.check_rank(w)
         # scale * w lies in the root lattice, so the core returns the
         # numerators over scale
         scale = self._inv_scale
         return tuple(Fraction(x, scale)
-                     for x in self.root_coords(tuple(scale * c for c in w.coords)))
+                     for x in self.root_coords(tuple(scale * c for c in self.weight(w).coords)))
 
     def in_root_lattice(self, w: Weight) -> bool:
-        return self.root_coords(w.coords) is not None
+        return self.root_coords(self.weight(w).coords) is not None
 
     # -- order, height, pairing -----------------------------------------
 
     def dominance_leq(self, mu: Weight, lam: Weight) -> bool:
         """True iff lam - mu is a nonnegative integer combination of simple roots."""
-        self.check_rank(lam)
-        self.check_rank(mu)
-        diff = self.root_coords(tuple(map(sub, lam.coords, mu.coords)))
+        diff = self.root_coords(tuple(map(sub, self.weight(lam).coords, self.weight(mu).coords)))
         return diff is not None and min(diff) >= 0
 
     def height(self, gamma: Weight) -> int:
         """Sum of simple-root coordinates; gamma must lie in Q_+."""
-        coords = self.root_coords(gamma.coords)
+        coords = self.root_coords(self.weight(gamma).coords)
         if coords is None or min(coords) < 0:
             raise ValueError(f"{gamma} is not a nonnegative root-lattice element")
         return sum(coords)
 
     def inner(self, w: Weight, root_coords) -> int:
         """Symmetrized form (w, beta) for beta given in root coordinates."""
-        self.check_rank(w)
-        self.check_rank(root_coords)
+        if len(root_coords) != self.rank:
+            raise ValueError(f"{root_coords} are not root coordinates of {self.name}")
         d = self.symmetrizer
-        return sum(root_coords[i] * d[i] * w.coords[i]
-                   for i in range(self.rank) if root_coords[i] and w.coords[i])
+        coords = self.weight(w).coords
+        return sum(root_coords[i] * d[i] * coords[i]
+                   for i in range(self.rank) if root_coords[i] and coords[i])
 
-    def pairing(self, mu: Weight, nu) -> int:
-        """<mu, nu_check> for a positive root nu (Weight or root coords)."""
-        if isinstance(nu, Weight):
-            rc = self.root_coords(nu.coords)
-            if rc is None:
-                raise ValueError(f"{nu} is not a root of {self.name}")
-        else:
-            rc = tuple(nu)
+    def pairing(self, mu: Weight, rc) -> int:
+        """<mu, beta_check> for the positive root beta with root coordinates rc."""
         if rc not in self.root_length:
             raise ValueError(f"{rc} is not a positive root of {self.name}")
         # (mu, beta) / ((beta, beta) / 2): exact, since beta_check is an
@@ -457,7 +449,7 @@ class RootSystem:
         return self.inner(mu, rc) // self.root_length[rc]
 
     def is_positive_root_weight(self, w: Weight) -> bool:
-        return self.root_coords(w.coords) in self.root_length
+        return self.root_coords(self.weight(w).coords) in self.root_length
 
     # -- misc -------------------------------------------------------------
 

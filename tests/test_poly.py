@@ -292,6 +292,14 @@ class TestCanonicalForms:
         pairs = p.json_pairs()
         assert pairs == [[1, "-1"], [4, "12345678901234567890"]]
         assert QPoly.from_json(pairs) == p
+        # only a str coefficient is read with int(); an int one is taken as it is
+        assert QPoly.from_json([[1, 2]]) == P(q1=2)
+
+    @pytest.mark.parametrize("pairs", [[[1.9, "1"]], [[1, 2.7]], [[True, "1"]], [[1, False]]])
+    def test_from_json_refuses_what_qpoly_refuses(self, pairs):
+        # it read these as 1*q^1, 2*q^1, 1*q^1 and 0 through int()
+        with pytest.raises(TypeError, match="QPoly takes int exponents and coefficients"):
+            QPoly.from_json(pairs)
 
     def test_hashable(self):
         assert len({P(q1=1), P(q1=1), P(q2=1)}) == 2

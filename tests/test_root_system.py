@@ -180,10 +180,11 @@ def test_basis_conversions(name):
         assert rs.height(w) == sum(root)
         assert rs.is_positive_root_weight(w)
     assert not rs.is_positive_root_weight(rs.theta + rs.theta)
-    # pairing of fundamental weights against simple coroots
+    # pairing of fundamental weights against simple coroots, each simple
+    # root given by its root coordinates
     for i in range(rs.rank):
         for j in range(rs.rank):
-            simple = rs.simple_roots[j]
+            simple = rs.root_coords(rs.simple_roots[j].coords)
             assert rs.pairing(rs.fundamental_weight(i), simple) == (i == j)
 
 
@@ -213,14 +214,19 @@ def test_root_lattice_membership():
 def test_pairing_refuses_a_non_root():
     a2 = build_root_system("A2")
     w = a2.fundamental_weight(0)
-    # omega_1 lies off the root lattice
-    with pytest.raises(ValueError, match=r"\(1,0\) is not a root of A2"):
-        a2.pairing(w, w)
     # 2 alpha_1 is in the root lattice, but not a root
     with pytest.raises(ValueError, match=r"\(2, 0\) is not a positive root of A2"):
         a2.pairing(w, (2, 0))
-    with pytest.raises(ValueError, match="not a positive root"):
-        a2.pairing(w, -a2.theta)
+    # -theta is a root, but not a positive one
+    with pytest.raises(ValueError, match=r"\(-1, -1\) is not a positive root of A2"):
+        a2.pairing(w, (-1, -1))
+    # a root is given by its root coordinates, never as a Weight: alpha_1
+    # is the Weight (2,-1), and theta the Weight (1,1)
+    assert a2.pairing(w, (1, 0)) == 1
+    with pytest.raises(ValueError, match=r"^\(2,-1\) is not a positive root of A2$"):
+        a2.pairing(w, a2.simple_roots[0])
+    with pytest.raises(ValueError, match=r"^\(1,1\) is not a positive root of A2$"):
+        a2.pairing(w, a2.theta)
 
 
 def test_dominance_order():
@@ -310,8 +316,22 @@ WEIGHT_TAKERS = {
     "verify_subregular_identity": lambda w: qweights.verify_subregular_identity(A2, w, 0),
 }
 
+# every RootSystem method that takes a weight, once per weight argument,
+# with valid arguments elsewhere: each reads it through RootSystem.weight
+METHOD_TAKERS = {
+    "RootSystem.dominance_leq(mu)": lambda w: A2.dominance_leq(w, A2_WEIGHT),
+    "RootSystem.dominance_leq(lam)": lambda w: A2.dominance_leq(A2_WEIGHT, w),
+    "RootSystem.height": lambda w: A2.height(w),
+    "RootSystem.inner": lambda w: A2.inner(w, (1, 1)),
+    "RootSystem.pairing": lambda w: A2.pairing(w, (1, 1)),
+    "RootSystem.in_root_lattice": lambda w: A2.in_root_lattice(w),
+    "RootSystem.is_positive_root_weight": lambda w: A2.is_positive_root_weight(w),
+    "RootSystem.weight_to_root_coords": lambda w: A2.weight_to_root_coords(w),
+}
+ALL_TAKERS = {**WEIGHT_TAKERS, **METHOD_TAKERS}
 
-@pytest.mark.parametrize("name", sorted(WEIGHT_TAKERS))
+
+@pytest.mark.parametrize("name", sorted(ALL_TAKERS))
 @pytest.mark.parametrize("coords", [(1, 0, 0), (1,)])
 def test_wrong_rank_weight_gets_the_library_refusal(name, coords):
     # a weight of another rank is refused with the library's own message,
@@ -319,7 +339,7 @@ def test_wrong_rank_weight_gets_the_library_refusal(name, coords):
     # names the weight as it was given, the way a Weight prints
     text = re.escape(str(Weight(coords)))
     with pytest.raises(ValueError, match=rf"^{text} is not a weight of A2$"):
-        WEIGHT_TAKERS[name](Weight(coords))
+        ALL_TAKERS[name](Weight(coords))
 
 
 def weight_parameters():
@@ -362,6 +382,15 @@ def test_a_weight_parameter_refuses_what_is_not_a_weight(name, param, bad):
     with pytest.raises(TypeError, match=f"^a weight of A2 is a Weight, not {re.escape(repr(bad))}$"):
         getattr(qweights, name)(**args)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("bad", NOT_WEIGHTS, ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize("name", sorted(METHOD_TAKERS))
+def test_a_root_system_method_refuses_what_is_not_a_weight(name, bad):
+    # the methods below the public API read a weight through the same check:
+    # a tuple is not taken for a weight here either
+    with pytest.raises(TypeError, match=f"^a weight of A2 is a Weight, not {re.escape(repr(bad))}$"):
+        METHOD_TAKERS[name](bad)
 
 
 def test_a_tuple_weight_is_refused_not_read_as_zero():
