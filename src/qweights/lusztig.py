@@ -14,8 +14,10 @@
 * ``q_analogue_by_induction`` — the reflection relation at a negative
   coordinate of the target weight, in one walk over the weights between
   mu and lam, reducing to dominant targets which fall back to the sum.
-  It is a cross-check, so its memo lives for one call only, and it refuses
-  exactly the queries the sum refuses;
+  It is a cross-check, so its memo lives for one call only.  It answers
+  every query the sum answers, and more: it is refused only by the count
+  of the weights its walk holds (``weyl.MAX_ORBIT_POINTS``) or by the sum
+  at a dominant base case;
 * ``q_analogue_via_kernel`` — convolution of ordinary weight multiplicities
   (Freudenthal) with the q-analogues at highest weight zero, which it reads
   through ``lusztig_q_analogue(rs, 0, .)``: the sum's lam = 0 table and memo.
@@ -36,6 +38,8 @@ are bounded: the defining sum by its entries, the characters by the
 weights they hold.  A q-analogue that is refused, for its input or for
 the budget of its table, leaves no context where there was none, and
 so does a character refused for its input or for either of its budgets.
+The induction route refused by its walk count keeps what it read from
+the sum at dominant weights.
 This module builds no context and no table: it looks up the context of
 ``rs`` in the registry, hands it (or None) and lam to ``qkostant.read``,
 the only code that makes and fills the tables, and writes its memos into
@@ -71,7 +75,7 @@ from collections import Counter
 from operator import add, mul, sub
 
 from .poly import QPoly
-from .qkostant import _check_cells, read
+from .qkostant import read
 from .root_system import (BudgetError, RootSystem, Weight, _contexts, _weight,
                           clear_caches, context)
 from .weyl import (_check_points, descend, dominant_representative, orbit,
@@ -150,30 +154,28 @@ def q_analogue_by_induction(rs: RootSystem, lam: Weight, mu: Weight) -> QPoly:
     for this call only.  A weight nu not below lam (lam - nu off Q_+) is
     zero, a dominant one comes from the defining sum, and any other from
     the relation, whose weights lie above nu, so lam - nu shrinks in every
-    root coordinate.  Every weight that is not zero therefore lies in the
-    box of lam - mu, which is counted against ``qkostant.MAX_TABLE_CELLS``
-    before the walk: the check ``lusztig_q_analogue(lam, mu)`` reaches
-    itself, so the two routes refuse the same queries.
+    root coordinate.  The walk counts what it holds, memo and stack, on
+    each step against ``weyl.MAX_ORBIT_POINTS``, and the defining sum
+    checks the table of each dominant weight it reaches against its own
+    budget.  Route 2 therefore answers every query route 1 answers, with
+    the same value, and is refused only by its walk count or by route 1 at
+    a dominant base case.
     """
     lc = rs.weight(lam, dominant=True).coords
-
-    def below(nu):
-        diff = rs.root_coords(tuple(map(sub, lc, nu)))
-        return diff if diff is not None and min(diff) >= 0 else None
-
-    box = below(rs.weight(mu).coords)
-    if box is not None:
-        _check_cells(box)
+    rs.weight(mu)
     memo = {}
     # the chain mu, mu+alpha, ... grows with -<mu, alpha_check>, which is
     # unbounded, so Python recursion would overflow
     stack = [mu.coords]
     while stack:
+        # mu and lam are formatted into the message only on a refusal
+        _check_points(len(memo) + len(stack), "the induction walk from", mu, "to", lam)
         nu = stack[-1]
         if nu in memo:
             stack.pop()
             continue
-        if below(nu) is None:
+        diff = rs.root_coords(tuple(map(sub, lc, nu)))
+        if diff is None or min(diff) < 0:
             memo[nu] = QPoly.zero()
         elif min(nu) >= 0:
             memo[nu] = lusztig_q_analogue(rs, lam, Weight(nu))

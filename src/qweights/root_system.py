@@ -52,10 +52,10 @@ Nothing here grows with the order of the Weyl group.  Work that could
 grow without bound is refused with a ``BudgetError`` where it happens,
 against one of two budgets: ``qkostant.MAX_TABLE_CELLS`` on the cells of a
 partition table, counted from its bound before it is built, and
-``weyl.MAX_ORBIT_POINTS`` on the points an orbit walk, a character or the
-enumeration of W holds, and on the rank times the positive roots of a type
-that ``RootSystem`` would build, counted in closed form before its Cartan
-matrix is made.
+``weyl.MAX_ORBIT_POINTS`` on the points an orbit walk, a character, the
+enumeration of W or the induction route's walk holds, and on the rank
+times the positive roots of a type that ``RootSystem`` would build,
+counted in closed form before its Cartan matrix is made.
 """
 
 from __future__ import annotations
@@ -82,6 +82,14 @@ class BudgetError(ValueError):
     """The input needs more table cells or orbit points than their budget."""
 
 
+def _as_int(c):
+    """int(c), or None where int refuses c: a str such as 'x', nan or inf."""
+    try:
+        return int(c)
+    except (ValueError, OverflowError):
+        return None
+
+
 class Weight:
     """Integral weight in fundamental-weight coordinates.  Immutable; equal
     only to a Weight with the same coordinates, and hashed as the tuple
@@ -96,9 +104,9 @@ class Weight:
         coords = tuple(coords)
         if bool in map(type, coords):
             raise TypeError(f"a weight coordinate is an int, not a bool: {coords!r}")
-        ints = tuple(map(int, coords))
+        ints = tuple(map(_as_int, coords))
         if ints != coords:
-            bad = next(c for c in coords if int(c) != c)
+            bad = next(c for c, i in zip(coords, ints) if i != c)
             raise ValueError(f"non-integral weight coordinate {bad!r}")
         object.__setattr__(self, "coords", ints)
 
@@ -389,9 +397,12 @@ class RootSystem:
     def root_coords(self, coords):
         """Integer root coordinates of the weight with fundamental-weight
         coordinates ``coords`` (a tuple of ints), or None when it is off the
-        root lattice."""
+        root lattice.  Any other type than a tuple raises TypeError; the
+        ints are not checked, since every caller makes them."""
+        if type(coords) is not tuple:
+            raise TypeError(f"weight coordinates of {self.name} are a tuple, not {coords!r}")
         if len(coords) != self.rank:
-            raise ValueError(f"{_weight(tuple(coords))} is not a weight of {self.name}")
+            raise ValueError(f"{_weight(coords)} is not a weight of {self.name}")
         scale = self._inv_scale
         out = []
         for row in self._scaled_inv_cartan:
@@ -432,7 +443,10 @@ class RootSystem:
         return sum(coords)
 
     def inner(self, w: Weight, root_coords) -> int:
-        """Symmetrized form (w, beta) for beta given in root coordinates."""
+        """Symmetrized form (w, beta) for beta given in root coordinates, a
+        tuple."""
+        if type(root_coords) is not tuple:
+            raise TypeError(f"root coordinates of {self.name} are a tuple, not {root_coords!r}")
         if len(root_coords) != self.rank:
             raise ValueError(f"{root_coords} are not root coordinates of {self.name}")
         d = self.symmetrizer
@@ -441,8 +455,10 @@ class RootSystem:
                    for i in range(self.rank) if root_coords[i] and coords[i])
 
     def pairing(self, mu: Weight, rc) -> int:
-        """<mu, beta_check> for the positive root beta with root coordinates rc."""
-        if rc not in self.root_length:
+        """<mu, beta_check> for the positive root beta with root coordinates
+        rc.  Any other rc, a Weight or a list included, is not a positive
+        root; a non-tuple is refused before it is hashed."""
+        if type(rc) is not tuple or rc not in self.root_length:
             raise ValueError(f"{rc} is not a positive root of {self.name}")
         # (mu, beta) / ((beta, beta) / 2): exact, since beta_check is an
         # integer sum of simple coroots and mu is integral

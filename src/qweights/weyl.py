@@ -25,8 +25,10 @@ before they are made: by ``orbit`` on the closed-form size of the orbit,
 by ``enumerate_weyl`` on the order of W, by ``lusztig.character`` on
 the dominant weights it finds and on the sum of their orbit sizes, by
 ``lusztig.generalized_exponents`` on the exponents it lists and by
-``root_system.build_root_system`` on the rank times the positive roots.
-Over it, each raises ``root_system.BudgetError``.
+``root_system.build_root_system`` on the rank times the positive roots;
+``lusztig.q_analogue_by_induction`` counts the weights its walk holds,
+memo and stack, on each step as they grow.  Over it, each raises
+``root_system.BudgetError``.
 """
 
 from __future__ import annotations

@@ -473,6 +473,11 @@ def test_weight_is_an_immutable_value():
 @pytest.mark.parametrize("coords,error,message", [
     ((1, 0.5), ValueError, "non-integral weight coordinate 0.5"),
     (("1", 0), ValueError, "non-integral weight coordinate '1'"),
+    # int() itself refuses these three: OverflowError for inf, ValueError
+    # for nan and 'x'; the message names the coordinate all the same
+    ((float("inf"), 0), ValueError, "non-integral weight coordinate inf"),
+    ((0, float("nan")), ValueError, "non-integral weight coordinate nan"),
+    (("x", 0), ValueError, "non-integral weight coordinate 'x'"),
     # a bool is not taken as an int, as in QPoly and Weight * True
     ((True, 0), TypeError, "a weight coordinate is an int, not a bool: (True, 0)"),
     ((0, 1, False), TypeError, "a weight coordinate is an int, not a bool: (0, 1, False)"),
@@ -480,6 +485,22 @@ def test_weight_is_an_immutable_value():
 def test_a_coordinate_that_is_not_an_integer_is_refused(coords, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         Weight(coords)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: A2.root_coords(None), TypeError, "weight coordinates of A2 are a tuple, not None"),
+    (lambda: A2.root_coords([1, 1]), TypeError, "weight coordinates of A2 are a tuple, not [1, 1]"),
+    (lambda: A2.root_coords((1, 0, 0)), ValueError, "(1,0,0) is not a weight of A2"),
+    (lambda: A2.inner(A2.theta, 5), TypeError, "root coordinates of A2 are a tuple, not 5"),
+    (lambda: A2.inner(A2.theta, [1, 1]), TypeError, "root coordinates of A2 are a tuple, not [1, 1]"),
+    (lambda: A2.inner(A2.theta, (1, 1, 0)), ValueError, "(1, 1, 0) are not root coordinates of A2"),
+    (lambda: A2.pairing(A2.theta, [1, 1]), ValueError, "[1, 1] is not a positive root of A2"),
+    (lambda: A2.pairing(A2.theta, None), ValueError, "None is not a positive root of A2"),
+])
+def test_root_coordinates_that_are_not_a_tuple_are_refused(call, error, message):
+    # these raised unhashable type: 'list' and len()'s TypeError
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_parse_type():
