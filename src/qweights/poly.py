@@ -268,31 +268,6 @@ class QPoly:
     def __repr__(self):
         return f"QPoly('{self}')"
 
-    @classmethod
-    def from_string(cls, text: str) -> "QPoly":
-        """Parse the form ``str`` writes: terms ``c*q^e`` joined by ' + ',
-        or "0"; ``re`` is imported on the first call."""
-        import re
-
-        text = text.strip()
-        if text == "0":
-            return cls.zero()
-        terms = {}
-        for part in text.split(" + "):
-            m = re.match(r"^(-?\d+)\*q\^(-?\d+)$", part.strip())
-            if not m:
-                raise ValueError(f"cannot parse polynomial term {part!r}")
-            c, e = int(m.group(1)), int(m.group(2))
-            terms[e] = terms.get(e, 0) + c
-        return cls(terms)
-
     def json_pairs(self) -> list:
         """JSON form: [[exponent, coefficient-as-string], ...], ascending."""
         return [[e, str(self._terms[e])] for e in sorted(self._terms)]
-
-    @classmethod
-    def from_json(cls, pairs) -> "QPoly":
-        """Parse the form ``json_pairs`` writes.  Only a str coefficient is
-        read with ``int``; the rest goes to ``QPoly`` as it is, whose check
-        refuses a float or a bool with TypeError."""
-        return cls({e: int(c) if isinstance(c, str) else c for e, c in pairs})

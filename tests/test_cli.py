@@ -41,6 +41,17 @@ class TestQAnalogue:
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
+        # each row reads back as a mapping of int coefficients, the one way
+        # the README gives, to the polynomial the library answers
+        rs = root_system.build_root_system("B2")
+        lam = root_system.Weight((0, 2))
+        rows = json.loads(out1)["rows"]
+        assert len(rows) == 9
+        for row in rows:
+            poly = QPoly({e: int(c) for e, c in row["poly"]})
+            mu = root_system.Weight(tuple(row["weight"]))
+            assert poly == lusztig.lusztig_q_analogue(rs, lam, mu)
+            assert str(poly) == row["text"]
 
     def test_latex(self, capsys):
         code, out, _ = run(capsys, "qanalogue", "A2", "--lambda", "1,1",
