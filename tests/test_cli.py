@@ -21,6 +21,21 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def read_back_rows(name, lam, out):
+    # each row of a `table --format json` reads back as a mapping of int
+    # coefficients, the one way the README gives, to the polynomial the
+    # library answers and to the row's text; the count of rows is returned
+    rs = root_system.build_root_system(name)
+    lam = root_system.Weight(lam)
+    rows = json.loads(out)["rows"]
+    for row in rows:
+        poly = QPoly({e: int(c) for e, c in row["poly"]})
+        mu = root_system.Weight(tuple(row["weight"]))
+        assert poly == lusztig.lusztig_q_analogue(rs, lam, mu)
+        assert str(poly) == row["text"]
+    return len(rows)
+
+
 class TestQAnalogue:
     def test_worked_example(self, capsys):
         code, out, _ = run(capsys, "qanalogue", "A2", "--lambda", "1,1",
@@ -41,17 +56,15 @@ class TestQAnalogue:
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
-        # each row reads back as a mapping of int coefficients, the one way
-        # the README gives, to the polynomial the library answers
-        rs = root_system.build_root_system("B2")
-        lam = root_system.Weight((0, 2))
-        rows = json.loads(out1)["rows"]
-        assert len(rows) == 9
-        for row in rows:
-            poly = QPoly({e: int(c) for e, c in row["poly"]})
-            mu = root_system.Weight(tuple(row["weight"]))
-            assert poly == lusztig.lusztig_q_analogue(rs, lam, mu)
-            assert str(poly) == row["text"]
+        assert read_back_rows("B2", (0, 2), out1) == 9
+
+    @pytest.mark.parametrize("name, lam, count", [
+        ("A2", "1,1", 7), ("G2", "1,1", 31), ("A3", "1,0,1", 13),
+        ("B3", "1,0,1", 32), ("C3", "0,1,1", 62)])
+    def test_json_rows_read_back(self, capsys, name, lam, count):
+        code, out, _ = run(capsys, "table", name, "--lambda", lam, "--format", "json")
+        assert code == 0
+        assert read_back_rows(name, tuple(map(int, lam.split(","))), out) == count
 
     def test_latex(self, capsys):
         code, out, _ = run(capsys, "qanalogue", "A2", "--lambda", "1,1",

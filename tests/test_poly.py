@@ -285,6 +285,16 @@ class TestCanonicalForms:
         # read back as the README says: a mapping of int coefficients
         assert QPoly({e: int(c) for e, c in pairs}) == p
 
+    @pytest.mark.parametrize("p", [
+        QPoly.zero(), P(q0=2), P(q1=-1, q2=1, q3=1), QPoly({-1: 3}),
+        QPoly({-3: -1, 2: 1}), P(q0=-(10 ** 30), q7=10 ** 30)])
+    def test_json_pairs_read_back_as_a_mapping(self, p):
+        # the two writers agree term by term, and the JSON pairs are the
+        # whole polynomial: the mapping they give is p again
+        pairs = p.json_pairs()
+        assert str(p) == (" + ".join(f"{c}*q^{e}" for e, c in pairs) or "0")
+        assert QPoly({e: int(c) for e, c in pairs}) == p
+
     def test_hashable(self):
         assert len({P(q1=1), P(q1=1), P(q2=1)}) == 2
 
