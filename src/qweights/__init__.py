@@ -66,7 +66,7 @@ from .weyl import (
     weyl_elements,
 )
 
-__version__ = "5.5.0"
+__version__ = "5.6.0"
 
 __all__ = [
     "BudgetError",

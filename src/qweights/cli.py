@@ -24,11 +24,13 @@ with its error, and the others still run.
 
 Exit status: 0 success, 1 a verifier reported failures, 2 usage error
 (every one a ``ValueError``, a refused budget included), or ``verify all``
-with an identity refused and none failed.
+with an identity refused and none failed.  A reader that closes the pipe
+ends the command with 1, and Ctrl-C with 130, neither with a traceback.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 from math import comb
 from types import SimpleNamespace
@@ -42,8 +44,7 @@ from .lusztig import (
 )
 from .poly import QPoly
 from .qkostant import MAX_TABLE_CELLS, _check_cells, module_box
-from .root_system import BudgetError, RootSystem, Weight, build_root_system
-from .weyl import _check_points
+from .root_system import BudgetError, RootSystem, Weight, _check_points, build_root_system
 
 
 def _parse_weight(text: str, rank: int, flag: str) -> Weight:
@@ -393,13 +394,23 @@ def _parse(argv):
 def main(argv=None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
-        return args.handler(build_root_system(args.type), args) if args else _help()
+        code = args.handler(build_root_system(args.type), args) if args else _help()
+        # a reader that closed the pipe shows here, not in the flush at exit
+        sys.stdout.flush()
+        return code
     except (ValueError, OverflowError) as exc:
         # a BudgetError is a ValueError whose message starts "input too large"; an
         # OverflowError is a coordinate too large to size a list or a table by
         too_large = "input too large: " if isinstance(exc, OverflowError) else ""
         print(f"error: {too_large}{exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the Python docs' advice: point stdout at devnull, so that the
+        # flush at exit has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except KeyboardInterrupt:
+        return 130
 
 
 if __name__ == "__main__":

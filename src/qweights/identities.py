@@ -22,8 +22,9 @@ from .lusztig import (
     weighted_sum,
 )
 from .poly import QPoly
-from .root_system import RootSystem, Weight, _dual_partition, build_dual_root_system
-from .weyl import _check_points, dominant_representative, orbit, stabilizer_poincare
+from .root_system import (RootSystem, Weight, _check_points, _dual_partition,
+                          build_dual_root_system)
+from .weyl import dominant_representative, orbit, stabilizer_poincare
 
 
 class Report(namedtuple("Report", "identity root_system inputs status failures details")):
@@ -324,9 +325,9 @@ def verify_height_duality(rs: RootSystem, lam: Weight) -> Report:
 def classify_principal_pairs(systems, height_bound: int):
     """Scan every dominant root-lattice weight with 0 < hot(lambda) <= bound
     and keep the pairs satisfying the fixed-space dimension hypothesis.  A
-    root system with more than ``weyl.MAX_ORBIT_POINTS`` candidate weights
-    is refused before its scan computes any character, and a bound that is
-    not an int (a bool, a float, a str) raises TypeError."""
+    root system with more than ``root_system.MAX_ORBIT_POINTS`` candidate
+    weights is refused before its scan computes any character, and a bound
+    that is not an int (a bool, a float, a str) raises TypeError."""
     if type(height_bound) is not int:
         raise TypeError(f"a height bound is an int, not {height_bound!r}")
     found = []

@@ -16,8 +16,8 @@
   mu and lam, reducing to dominant targets which fall back to the sum.
   It is a cross-check, so its memo lives for one call only.  It answers
   every query the sum answers, and more: it is refused only by the count
-  of the weights its walk holds (``weyl.MAX_ORBIT_POINTS``) or by the sum
-  at a dominant base case;
+  of the weights its walk holds (``root_system.MAX_ORBIT_POINTS``) or by
+  the sum at a dominant base case;
 * ``q_analogue_via_kernel`` — convolution of ordinary weight multiplicities
   (Freudenthal) with the q-analogues at highest weight zero, which it reads
   through ``lusztig_q_analogue(rs, 0, .)``: the sum's lam = 0 table and memo.
@@ -52,21 +52,23 @@ Every weight argument is checked by ``RootSystem.weight``, the one check
 of the public API: in each function here, or in the first public function
 it hands the weight to.  Between the API call and the table cell
 everything runs on integer coordinate tuples.  ``lusztig_q_analogue``
-reads the coordinates of lam and mu and looks up the memo first, since
-only a valid query is ever remembered; an argument without coordinates
-makes the key None, which misses.  After a miss it checks lam with
-``RootSystem.weight`` unless the context holds a table under lam's
-coordinates: a table is built only under a lam that passed that check,
-and a context belongs to one Cartan matrix.  A key of None always checks
-lam, since P_q's table is held under None.  mu is checked on every miss,
-and its coordinates are handed to ``qkostant.read``.  There one
-pass over the rows that lam's table keeps takes mu to its cell when the
-table holds it, and only a point outside the table is converted
-(``RootSystem.root_coords``) and handed to the kernel to build or grow
-the table.  The cell is decoded in ``qkostant`` and becomes a QPoly
-without a second check.  ``character`` fills orbits and
-Freudenthal's denominators on tuples too, and makes one Weight per weight
-of the module.
+looks up the memo first, since only a valid query is ever remembered,
+and only when lam and mu are both of type Weight, by their coordinates;
+for any other argument, a subclass of Weight or anything else with
+``coords`` included, the key is None, which misses.  After a miss it
+checks lam with ``RootSystem.weight`` unless the context holds a table
+under lam's coordinates: a table is built only under a lam that passed
+that check, and a context belongs to one Cartan matrix.  A key of None
+always checks lam, since P_q's table is held under None, so every
+argument that is not a Weight meets the check and raises TypeError.  mu
+is checked on every miss, and its coordinates are handed to
+``qkostant.read``.  There one pass over the rows that lam's table keeps
+takes mu to its cell when the table holds it, and only a point outside
+the table is converted (``RootSystem.root_coords``) and handed to the
+kernel to build or grow the table.  The cell is decoded in ``qkostant``
+and becomes a QPoly without a second check.  ``character`` fills orbits
+and Freudenthal's denominators on tuples too, and makes one Weight per
+weight of the module.
 """
 
 from __future__ import annotations
@@ -76,10 +78,9 @@ from operator import add, mul, sub
 
 from .poly import QPoly
 from .qkostant import read
-from .root_system import (BudgetError, RootSystem, Weight, _contexts, _weight,
-                          clear_caches, context)
-from .weyl import (_check_points, descend, dominant_representative, orbit,
-                   orbit_size, stabilizer_poincare)
+from .root_system import (BudgetError, RootSystem, Weight, _check_points, _contexts,
+                          _weight, clear_caches, context)
+from .weyl import descend, dominant_representative, orbit, orbit_size, stabilizer_poincare
 
 # Freudenthal's sum for a dominant weight mu walks the string mu + k*gamma up
 # each positive root gamma while it stays in the module.  No character walks
@@ -124,10 +125,8 @@ def lusztig_q_analogue(rs: RootSystem, lam: Weight, mu: Weight) -> QPoly:
     """The q-analogue of the multiplicity of mu in the highest-weight module
     of lam: the alternating Weyl-group sum of partition values at
     w(lam+rho)-(mu+rho), read as cell lam - mu of lam's seeded table."""
-    try:
-        key = lam.coords, mu.coords
-    except AttributeError:  # not a Weight: the memo misses, refused below
-        key = None
+    # only a pair of exact Weights is looked up; anything else is refused below
+    key = (lam.coords, mu.coords) if type(lam) is Weight is type(mu) else None
     # only a valid query is remembered, and only a valid one makes a context
     ctx = _contexts.get(rs._key)
     got = ctx and ctx.defining.get(key)
@@ -155,8 +154,8 @@ def q_analogue_by_induction(rs: RootSystem, lam: Weight, mu: Weight) -> QPoly:
     zero, a dominant one comes from the defining sum, and any other from
     the relation, whose weights lie above nu, so lam - nu shrinks in every
     root coordinate.  The walk counts what it holds, memo and stack, on
-    each step against ``weyl.MAX_ORBIT_POINTS``, and the defining sum
-    checks the table of each dominant weight it reaches against its own
+    each step against ``root_system.MAX_ORBIT_POINTS``, and the defining
+    sum checks the table of each dominant weight it reaches against its own
     budget.  Route 2 therefore answers every query route 1 answers, with
     the same value, and is refused only by its walk count or by route 1 at
     a dominant base case.
@@ -416,7 +415,8 @@ def brylinski_form(rs: RootSystem, lam: Weight, gam: Weight) -> QPoly:
 def generalized_exponents(rs: RootSystem, lam: Weight) -> list:
     """Exponent multiset of m_lam^0(q), ascending; lam must lie in the root
     lattice (otherwise the zero weight does not occur).  A multiset of more
-    than ``weyl.MAX_ORBIT_POINTS`` exponents is refused before it is made."""
+    than ``root_system.MAX_ORBIT_POINTS`` exponents is refused before it is
+    made."""
     if not rs.in_root_lattice(rs.weight(lam, dominant=True)):
         raise ValueError(f"{lam} is not in the root lattice")
     poly = lusztig_q_analogue(rs, lam, Weight.zero(rs.rank))

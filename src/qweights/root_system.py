@@ -38,9 +38,10 @@ tuple is checked for its length only where it is taken: the weight
 coordinates of ``root_coords`` and the root coordinates of ``inner``.
 ``pairing`` takes its root only as the root coordinates of a positive
 root, never as a Weight.  ``lusztig_q_analogue`` answers a memo hit
-before any check, since only a checked query is remembered, and after a
-miss checks lam only when no table is held under lam's coordinates: a
-table is made only under a lam that passed the check.
+before any check, since only a checked query is remembered and only a
+pair of arguments of type Weight is looked up, and after a miss checks
+lam only when no table is held under lam's coordinates: a table is made
+only under a lam that passed the check.
 
 Static data is computed once, when a ``RootSystem`` is built.  Everything
 that queries fill about one root system lives in its ``Context``
@@ -52,10 +53,13 @@ Nothing here grows with the order of the Weyl group.  Work that could
 grow without bound is refused with a ``BudgetError`` where it happens,
 against one of two budgets: ``qkostant.MAX_TABLE_CELLS`` on the cells of a
 partition table, counted from its bound before it is built, and
-``weyl.MAX_ORBIT_POINTS`` on the points an orbit walk, a character, the
+``MAX_ORBIT_POINTS`` on the points an orbit walk, a character, the
 enumeration of W or the induction route's walk holds, and on the rank
 times the positive roots of a type that ``RootSystem`` would build,
-counted in closed form before its Cartan matrix is made.
+counted in closed form before its Cartan matrix is made.  That budget and
+its check, ``_check_points``, live here, since ``RootSystem`` is the first
+to count against them, and the modules above import them from here: this
+module imports no other module of the package.
 """
 
 from __future__ import annotations
@@ -80,6 +84,23 @@ _POSITIVE_ROOTS = {
 
 class BudgetError(ValueError):
     """The input needs more table cells or orbit points than their budget."""
+
+
+# The points one walk may hold.  The largest fundamental orbit of E8 (of
+# omega_4, 483,840 points) fits: on one Xeon core under Python 3.11 its walk
+# takes 5.0-5.1 s (10 microseconds a point) and holds 222 bytes a point, no
+# more at its peak (tracemalloc), 132 MB of process RSS in all.
+MAX_ORBIT_POINTS = 500_000
+
+
+def _check_points(count: int, what: str, *args):
+    """Raise BudgetError when ``what``, followed by ``args``, holds more
+    than MAX_ORBIT_POINTS.  The args are put through ``str`` only then, so
+    a check that passes formats nothing."""
+    if count > MAX_ORBIT_POINTS:
+        what = " ".join(map(str, (what, *args)))
+        raise BudgetError(f"input too large: {what} reaches {count:,} points, "
+                          f"over the budget of {MAX_ORBIT_POINTS:,} orbit points")
 
 
 def _as_int(c):
@@ -302,12 +323,10 @@ class RootSystem:
     "E8", as ``parse_type`` reads it, with the Bourbaki Cartan matrix of
     that type; immutable.  Anything that is not a type name raises
     ValueError, and a type whose rank times positive roots is over
-    ``weyl.MAX_ORBIT_POINTS`` raises BudgetError before anything is built.
+    ``MAX_ORBIT_POINTS`` raises BudgetError before anything is built.
     ``build_root_system`` builds each type once and shares it."""
 
     def __init__(self, name: str):
-        from .weyl import _check_points
-
         letter, rank = parse_type(name)
         # each positive root holds rank coordinates and takes about rank^2
         # steps to build; the largest types that fit, A99, B79, C79 and D79,
@@ -558,9 +577,7 @@ class Context:
     def remember_character(self, key, ch):
         """Memoize the character ``ch`` at ``key`` after a miss, dropping the
         oldest characters first while the weights held would pass
-        ``weyl.MAX_ORBIT_POINTS``, the most that one character may hold."""
-        from .weyl import MAX_ORBIT_POINTS
-
+        ``MAX_ORBIT_POINTS``, the most that one character may hold."""
         self.character_weights += len(ch)
         while self.character_weights > MAX_ORBIT_POINTS:
             self.character_weights -= len(self.characters.popitem(last=False)[1])

@@ -20,8 +20,8 @@ with |W| unless it is asked to hold W or a whole orbit.  Every function
 here is a pure function of the root system and its arguments: this
 module keeps nothing and never touches the context registry.
 
-The points held are bounded by one budget, ``MAX_ORBIT_POINTS``, checked
-before they are made: by ``orbit`` on the closed-form size of the orbit,
+The points held are bounded by one budget, ``root_system.MAX_ORBIT_POINTS``,
+checked before they are made: by ``orbit`` on the closed-form size of the orbit,
 by ``enumerate_weyl`` on the order of W, by ``lusztig.character`` on
 the dominant weights it finds and on the sum of their orbit sizes, by
 ``lusztig.generalized_exponents`` on the exponents it lists and by
@@ -38,23 +38,7 @@ from math import prod
 from operator import mul
 
 from .poly import QPoly
-from .root_system import BudgetError, RootSystem, Weight, _dual_partition, _weight
-
-# The points one walk may hold.  The largest fundamental orbit of E8 (of
-# omega_4, 483,840 points) fits: on one Xeon core under Python 3.11 its walk
-# takes 5.0-5.1 s (10 microseconds a point) and holds 222 bytes a point, no
-# more at its peak (tracemalloc), 132 MB of process RSS in all.
-MAX_ORBIT_POINTS = 500_000
-
-
-def _check_points(count: int, what: str, *args):
-    """Raise BudgetError when ``what``, followed by ``args``, holds more
-    than MAX_ORBIT_POINTS.  The args are put through ``str`` only then, so
-    a check that passes formats nothing."""
-    if count > MAX_ORBIT_POINTS:
-        what = " ".join(map(str, (what, *args)))
-        raise BudgetError(f"input too large: {what} reaches {count:,} points, "
-                          f"over the budget of {MAX_ORBIT_POINTS:,} orbit points")
+from .root_system import RootSystem, Weight, _check_points, _dual_partition, _weight
 
 
 class WeylElement(namedtuple("WeylElement", "matrix length")):

@@ -1,14 +1,19 @@
 """Command-line interface: output formats, determinism, exit codes."""
 
 import json
+import os
+import pathlib
 import shutil
+import signal
 import subprocess
+import sys
 import time
 from math import comb
 
 import pytest
 
-from qweights import cli, lusztig, qkostant, root_system, weyl
+import qweights
+from qweights import cli, lusztig, qkostant, root_system
 from qweights import identities as idn
 from qweights.cli import main
 from qweights.lusztig import clear_caches
@@ -201,7 +206,7 @@ class TestRefusedBeforeTheWork:
             raise AssertionError("made the exponent list")
 
         monkeypatch.setattr(QPoly, "exponent_multiset", no_list)
-        monkeypatch.setattr(weyl, "MAX_ORBIT_POINTS", 2)
+        monkeypatch.setattr(root_system, "MAX_ORBIT_POINTS", 2)
         code, out, err = run(capsys, "gen-exponents", "B3", "--lambda", "2,0,0")
         assert code == 2 and out == ""
         assert err == ("error: input too large: the exponent multiset of (2,0,0) "
@@ -503,7 +508,7 @@ class TestGuardsAndBackend:
     def test_table_over_the_orbit_budget_is_a_usage_error(self, capsys, monkeypatch):
         # the orbit of (2,2) has 6 points
         clear_caches()
-        monkeypatch.setattr(weyl, "MAX_ORBIT_POINTS", 5)
+        monkeypatch.setattr(root_system, "MAX_ORBIT_POINTS", 5)
         code, out, err = run(capsys, "table", "A2", "--lambda", "2,2")
         assert code == 2
         assert out == ""
@@ -582,3 +587,33 @@ def test_installed_entry_point():
                           "--mu", "0,0"], capture_output=True, text=True)
     assert out.returncode == 0
     assert out.stdout == "1*q^1 + 1*q^2\n"
+
+
+def _cli_process(*argv):
+    """``python -m qweights.cli argv`` in a child, on this checkout's source,
+    with stdout and stderr piped."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(qweights.__file__).parent.parent))
+    return subprocess.Popen([sys.executable, "-m", "qweights.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def test_a_closed_pipe_ends_quietly():
+    # 368 KB of rows, more than a pipe buffer holds: the reader takes one
+    # line and closes the pipe, and the command exits 1 with nothing on
+    # stderr, where it printed a BrokenPipeError traceback
+    proc = _cli_process("table", "G2", "--lambda", "6,6", "--format", "csv")
+    assert proc.stdout.readline() == b"weight,multiplicity,q-analogue\r\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")
+
+
+def test_ctrl_c_ends_quietly():
+    # verify all E7 computes for seconds; SIGINT half a second in exits 130
+    # with nothing on stderr, where it printed a KeyboardInterrupt traceback
+    proc = _cli_process("verify", "all", "E7")
+    time.sleep(0.5)
+    proc.send_signal(signal.SIGINT)
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, out, err) == (130, b"", b"")

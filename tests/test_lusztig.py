@@ -245,7 +245,7 @@ class TestInductionWalk:
         # memo and stack hold on each step: under a budget of 2,000 points
         # it is refused as soon as it holds more, having built no large
         # table, and it read the defining sum only at dominant weights
-        monkeypatch.setattr(weyl, "MAX_ORBIT_POINTS", 2_000)
+        monkeypatch.setattr(root_system, "MAX_ORBIT_POINTS", 2_000)
         tracemalloc.start()
         start = time.perf_counter()
         try:
@@ -1056,7 +1056,7 @@ class TestCharacterBudget:
         # weights held
         lam = Weight((4, 4))
         clear_caches()
-        monkeypatch.setattr(weyl, "MAX_ORBIT_POINTS", budget)
+        monkeypatch.setattr(root_system, "MAX_ORBIT_POINTS", budget)
         with pytest.raises(root_system.BudgetError,
                            match=f"^input too large: .*budget of {budget} orbit"):
             character(A2, lam)
@@ -1077,7 +1077,7 @@ class TestCharacterBudget:
         if budget is None:
             assert len(character(A2, lam)) == 61
         else:
-            monkeypatch.setattr(weyl, "MAX_ORBIT_POINTS", budget)
+            monkeypatch.setattr(root_system, "MAX_ORBIT_POINTS", budget)
             with pytest.raises(root_system.BudgetError, match=r" of \(4,4\) reaches "):
                 character(A2, lam)
         assert len(shown) <= 1
@@ -1454,7 +1454,7 @@ class TestCharacterMemo:
         # A1 (k) has k + 1 weights: 30 of them hold 465, over a cap of 60
         a1 = build_root_system("A1")
         clear_caches()
-        monkeypatch.setattr(weyl, "MAX_ORBIT_POINTS", 60)
+        monkeypatch.setattr(root_system, "MAX_ORBIT_POINTS", 60)
         ctx = root_system.context(a1)
         for k in range(30):
             assert len(character(a1, Weight((k,)))) == k + 1
@@ -1467,7 +1467,7 @@ class TestCharacterMemo:
     def test_a_hit_does_not_refresh_a_character(self, monkeypatch):
         a1 = build_root_system("A1")
         clear_caches()
-        monkeypatch.setattr(weyl, "MAX_ORBIT_POINTS", 10)
+        monkeypatch.setattr(root_system, "MAX_ORBIT_POINTS", 10)
         ctx = root_system.context(a1)
         first = character(a1, Weight((3,)))
         character(a1, Weight((4,)))

@@ -21,7 +21,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from qweights import cli, lusztig, qkostant, weyl  # noqa: E402
+from qweights import cli, lusztig, qkostant, root_system  # noqa: E402
 from qweights.identities import _height_product_holds  # noqa: E402
 from qweights.lusztig import (  # noqa: E402
     character,
@@ -253,7 +253,7 @@ def test_cli_answers_or_refuses(data):
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qkostant, "MAX_TABLE_CELLS", 20_000)
-        mp.setattr(weyl, "MAX_ORBIT_POINTS", 5_000)
+        mp.setattr(root_system, "MAX_ORBIT_POINTS", 5_000)
         mp.setattr(lusztig, "MAX_STRING_STEPS", 20_000)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)

@@ -9,6 +9,7 @@ import re
 import time
 from math import gcd
 from operator import add
+from types import SimpleNamespace
 
 import pytest
 
@@ -398,6 +399,33 @@ def test_a_tuple_weight_is_refused_not_read_as_zero():
     assert qweights.freudenthal_multiplicity(A2, A2.theta, Weight((0, 0))) == 2
     with pytest.raises(TypeError, match=re.escape("a weight of A2 is a Weight, not (0, 0)")):
         qweights.freudenthal_multiplicity(A2, A2.theta, (0, 0))
+
+
+class _SubWeight(Weight):
+    __slots__ = ()
+
+
+# the (lam, mu) arguments at mu's coordinates, one of them not of type Weight
+NOT_WEIGHT_QUERIES = {
+    "lam Weight subclass": lambda mu: (_SubWeight((1, 1)), Weight(mu)),
+    "lam with coords": lambda mu: (SimpleNamespace(coords=(1, 1)), Weight(mu)),
+    "mu with coords": lambda mu: (A2.theta, SimpleNamespace(coords=mu)),
+}
+
+
+@pytest.mark.parametrize("mu", [(0, 0), (-1, -1)], ids=["memo hit", "table hit"])
+@pytest.mark.parametrize("case", sorted(NOT_WEIGHT_QUERIES))
+def test_the_memo_refuses_what_is_not_a_weight(case, mu):
+    # a valid query fills the memo under ((1, 1), (0, 0)) and the table
+    # under (1, 1); an argument that is not of type Weight but has those
+    # coordinates is answered from neither, at (0, 0) or at (-1, -1), which
+    # is never asked as a Weight here
+    qweights.clear_caches()
+    lusztig_q_analogue(A2, A2.theta, Weight((0, 0)))
+    lam, mu = NOT_WEIGHT_QUERIES[case](mu)
+    bad = mu if type(lam) is Weight else lam
+    with pytest.raises(TypeError, match=f"^a weight of A2 is a Weight, not {re.escape(repr(bad))}$"):
+        lusztig_q_analogue(A2, lam, mu)
 
 
 def test_the_weight_check():

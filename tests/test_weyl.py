@@ -170,7 +170,7 @@ class TestOrbitBudget:
         b3 = build_root_system("B3")
         # the orbit of rho has 48 points
         assert len(orbit(b3, b3.rho)) == 48
-        monkeypatch.setattr(weyl, "MAX_ORBIT_POINTS", 47)
+        monkeypatch.setattr(root_system, "MAX_ORBIT_POINTS", 47)
         with pytest.raises(BudgetError, match="^input too large: .*budget of 47 orbit"):
             orbit(b3, b3.rho)
         # a smaller orbit still fits: the 12 long roots
@@ -179,7 +179,7 @@ class TestOrbitBudget:
     def test_enumerate_weyl_yields_nothing(self, monkeypatch):
         b3 = build_root_system("B3")
         root_system.clear_caches()
-        monkeypatch.setattr(weyl, "MAX_ORBIT_POINTS", 47)
+        monkeypatch.setattr(root_system, "MAX_ORBIT_POINTS", 47)
         got = []
         with pytest.raises(BudgetError, match="^input too large: .*budget of 47 orbit"):
             for w in enumerate_weyl(b3):
@@ -273,6 +273,6 @@ def test_orbit_is_refused_before_it_is_walked(monkeypatch):
         raise AssertionError(f"walked the orbit of {top}")
 
     monkeypatch.setattr(weyl, "descend", no_walk)
-    monkeypatch.setattr(weyl, "MAX_ORBIT_POINTS", 483_839)
+    monkeypatch.setattr(root_system, "MAX_ORBIT_POINTS", 483_839)
     with pytest.raises(BudgetError, match="reaches 483,840 points"):
         orbit(e8, e8.fundamental_weight(3))
