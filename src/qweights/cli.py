@@ -23,8 +23,10 @@ Under ``all`` an identity refused for its budget is reported ``REFUSED``
 with its error, and the others still run.
 
 Exit status: 0 success, 1 a verifier reported failures, 2 usage error
-(every one a ``ValueError``, a refused budget included), or ``verify all``
-with an identity refused and none failed.  A reader that closes the pipe
+(every one a ``ValueError``, a refused budget included), a ``MemoryError``
+(``error: input too large: out of memory``: a table whose cells fit the
+cell budget and whose bytes do not), or ``verify all`` with an identity
+refused and none failed.  A reader that closes the pipe
 ends the command with 1, and Ctrl-C with 130, neither with a traceback.
 """
 
@@ -403,6 +405,10 @@ def main(argv=None) -> int:
         # OverflowError is a coordinate too large to size a list or a table by
         too_large = "input too large: " if isinstance(exc, OverflowError) else ""
         print(f"error: {too_large}{exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # a table whose cells fit the cell budget and whose bytes do not
+        print("error: input too large: out of memory", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # the Python docs' advice: point stdout at devnull, so that the

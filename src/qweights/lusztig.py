@@ -48,6 +48,17 @@ none.
 Freudenthal's data on each positive root is static, and ``character``
 reads it from the ``RootSystem``.
 
+``qkostant.read`` alone decides that a q-analogue is zero off the cone:
+for lam - mu off the root lattice or outside Q_+ it returns zero and
+builds, registers and counts nothing.  So the sums over a module
+(``q_analogue_via_kernel``, ``tensor_zero_q``, ``weighted_sum`` and
+``brylinski_form``) read every term without testing the cone or the
+lattice first, and the memo of the defining sum remembers the zeros too.
+``RootSystem.dominance_leq`` and ``in_root_lattice`` are called here
+only to refuse an input (``cherednik_coefficient``,
+``generalized_exponents``); the induction route's own zero test keeps it
+from reading the sum away from dominant weights.
+
 Every weight argument is checked by ``RootSystem.weight``, the one check
 of the public API: in each function here, or in the first public function
 it hands the weight to.  Between the API call and the table cell
@@ -209,8 +220,6 @@ def q_analogue_via_kernel(rs: RootSystem, lam: Weight, mu: Weight) -> QPoly:
     zero = Weight.zero(rs.rank)
     acc = {}
     for gamma, m in character(rs, lam).items():
-        if not rs.dominance_leq(mu, gamma):
-            continue
         ker = lusztig_q_analogue(rs, zero, mu - gamma)
         for e, c in ker.terms().items():
             acc[e] = acc.get(e, 0) + m * c
@@ -380,8 +389,7 @@ def tensor_zero_q(rs: RootSystem, lam: Weight, gam: Weight) -> QPoly:
     zero = Weight.zero(rs.rank)
     out = QPoly.zero()
     for nu, c in klimyk_decompose(rs, dual_weight(rs, lam), gam).items():
-        if rs.in_root_lattice(nu):
-            out = out + c * lusztig_q_analogue(rs, nu, zero)
+        out = out + c * lusztig_q_analogue(rs, nu, zero)
     return out
 
 
@@ -391,8 +399,6 @@ def weighted_sum(rs: RootSystem, lam: Weight, gam: Weight) -> QPoly:
     acc = {}
     # lowest weights first, so the kernel table is sized by the largest box
     for mu, m in reversed(character(rs, gam).items()):
-        if not rs.dominance_leq(mu, lam):
-            continue
         for e, c in lusztig_q_analogue(rs, lam, mu).terms().items():
             acc[e] = acc.get(e, 0) + m * c
     return QPoly(acc)
@@ -405,10 +411,10 @@ def brylinski_form(rs: RootSystem, lam: Weight, gam: Weight) -> QPoly:
     t0 = stabilizer_poincare(rs, Weight.zero(rs.rank))
     out = QPoly.zero()
     for nu, _ in character(rs, lam).dominant_items():
-        if not rs.dominance_leq(nu, gam):
-            continue
-        p = lusztig_q_analogue(rs, lam, nu) * lusztig_q_analogue(rs, gam, nu)
-        out = out + p * t0.exact_div(stabilizer_poincare(rs, nu))
+        # m_gam^nu first: it is zero, and builds nothing, unless nu <= gam
+        p = lusztig_q_analogue(rs, gam, nu)
+        if p:
+            out += p * lusztig_q_analogue(rs, lam, nu) * t0.exact_div(stabilizer_poincare(rs, nu))
     return out
 
 

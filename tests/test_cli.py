@@ -617,3 +617,36 @@ def test_ctrl_c_ends_quietly():
     proc.send_signal(signal.SIGINT)
     out, err = proc.communicate(timeout=60)
     assert (proc.returncode, out, err) == (130, b"", b"")
+
+
+# 400 MB of address space: enough for the interpreter, not for the table
+# that cherednik A1 --max-height 400000 builds under its cell budget
+MEMORY_CAP = 400 * 2**20
+
+
+def _cap_memory():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+
+def _can_cap_memory() -> bool:
+    # Linux enforces RLIMIT_AS; the cap must fit under the hard limit
+    if not sys.platform.startswith("linux"):
+        return False
+    import resource
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    return hard == resource.RLIM_INFINITY or hard >= MEMORY_CAP
+
+
+@pytest.mark.skipif(not _can_cap_memory(), reason="RLIMIT_AS cannot be set here")
+def test_out_of_memory_exits_2():
+    # the 400,001 cells fit the cell budget, but their packed digits grow
+    # quadratically: under the cap the build runs out of memory, and the
+    # command exits 2 with one line on stderr, no traceback.  The cap is
+    # set in the child before it starts, so the case never runs without it
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(qweights.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-m", "qweights.cli", "cherednik", "A1",
+                           "--max-height", "400000"], env=env, capture_output=True,
+                          preexec_fn=_cap_memory, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == \
+        (2, b"", b"error: input too large: out of memory\n")

@@ -741,6 +741,69 @@ class TestTableGrowth:
             assert lusztig_q_analogue(rs, rs.theta, mu) == pruned_walk_sum(rs, rs.theta, mu), mu
 
 
+# The tables (highest weight, bound) that each sum over a module builds from
+# cold caches.  The sums read every term, and a read off the cone or the
+# root lattice builds nothing.  brylinski_form reads m_gam^nu before
+# m_lam^nu, so it builds no table of lam that its sum does not need
+MODULE_SUM_BUILDS = {
+    "B3": {
+        "weighted_sum": [((1, 0, 0), (2, 3, 3))],
+        "brylinski_form": [((1, 0, 0), (0, 0, 0)), ((0, 1, 0), (0, 1, 1)),
+                           ((1, 0, 0), (2, 2, 2)), ((0, 1, 0), (2, 4, 4))],
+        "tensor_zero_q": [((1, 1, 0), (2, 3, 3)), ((0, 0, 2), (1, 2, 3)),
+                          ((1, 0, 0), (2, 2, 2))],
+        "q_analogue_via_kernel": [((0, 0, 0), (2, 4, 4))],
+    },
+    "C3": {
+        "weighted_sum": [((0, 1, 0), (3, 4, 2))],
+        "brylinski_form": [((0, 1, 0), (0, 0, 0)), ((2, 0, 0), (1, 0, 0)),
+                           ((0, 1, 0), (2, 4, 2)), ((2, 0, 0), (4, 4, 2))],
+        "tensor_zero_q": [((2, 1, 0), (3, 4, 2)), ((1, 0, 1), (2, 3, 2)),
+                          ((2, 0, 0), (2, 2, 1)), ((0, 1, 0), (2, 4, 2))],
+        "q_analogue_via_kernel": [((0, 0, 0), (4, 4, 2))],
+    },
+    "G2": {
+        "weighted_sum": [((1, 0), (5, 3))],
+        "brylinski_form": [((1, 0), (0, 0)), ((0, 1), (1, 1)),
+                           ((1, 0), (4, 2)), ((0, 1), (6, 4))],
+        "tensor_zero_q": [((1, 1), (10, 6)), ((2, 0), (8, 4)), ((1, 0), (4, 2))],
+        "q_analogue_via_kernel": [((0, 0), (6, 4))],
+    },
+    "F4": {
+        "weighted_sum": [((0, 0, 0, 1), (3, 5, 7, 4))],
+        "brylinski_form": [((0, 0, 0, 1), (0, 0, 0, 0)), ((1, 0, 0, 0), (1, 1, 1, 0)),
+                           ((0, 0, 0, 1), (1, 2, 3, 2)), ((1, 0, 0, 0), (2, 3, 4, 2))],
+        "tensor_zero_q": [((1, 0, 0, 1), (3, 5, 7, 4)), ((0, 0, 1, 0), (2, 4, 6, 3)),
+                          ((0, 0, 0, 1), (1, 2, 3, 2))],
+        "q_analogue_via_kernel": [((0, 0, 0, 0), (4, 6, 8, 4))],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODULE_SUM_BUILDS))
+def test_module_sums_build_only_on_the_cone(monkeypatch, name):
+    # qkostant.read alone decides that a q-analogue is zero off the cone
+    built = []
+    build = qkostant.PartitionEngine._build
+    monkeypatch.setattr(qkostant.PartitionEngine, "_build",
+                        lambda eng, bound: built.append((eng.lam, bound)) or build(eng, bound))
+    rs = build_root_system(name)
+    theta, short = rs.theta, rs.theta_s
+    calls = {
+        "weighted_sum": lambda: weighted_sum(rs, short, theta),
+        "brylinski_form": lambda: brylinski_form(rs, theta, short),
+        "tensor_zero_q": lambda: tensor_zero_q(rs, theta, short),
+        "q_analogue_via_kernel": lambda: q_analogue_via_kernel(rs, theta, -theta),
+    }
+    got = {}
+    for label, call in calls.items():
+        clear_caches()
+        built.clear()
+        call()
+        got[label] = list(built)
+    assert got == MODULE_SUM_BUILDS[name]
+
+
 def pruned_walk_sum(rs, lam, mu):
     """The alternating sum the way ``lusztig_q_analogue`` computed it before
     the seeded tables, kept as a reference: walk the orbit of lam+rho down
