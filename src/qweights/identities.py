@@ -15,7 +15,6 @@ from math import gcd, prod
 from .lusztig import (
     brylinski_form,
     character,
-    dual_weight,
     generalized_exponents,
     lusztig_q_analogue,
     tensor_zero_q,
@@ -114,6 +113,10 @@ def _verify_root_module(rs: RootSystem, top: Weight, top_rc, roots, exps,
     hot(theta) = h - 1, and the simple roots among them number the rank, so
     the duality of its exponents and the shifted zero-weight polynomial
     hold by themselves.
+
+    The weighted sum over the module is read first, though checked last:
+    it reads the lowest weight -top first, and the box of 2 top holds
+    every weight of the module, so the module builds one kernel table.
     """
     failures = []
     zero = Weight.zero(rs.rank)
@@ -123,8 +126,7 @@ def _verify_root_module(rs: RootSystem, top: Weight, top_rc, roots, exps,
 
     # sum of q^e with multiplicity (exponents can repeat, e.g. D4)
     m0_closed = QPoly(Counter(exps))
-    # -top first: its box, 2 top, sizes the kernel table for every query here
-    lusztig_q_analogue(rs, top, -top)
+    weighted = weighted_sum(rs, top, top)
     m0 = lusztig_q_analogue(rs, top, zero)
     _expect(failures, f"zero-weight {label}exponents", zero, m0_closed, m0)
     if sorted(m0.exponent_multiset() if m0.coefficients_nonnegative() else []) != list(exps):
@@ -157,7 +159,6 @@ def _verify_root_module(rs: RootSystem, top: Weight, top_rc, roots, exps,
     plain_closed = m0_closed * (m0_closed - ell + 1) + m0_closed.shift(hot_top - h) * _qh(rs)
     _expect(failures, "plain sum over all weights", "all", plain_closed, plain_sum)
 
-    weighted = weighted_sum(rs, top, top)
     weighted_closed = m0_closed * m0_closed + m0_closed.shift(hot_top - h) * _qh(rs)
     _expect(failures, "weighted sum over all weights", "all", weighted_closed, weighted)
     return failures
@@ -202,9 +203,9 @@ def verify_minuscule(rs: RootSystem, lam: Weight) -> Report:
     failures = []
     total = QPoly.zero()
     power_sum = QPoly.zero()
-    # the lowest weight -lam* first: its box sizes the table for every query here
-    lusztig_q_analogue(rs, lam, -dual_weight(rs, lam))
-    for mu in sorted(orbit(rs, lam), key=lambda w: w.coords):
+    # deepest first: the lowest weight -lam*, whose box sizes the table for
+    # every query here
+    for mu in sorted(orbit(rs, lam), key=lambda w: (-rs.height(lam - w), w.coords)):
         hot = rs.height(lam - mu)
         got = lusztig_q_analogue(rs, lam, mu)
         _expect(failures, "pure power", mu, QPoly.q(hot), got)
@@ -401,10 +402,11 @@ def verify_subregular_identity(rs: RootSystem, lam: Weight,
     hot_plus = rs.height(alpha_plus)
     zero = Weight.zero(rs.rank)
 
+    # m^{-alpha} first: the box of lam + alpha holds all four reads
+    m_neg = lusztig_q_analogue(rs, lam, -alpha)
     m0 = lusztig_q_analogue(rs, lam, zero)
     m_alpha = lusztig_q_analogue(rs, lam, alpha)
     m_plus = lusztig_q_analogue(rs, lam, alpha_plus)
-    m_neg = lusztig_q_analogue(rs, lam, -alpha)
 
     failures = []
     _expect(failures, "orbit transport", alpha,

@@ -8,7 +8,7 @@ import signal
 import subprocess
 import sys
 import time
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -333,6 +333,24 @@ class TestVerify:
         # minuscule is skipped (G2 has none); little-adjoint runs
         assert "little-adjoint" in names
         assert "minuscule" not in names
+
+    @pytest.mark.parametrize("name,count,cells", [
+        ("G2", 5, 196), ("B3", 7, 291), ("C3", 7, 321), ("A4", 10, 411),
+        ("D4", 10, 595), ("B4", 7, 1_092), ("C4", 7, 1_450), ("A5", 11, 1_343),
+        ("F4", 5, 4_440), ("D5", 9, 2_755), ("E6", 7, 28_531),
+    ])
+    def test_all_builds_few_tables(self, capsys, monkeypatch, name, count, cells):
+        # each verifier's first read is the weight whose box holds every
+        # read it makes, so `verify all` from cleared caches builds these
+        # tables and cells; without the callers' lowest-weight-first reads
+        # a module built up to 67 tables where one sufficed
+        builds = []
+        build = qkostant.PartitionEngine._build
+        monkeypatch.setattr(qkostant.PartitionEngine, "_build",
+                            lambda eng, box: builds.append(box) or build(eng, box))
+        clear_caches()
+        assert run(capsys, "verify", "all", name)[0] == 0
+        assert (len(builds), sum(prod(b + 1 for b in box) for box in builds)) == (count, cells)
 
     def test_all_a3_includes_minuscule_skips_little(self, capsys):
         code, out, _ = run(capsys, "verify", "all", "A3")

@@ -56,18 +56,36 @@ class TestVerifiers:
         with pytest.raises(ValueError):
             idn.verify_minuscule(c3, Weight((0, 0, 1)))      # orbit smaller than dim
 
-    def test_minuscule_builds_one_table_each(self, monkeypatch):
-        # the lowest weight is read first, so each of D5's three minuscule
-        # fundamental weights builds its module box once
+    @pytest.mark.parametrize("name,count", [("A5", 5), ("D5", 3), ("E6", 2), ("E7", 1)])
+    def test_minuscule_builds_one_table_each(self, monkeypatch, name, count):
+        # the orbit is read deepest weight first, so the lowest weight comes
+        # first and each minuscule fundamental weight builds its module box
+        # once, with no read made only to size it
         builds = []
         build = qkostant.PartitionEngine._build
         monkeypatch.setattr(qkostant.PartitionEngine, "_build",
                             lambda eng, box: builds.append(box) or build(eng, box))
         clear_caches()
-        d5 = build_root_system("D5")
-        for i in (0, 3, 4):
-            assert idn.verify_minuscule(d5, d5.fundamental_weight(i)).passed
-        assert len(builds) == 3
+        rs = build_root_system(name)
+        weights = [w for w in map(rs.fundamental_weight, range(rs.rank))
+                   if idn.is_minuscule(rs, w)]
+        assert len(weights) == count
+        for lam in weights:
+            assert idn.verify_minuscule(rs, lam).passed
+        assert builds == [qkostant.module_box(rs, lam.coords) for lam in weights]
+
+    def test_minuscule_failures_come_deepest_first(self, monkeypatch):
+        # with every q-analogue made wrong, the "pure power" entries of the
+        # report follow the walk: by depth ht(lam - mu), deepest first, then
+        # by coordinates
+        monkeypatch.setattr(idn, "lusztig_q_analogue", lambda rs, lam, mu: QPoly.zero())
+        rs = build_root_system("A3")
+        lam = Weight((0, 1, 0))
+        report = idn.verify_minuscule(rs, lam)
+        mus = [f["mu"] for f in report.failures if f["check"] == "pure power"]
+        expected = sorted(orbit(rs, lam), key=lambda w: (-rs.height(lam - w), w.coords))
+        assert mus == [str(w) for w in expected]
+        assert mus[0] == str(Weight((0, -1, 0)))
 
     def test_is_minuscule_catalogue(self):
         d4 = build_root_system("D4")

@@ -714,9 +714,9 @@ class TestTableGrowth:
         assert root_system.context(rs).engines[lam.coords].spent == 1_350 + 10_395
 
     @pytest.mark.parametrize("reads,cells", [
-        # m^0, m^alpha, m^{alpha+} and m^{-alpha} of E7 theta, as `verify
-        # subregular E7` reads them: the boxes of theta and of theta + alpha_1
-        (lambda rs: verify_subregular_identity(rs, rs.theta, 0), [4_320, 5_760]),
+        # m^{-alpha}, m^0, m^alpha and m^{alpha+} of E7 theta, as `verify
+        # subregular E7` reads them: the one box of theta + alpha_1
+        (lambda rs: verify_subregular_identity(rs, rs.theta, 0), [5_760]),
         # E7 theta -> 0 builds the box of theta alone
         (lambda rs: lusztig_q_analogue(rs, rs.theta, Weight.zero(7)), [4_320]),
     ])
@@ -726,6 +726,18 @@ class TestTableGrowth:
         rs = build_root_system("E7")
         reads(rs)
         assert [prod(b + 1 for b in bound) for bound in builds] == cells
+
+    @pytest.mark.parametrize("name,cells", [("E6", 648), ("F4", 90)])
+    def test_subregular_builds_one_table(self, builds, name, cells):
+        # m^{-alpha} is read first, and the box of lam + alpha holds the
+        # other three reads, so `verify subregular` on its own builds one
+        # table: lam is theta_s and alpha the first short simple root.  E7
+        # is the first case of the test above
+        rs = build_root_system(name)
+        lam, i = rs.theta_s, rs.symmetrizer.index(1)
+        assert verify_subregular_identity(rs, lam, i).passed
+        assert builds == [root_coords(rs, lam + rs.simple_roots[i])]
+        assert prod(b + 1 for b in builds[0]) == cells
 
     @pytest.mark.parametrize("name,weights", [
         ("E7", lambda rs: [Weight.zero(7)]),
