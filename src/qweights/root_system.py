@@ -20,7 +20,8 @@ Conventions, fixed once and documented in the README:
   ``qkostant.read``.  ``weight_to_root_coords`` is the exact-rational view
   of ``root_coords``, for callers that want the coordinates of any weight
   as ``Fraction``s, and the only code here that imports ``fractions``.
-  The symmetrizer and the scaled inverse are computed in integers.
+  The symmetrizer comes from the type, and the scaled inverse is computed
+  in integers.
 * The symmetrizer d_i is normalized so short simple roots have (a,a) = 2;
   then the coroot of a short root is the root itself.
 
@@ -208,58 +209,25 @@ def _weight(coords, _new=object.__new__, _set=Weight.coords.__set__) -> Weight:
 
 
 def _standard_cartan(letter: str, rank: int):
-    """Bourbaki Cartan matrix for the given simple type."""
-    a = [[0] * rank for _ in range(rank)]
-    for i in range(rank):
-        a[i][i] = 2
-
-    def chain(i, j):  # single bond between nodes i and j
-        a[i][j] = a[j][i] = -1
-
-    if letter in ("A", "B", "C", "F", "G"):
-        for i in range(rank - 1):
-            chain(i, i + 1)
-    if letter == "B":  # alpha_rank short: <alpha_{r-1}, alpha_r_check> = -2
-        a[rank - 1][rank - 2] = -2
-    elif letter == "C":  # alpha_rank long
-        a[rank - 2][rank - 1] = -2
-    elif letter == "D":
-        for i in range(rank - 2):
-            chain(i, i + 1)
-        chain(rank - 3, rank - 1)
+    """(A, d): the Bourbaki Cartan matrix of the given simple type and its
+    symmetrizer d_i = (alpha_i, alpha_i) / 2, the one place that states the
+    root lengths.  The diagram is a chain, but for D's last node, which
+    hangs on node r-2, and E's node 2, which hangs on node 4 (numbered from
+    1, as Bourbaki does).  Across a bond
+    (alpha_i, alpha_j) = -max(d_i, d_j), so A[i][j] = -max(d_i, d_j) / d_i,
+    exactly."""
+    d = {"B": (2,) * (rank - 1) + (1,), "C": (1,) * (rank - 1) + (2,),
+         "F": (2, 2, 1, 1), "G": (1, 3)}.get(letter, (1,) * rank)
+    bonds = [(i, i + 1) for i in range(rank - 1)]
+    if letter == "D":
+        bonds[-1] = (rank - 3, rank - 1)
     elif letter == "E":
-        # chain 1-3-4-5-6(-7-8), branch node 4 carries node 2
-        chain(0, 2)
-        for i in range(2, rank - 1):
-            chain(i, i + 1)
-        chain(1, 3)
-    elif letter == "F":
-        a[2][1] = -2  # <alpha_2, alpha_3_check> = -2; alpha_1, alpha_2 long
-        a[1][2] = -1
-    elif letter == "G":
-        a[0][1] = -3  # alpha_1 short
-        a[1][0] = -1
-    return tuple(tuple(row) for row in a)
-
-
-def _symmetrizer(cartan):
-    """Positive integers d_i with d_i * A[i][j] = d_j * A[j][i], min = 1, of
-    the Cartan matrix of a simple type: its diagram is connected, so the
-    walk below reaches every node, and its roots have at most two lengths in
-    the ratio 2 or 3, so each d_i is a multiple of the least."""
-    rank = len(cartan)
-    # d_0 starts as a multiple of every entry's product along a path of the
-    # diagram, so each d_j = d_i * A[i][j] / A[j][i] below is an integer
-    d = [prod(abs(x) for row in cartan for x in row if x)] + [0] * (rank - 1)
-    todo = [0]
-    while todo:
-        i = todo.pop()
-        for j in range(rank):
-            if i != j and cartan[i][j] and not d[j]:
-                d[j] = d[i] * cartan[i][j] // cartan[j][i]
-                todo.append(j)
-    lo = min(d)
-    return tuple(x // lo for x in d)
+        bonds[:2] = [(0, 2), (1, 3)]
+    a = [[2 * (i == j) for j in range(rank)] for i in range(rank)]
+    for i, j in bonds:
+        m = max(d[i], d[j])
+        a[i][j], a[j][i] = -m // d[i], -m // d[j]
+    return tuple(map(tuple, a)), d
 
 
 def _positive_roots(cartan):
@@ -336,7 +304,7 @@ class RootSystem:
         self.letter = letter
         self.rank = rank
         self.name = f"{letter}{rank}"
-        self.cartan = _standard_cartan(letter, rank)
+        self.cartan, self.symmetrizer = _standard_cartan(letter, rank)
         # the key of its caches in ``_contexts``: a string hashes once
         self._key = repr(self.cartan)
         # column i as its nonzero (k, a[k][i]): s_i lowers coordinate k of a
@@ -345,7 +313,6 @@ class RootSystem:
             tuple((k, row[i]) for k, row in enumerate(self.cartan) if row[i])
             for i in range(rank)
         )
-        self.symmetrizer = _symmetrizer(self.cartan)
         self.positive_roots = _positive_roots(self.cartan)
         self.heights = tuple(sum(r) for r in self.positive_roots)
         # the inverse Cartan matrix times its least common denominator, as ints
@@ -384,10 +351,7 @@ class RootSystem:
         self.theta_s_root_coords = self.short_positive_roots[-1]
         self.theta_s = self.root_to_weight_basis(self.theta_s_root_coords)
 
-        self.simple_roots = tuple(
-            self.root_to_weight_basis(tuple(1 if j == i else 0 for j in range(rank)))
-            for i in range(rank)
-        )
+        self.simple_roots = tuple(map(_weight, zip(*self.cartan)))
 
     # -- basis conversion ----------------------------------------------
 

@@ -45,7 +45,7 @@ COMMANDS = [
      "--mu", "0,0,0,0,0,0,0,0"],
     ["verify", "all", "B2", "--lambda", "0,2"],
     ["verify", "all", "G2", "--alpha-index", "0"],
-]
+] + [["roots", name, "--format", "json"] for name in ("B3", "C3", "D4", "E6", "F4")]
 
 # run with the q-analogue that the verifiers read one too large at -alpha_3
 # of B3, a short negative root, so that the adjoint verifier fails

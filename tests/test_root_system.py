@@ -154,6 +154,8 @@ def test_cartan_structure(name):
     n = rs.rank
     for i in range(n):
         assert A[i][i] == 2
+        # simple root i is column i of A, in the fundamental-weight basis
+        assert rs.simple_roots[i] == Weight(tuple(row[i] for row in A))
         for j in range(n):
             if i != j:
                 assert A[i][j] <= 0
@@ -679,6 +681,53 @@ UP_TO_RANK_12 = [f"{letter}{rank}" for letter in "ABCDEFG" for rank in range(1, 
 def test_positive_root_count_in_closed_form(name):
     rs = build_root_system(name)
     assert len(rs.positive_roots) == root_system._POSITIVE_ROOTS[rs.letter](rs.rank)
+
+
+# every type up to rank 12, and the largest rank of each letter that the
+# orbit-point budget admits
+CARTAN_TYPES = UP_TO_RANK_12 + ["A99", "B79", "C79", "D79"]
+
+
+def _bareiss_det(matrix):
+    """The determinant of an integer matrix by Bareiss's fraction-free
+    elimination, without pivoting: each pivot is a leading principal minor,
+    so asserting it positive also checks that the matrix is positive
+    definite, as the Cartan matrix of a finite type is."""
+    m = [list(row) for row in matrix]
+    prev = 1
+    for k in range(len(m) - 1):
+        assert m[k][k] > 0
+        for i in range(k + 1, len(m)):
+            for j in range(k + 1, len(m)):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return m[-1][-1]
+
+
+# det A, the index of the root lattice in the weight lattice
+CONNECTION_INDEX = {"A": lambda n: n + 1, "B": lambda n: 2, "C": lambda n: 2,
+                    "D": lambda n: 4, "E": {6: 3, 7: 2, 8: 1}.get,
+                    "F": lambda n: 1, "G": lambda n: 1}
+
+
+@pytest.mark.parametrize("name", CARTAN_TYPES)
+def test_standard_cartan_is_a_symmetrizable_tree(name):
+    letter, rank = parse_type(name)
+    A, d = root_system._standard_cartan(letter, rank)
+    assert len(A) == len(d) == rank and all(len(row) == rank for row in A)
+    assert all(A[i][i] == 2 for i in range(rank))
+    assert min(d) == 1
+    assert all(d[i] * A[i][j] == d[j] * A[j][i] for i in range(rank) for j in range(rank))
+    # rank - 1 bonds that reach every node from node 0: a tree
+    bonds = [(i, j) for i in range(rank) for j in range(i + 1, rank) if A[i][j]]
+    assert len(bonds) == rank - 1
+    reached = {0}
+    for _ in range(rank):
+        reached |= {j for i, j in bonds if i in reached} | {i for i, j in bonds if j in reached}
+    assert reached == set(range(rank))
+    assert _bareiss_det(A) == CONNECTION_INDEX[letter](rank)
+    if letter == "C":  # C_n's matrix is B_n's transposed
+        assert A == tuple(zip(*root_system._standard_cartan("B", rank)[0]))
 
 
 @pytest.mark.parametrize("letter,largest", [("A", 99), ("B", 79), ("C", 79), ("D", 79)])

@@ -16,7 +16,7 @@ LAYERBENCH = pathlib.Path(__file__).resolve().parent.parent / "layerbench"
 # Code lines in src/qweights, counted by ``code_lines``.  The count must
 # equal it: a change that adds code raises it and says in CHANGES.md what
 # the lines buy, and a change that removes code lowers it.
-CODE_LINE_CEILING = 1585
+CODE_LINE_CEILING = 1553
 
 
 def code_lines(path) -> int:
